@@ -7,7 +7,7 @@ lower-bound audits that make the optimality claims measurable.
 
 from .weights import INFINITY, WeightArena
 from .errors import ContractViolation, EmptyHeapError, GraphParseError, UsageError
-from .aux_structures import IntervalMap, MinKeeper, SkippableArray
+from .aux_structures import IntervalMap, MinKeeper
 from .base_heap import BinaryQueue, FibonacciHeap, FibonacciQueue, HeapNodePool, PairingQueue
 from .workset_heap import WorkSetHeap
 from .graph_core import (Graph, SpanningTree, emit_graph, forward_edges,
@@ -25,7 +25,7 @@ from .comparison_optimal import (DominatorTree, contract_chains, deduplicate,
 __all__ = [
     "INFINITY", "WeightArena", "ContractViolation", "EmptyHeapError",
     "GraphParseError", "UsageError", "IntervalMap", "MinKeeper",
-    "SkippableArray", "BinaryQueue", "FibonacciHeap", "FibonacciQueue",
+    "BinaryQueue", "FibonacciHeap", "FibonacciQueue",
     "HeapNodePool", "PairingQueue", "WorkSetHeap", "Graph", "SpanningTree",
     "emit_graph", "forward_edges", "gen_broom", "gen_dense", "gen_family",
     "parse_graph", "DijkstraRun", "run_dijkstra", "BoundReport",

@@ -1,19 +1,14 @@
 """Auxiliary structures for the working-set heap.
 
-Three pieces:
-
+* :class:`MinKeeper` maintains an array M of keyed entries, one per heap
+  rank, plus the array S of suffix minima of M, so the global minimum's
+  index is read off S[0] without touching M.  Both are plain lists: they
+  never hold more than a handful of entries, and a run of equal suffix
+  minima is found by free tuple equality rather than stored.
 * :class:`IntervalMap` stores right-open, pairwise non-overlapping integer
-  intervals with attached payloads and answers point queries.
-* :class:`SkippableArray` is a run-length-compressed array over an
-  :class:`IntervalMap`, supporting constant-amortized leftward run overwrites.
-* :class:`MinKeeper` maintains an array M of keyed entries plus the compressed
-  array S of suffix minima of M, so the global minimum's index is read off
-  S[0] without touching M.
-
-The ordered containers are realized with bisect over sorted lists rather than
-a balanced tree: the structures never hold more than a few dozen intervals
-(one per heap rank, or one per run), so shifting a short list beats any
-pointer-based tree while keeping the O(log n) searches.
+  intervals with attached payloads and answers point queries by bisection.
+  The working-set heap no longer uses it (each inner heap caches its own
+  interval); it stays only while the benchmark's tracer still wraps it.
 
 Entries in :class:`MinKeeper` are (weight handle, tiebreak) pairs ordered by
 the arena comparison first and the integer tiebreak second, so callers that
@@ -42,7 +37,10 @@ class Located(NamedTuple):
 
 
 class IntervalMap:
-    """Right-open, non-overlapping intervals [a, b) -> payload."""
+    """Right-open, non-overlapping intervals [a, b) -> payload.
+
+    Unused by the package; goes once the benchmark drops its wrappers on it.
+    """
 
     __slots__ = ("_starts", "_ends", "_vals")
 
@@ -133,141 +131,16 @@ class IntervalMap:
             prev_end = b
 
 
-class SkippableArray:
-    """Array stored as maximal same-valued runs.
-
-    Runs tile [0, len): run j covers positions ``_starts[j]`` up to the next
-    run's start (the last run ends at ``len``), so the interval map of runs
-    degenerates to one sorted start list plus a value list.  Two
-    distinguishing operations (both O(log #runs) search plus O(#runs) list
-    surgery on what is always a short list):
-
-    * ``skip(i)``: largest j < i whose value differs from A[i]; -1 if none.
-    * ``change_skip(i, x)``: overwrite A[skip(i)+1 .. i] with x, re-coalescing
-      runs, and return skip(i) computed before the write.
-
-    Values are compared with ``==`` for run coalescing only.
-    """
-
-    __slots__ = ("_starts", "_vals", "_len")
-
-    def __init__(self):
-        self._starts: list[int] = []
-        self._vals: list = []
-        self._len = 0
-
-    def __len__(self):
-        return self._len
-
-    def get(self, i: int):
-        if not 0 <= i < self._len:
-            raise ContractViolation(f"index {i} out of range")
-        return self._vals[bisect_right(self._starts, i) - 1]
-
-    def skip(self, i: int) -> int:
-        if not 0 <= i < self._len:
-            raise ContractViolation(f"index {i} out of range")
-        return self._starts[bisect_right(self._starts, i) - 1] - 1
-
-    def change_skip(self, i: int, x) -> int:
-        if not 0 <= i < self._len:
-            raise ContractViolation(f"index {i} out of range")
-        starts, vals = self._starts, self._vals
-        j = bisect_right(starts, i) - 1
-        a = starts[j]
-        v = vals[j]
-        if x == v:
-            return a - 1
-        nruns = len(starts)
-        run_end = starts[j + 1] if j + 1 < nruns else self._len
-        if i + 1 < run_end:
-            # split: positions [i+1, run_end) keep the old value
-            if j > 0 and vals[j - 1] == x:
-                starts[j] = i + 1  # left neighbor absorbs [a, i]
-            else:
-                vals[j] = x
-                starts.insert(j + 1, i + 1)
-                vals.insert(j + 1, v)
-        else:
-            merge_l = j > 0 and vals[j - 1] == x
-            merge_r = j + 1 < nruns and vals[j + 1] == x
-            if merge_l and merge_r:
-                del starts[j : j + 2]
-                del vals[j : j + 2]
-            elif merge_l:
-                del starts[j]
-                del vals[j]
-            elif merge_r:
-                starts[j + 1] = a
-                del starts[j]
-                del vals[j]
-            else:
-                vals[j] = x
-        return a - 1
-
-    def set_prefix(self, values: list) -> None:
-        """Replace A[0 : len(values)] wholesale, growing the array if needed."""
-        k = len(values)
-        if k == 0:
-            return
-        # coalesce the prefix into runs
-        ps: list[int] = [0]
-        pv: list = [values[0]]
-        for i in range(1, k):
-            v = values[i]
-            if v != pv[-1]:
-                ps.append(i)
-                pv.append(v)
-        starts, vals = self._starts, self._vals
-        if k >= self._len:
-            self._starts, self._vals = ps, pv
-            self._len = k
-            return
-        j = bisect_right(starts, k) - 1  # run containing position k (or starting there)
-        if starts[j] < k:
-            tail_starts = [k] + starts[j + 1 :]
-            tail_vals = vals[j:]
-        else:
-            tail_starts = starts[j:]
-            tail_vals = vals[j:]
-        if tail_vals[0] == pv[-1]:
-            del tail_starts[0]
-            del tail_vals[0]
-        self._starts = ps + tail_starts
-        self._vals = pv + tail_vals
-
-    def pop(self) -> None:
-        """Shrink the array by one position."""
-        if self._len == 0:
-            raise ContractViolation("pop from empty array")
-        self._len -= 1
-        if self._starts and self._starts[-1] == self._len:
-            self._starts.pop()
-            self._vals.pop()
-
-    def to_list(self) -> list:
-        return [self.get(i) for i in range(self._len)]
-
-    def check(self) -> None:
-        """Debug scan: runs partition [0, len) and neighbors differ."""
-        starts, vals = self._starts, self._vals
-        if self._len == 0:
-            assert not starts and not vals
-            return
-        assert starts[0] == 0, "first run must start at 0"
-        assert starts[-1] < self._len, "run starts past the array end"
-        for i in range(1, len(starts)):
-            assert starts[i - 1] < starts[i], "run starts not increasing"
-            assert vals[i - 1] != vals[i], "adjacent runs carry equal values"
-
-
 class MinKeeper:
-    """Array M of (handle, tiebreak) entries plus compressed suffix minima S.
+    """Array M of (handle, tiebreak) entries plus the suffix minima S of M.
 
     Entries are ordered by the arena comparison on handles, ties by the
-    integer tiebreak.  S runs store (handle, tiebreak, witness index) so
-    ``find_min`` is a single O(1) read.  ``decrease`` walks S leftward run by
-    run and is amortized O(1) by the usual distinct-run potential.
+    integer tiebreak.  Both arrays are plain lists of equal length: M[i] is
+    a (handle, tiebreak) pair and S[i] = (handle, tiebreak, witness) is the
+    leftmost minimum of M[i:], so ``find_min`` is a single O(1) read.  A
+    maximal stretch of S sharing one witness is a run; ``decrease`` walks S
+    leftward one run at a time, paying one comparison per run, and is
+    amortized O(1) by the usual distinct-run potential.
     """
 
     __slots__ = ("_arena", "_m", "_s")
@@ -275,14 +148,10 @@ class MinKeeper:
     def __init__(self, arena):
         self._arena = arena
         self._m: list[tuple] = []  # (handle, tiebreak)
-        self._s = SkippableArray()
+        self._s: list[tuple] = []  # (handle, tiebreak, witness index)
 
     def __len__(self):
         return len(self._m)
-
-    def get(self, i: int):
-        """Entry handle at index i (no comparisons)."""
-        return self._m[i][0]
 
     def entries(self) -> list[tuple]:
         """The live (handle, tiebreak) pair list.  Treat as read-only."""
@@ -304,7 +173,7 @@ class MinKeeper:
             return
         m = self._m
         if k >= len(m):
-            self._m = m = list(prefix)
+            self._m = list(prefix)
         else:
             m[:k] = prefix
         self._recompute_prefix(k)
@@ -315,71 +184,24 @@ class MinKeeper:
         self._recompute_prefix(i + 1)
 
     def _recompute_prefix(self, k: int) -> None:
-        # Rebuild S[0..k-1] right to left, one comparison per position.
+        # Rebuild S[0..k-1] right to left, one comparison per position
+        # against the running minimum; ``<= 0`` keeps the leftmost tie.
         m = self._m
         s = self._s
-        if k == 1 and s._len > 0:
-            h, t = m[0]
-            starts, vals = s._starts, s._vals
-            zero_alone = len(starts) > 1 and starts[1] == 1
-            if s._len > 1:
-                nxt = vals[1] if zero_alone else vals[0]  # S[1]'s run value
-                if self._cmp(h, t, nxt[0], nxt[1]) <= 0:
-                    best = (h, t, 0)
-                else:
-                    best = nxt
-            else:
-                best = (h, t, 0)
-            old0 = vals[0]
-            if old0 == best:
-                return
-            if zero_alone:
-                if vals[1] == best:
-                    del starts[1]
-                    del vals[1]
-                vals[0] = best
-            elif s._len == 1:
-                vals[0] = best
-            else:
-                # run 0 spans past position 0: split its head off
-                starts.insert(1, 1)
-                vals.insert(1, old0)
-                vals[0] = best
-            return
-        # Emit the prefix of S directly as coalesced runs (right to left the
-        # running best only changes when a new position wins, so runs are few).
-        best = s.get(k) if k < s._len else None
-        cmp = self._cmp
-        run_starts: list[int] = []  # collected right-to-left
-        run_vals: list = []
+        compare = self._arena.compare
+        if k < len(s):
+            best = s[k]
+        else:
+            s.extend([None] * (k - len(s)))  # M grew to length k
+            k -= 1
+            h, t = m[k]
+            s[k] = best = (h, t, k)
         for i in range(k - 1, -1, -1):
             h, t = m[i]
-            if best is None or cmp(h, t, best[0], best[1]) <= 0:
+            c = compare(h, best[0])
+            if c < 0 or (c == 0 and t <= best[1]):
                 best = (h, t, i)
-                run_starts.append(i)
-                run_vals.append(best)
-            elif not run_vals:
-                run_starts.append(i)  # prefix top continues the old best
-                run_vals.append(best)
-            else:
-                run_starts[-1] = i
-        run_starts.reverse()
-        run_vals.reverse()
-        starts, vals = s._starts, s._vals
-        if k >= s._len:
-            s._starts, s._vals = run_starts, run_vals
-            s._len = k
-            return
-        j = bisect_right(starts, k) - 1
-        if starts[j] < k:
-            tail_starts = [k] + starts[j + 1 :]
-        else:
-            tail_starts = starts[j:]
-        tail_vals = vals[j:]
-        if tail_vals[0] == run_vals[-1]:
-            del tail_starts[0], tail_vals[0]
-        s._starts = run_starts + tail_starts
-        s._vals = run_vals + tail_vals
+            s[i] = best
 
     def decrease(self, i: int, x: int, tie: int = 0) -> None:
         """Set M[i] := (x, tie); requires the new entry not exceed M[i]."""
@@ -397,30 +219,42 @@ class MinKeeper:
         return True
 
     def _decrease_known_lower(self, i: int, x: int, tie: int) -> None:
+        """Set M[i] := (x, tie), already known not to exceed M[i]."""
         self._m[i] = (x, tie)
         s = self._s
-        cur = s.get(i)
-        if self._cmp(x, tie, cur[0], cur[1]) > 0:
+        compare = self._arena.compare
+        cur = s[i]
+        c = compare(x, cur[0])
+        if c > 0 or (c == 0 and tie > cur[1]):
             return  # a later entry is still smaller; S untouched
         payload = (x, tie, i)
-        j = s.change_skip(i, payload)
-        while j >= 0:
-            run = s.get(j)
-            if self._cmp(run[0], run[1], x, tie) <= 0:
-                break
-            j = s.change_skip(j, payload)
+        j = i
+        while True:
+            # overwrite the run ending at j; tuple equality finds its extent
+            run = s[j]
+            s[j] = payload
+            j -= 1
+            while j >= 0 and s[j] == run:
+                s[j] = payload
+                j -= 1
+            if j < 0:
+                return
+            run = s[j]
+            c = compare(run[0], x)
+            if c < 0 or (c == 0 and run[1] <= tie):
+                return
 
     def find_min(self) -> int:
         """Index of the minimum entry (leftmost on full ties)."""
         if not self._m:
             raise ContractViolation("find_min on empty MinKeeper")
-        return self._s.get(0)[2]
+        return self._s[0][2]
 
     def min_entry(self) -> tuple:
         """(handle, tiebreak, index) of the current minimum."""
         if not self._m:
             raise ContractViolation("min_entry on empty MinKeeper")
-        return self._s.get(0)
+        return self._s[0]
 
     def pop(self) -> None:
         """Drop the last entry; the last two entries must compare equal."""
@@ -433,15 +267,11 @@ class MinKeeper:
         m.pop()
         self._s.pop()
 
-    def to_list(self) -> list:
-        return [h for h, _t in self._m]
-
     def check(self) -> None:
         """Debug: S[i] equals the brute-force minimum of M[i:], every i.
 
         Spends comparisons on the arena; call only outside measured runs.
         """
-        self._s.check()
         assert len(self._s) == len(self._m)
         cmp = self._cmp
         for i in range(len(self._m)):
@@ -450,7 +280,7 @@ class MinKeeper:
                 h, t = self._m[j]
                 if best is None or cmp(h, t, best[0], best[1]) < 0:
                     best = (h, t, j)
-            got = self._s.get(i)
+            got = self._s[i]
             assert cmp(got[0], got[1], best[0], best[1]) == 0, (
                 f"S[{i}] does not equal min(M[{i}:])"
             )

@@ -9,10 +9,13 @@ structural invariants are maintained after every public operation:
 2. If the maximum nonempty rank R is >= 2, |H_R| + |H_{R-1}| >= 2**(2**(R-1)).
 3. Every element of a higher rank is older than every element of a lower one.
 
-An interval map U tracks which span of insertion times each heap covers (so
-decrease-key can find an element's heap from its timestamp alone), and a
-minimum keeper M holds each rank's current minimum (so find-min and the
-extraction rank are a single O(1) read).
+Each inner heap caches the span [iv_start, iv_end) of insertion times it
+covers.  By invariant 3 the spans of the nonempty heaps are disjoint and
+ordered oldest-first by rank, so decrease-key finds an element's heap from
+its timestamp alone: the lowest nonempty rank whose span starts at or before
+it, found by scanning the at most 8 rank slots.  A minimum keeper M holds
+each rank's current minimum (so find-min and the extraction rank are a
+single O(1) read).
 
 Amortized comparison costs: insert and decrease-key O(1); extract-min
 O(1 + log |W_x|), where W_x is the working set of the extracted element
@@ -24,7 +27,7 @@ deterministic; the +infinity sentinel never costs a comparison.
 
 from __future__ import annotations
 
-from .aux_structures import IntervalMap, MinKeeper
+from .aux_structures import MinKeeper
 from .base_heap import FibonacciHeap, HeapNodePool, _NIL
 from .errors import ContractViolation, EmptyHeapError
 from .weights import INFINITY
@@ -38,7 +41,7 @@ _INF_ENTRY = (INFINITY, 0)
 class WorkSetHeap:
     """Fibonacci-like priority queue with the working-set property."""
 
-    __slots__ = ("arena", "_pool", "_heaps", "_U", "_M", "_next_time", "size",
+    __slots__ = ("arena", "_pool", "_heaps", "_M", "_next_time", "size",
                  "_spares", "last_extract_rank", "last_extract_time",
                  "extract_comparisons")
 
@@ -46,7 +49,6 @@ class WorkSetHeap:
         self.arena = arena
         self._pool = HeapNodePool()
         self._heaps: list[FibonacciHeap | None] = []
-        self._U = IntervalMap()
         self._M = MinKeeper(arena)
         self._next_time = 0
         self.size = 0
@@ -66,12 +68,10 @@ class WorkSetHeap:
         self._next_time = t + 1
         pool = self._pool
         heaps = self._heaps
-        U = self._U
         H0 = heaps[0] if heaps else None
         if H0 is not None and H0.size < CAPS[0]:
             # fast path: room at rank 0, extend its interval in place
             nid = H0.insert(key, t, vertex)
-            U.extend_right(H0.iv_start, H0.iv_end, t + 1)
             H0.iv_end = t + 1
             if H0.min == nid:
                 self._M.set_entry(0, key, vertex)
@@ -84,7 +84,6 @@ class WorkSetHeap:
         nid = carry.insert(key, t, vertex)
         carry.iv_start = t
         carry.iv_end = t + 1
-        U.set(t, t + 1, carry)
         prefix = []
         r = 0
         while True:
@@ -100,14 +99,9 @@ class WorkSetHeap:
                 break
             if H.size + carry.size <= CAPS[r]:
                 # meld the carry into H_r and fuse their time intervals
-                a, b = H.iv_start, H.iv_end
-                c, d = carry.iv_start, carry.iv_end
-                U.remove(a, b)
-                U.remove(c, d)
                 H.meld(carry)
                 spares.append(carry)
-                H.iv_start, H.iv_end = a, d
-                U.set(a, d, H)
+                H.iv_end = carry.iv_end
                 m = H.min
                 prefix.append((pool.key[m], pool.vertex[m]))
                 break
@@ -152,7 +146,6 @@ class WorkSetHeap:
         heaps = self._heaps
         M = self._M
         pool = self._pool
-        U = self._U
         pre_R = len(heaps) - 1
         while pre_R >= 0 and heaps[pre_R] is None:
             pre_R -= 1
@@ -163,7 +156,6 @@ class WorkSetHeap:
         self.last_extract_rank = r_star
         self.last_extract_time = t
         if H.size == 0:
-            U.remove(H.iv_start, H.iv_end)
             heaps[r_star] = None
             self._spares.append(H)
             M.set_entry(r_star, INFINITY, 0)
@@ -187,14 +179,9 @@ class WorkSetHeap:
                         heaps[pre_R] = None
                         merged = hi
                     else:
-                        a, b = hi.iv_start, hi.iv_end  # hi is older: a < lo's start
-                        c, d = lo.iv_start, lo.iv_end
-                        U.remove(a, b)
-                        U.remove(c, d)
                         lo.meld(hi)
                         self._spares.append(hi)
-                        lo.iv_start, lo.iv_end = a, d
-                        U.set(a, d, lo)
+                        lo.iv_start = hi.iv_start  # hi is older
                         heaps[pre_R] = None
                         merged = lo
                 else:
@@ -219,12 +206,16 @@ class WorkSetHeap:
         pool = self._pool
         if pool.time[nid] != t:
             raise ContractViolation("stale handle: element already extracted")
-        hit = self._U.find(t)
-        if hit is None:
-            raise ContractViolation("stale handle: element already extracted")
-        heap = hit[2]
+        heap = self._heap_at(t)
         heap.decrease_key(nid, new_key)
         self._M.decrease_if_lower(heap.rank, new_key, pool.vertex[nid])
+
+    def _heap_at(self, t: int) -> FibonacciHeap:
+        """The heap whose span holds insertion time t of a live element."""
+        for heap in self._heaps:
+            if heap is not None and heap.iv_start <= t:
+                return heap
+        raise ContractViolation("stale handle: element already extracted")
 
     # -- introspection -------------------------------------------------------
 
@@ -238,7 +229,7 @@ class WorkSetHeap:
         return -1
 
     def check_invariants(self, value_of=None) -> None:
-        """Full-scan debug check of invariants 1-3 plus U and M validity.
+        """Full-scan debug check of invariants 1-3, the spans and M validity.
 
         ``value_of`` maps a weight handle to its exact value; if omitted the
         arena must be in audit mode.  Raises AssertionError on any violation.
@@ -289,18 +280,12 @@ class WorkSetHeap:
                 bound = math.ceil(math.log2(math.log2(self.size))) + 2
                 assert R <= bound, f"max rank {R} exceeds loglog bound {bound}"
 
-        self._U.check()
-        by_payload = {}
-        for a, b, payload in self._U.items():
-            assert isinstance(payload, FibonacciHeap)
-            assert payload.rank is not None and heaps[payload.rank] is payload, (
-                "U payload does not match any rank slot"
+        # the heaps' cached spans are disjoint and ordered oldest-first by
+        # rank, which is what decrease_key's rank-slot lookup relies on
+        for a, b in zip(occupied, occupied[1:]):
+            assert heaps[b].iv_end <= heaps[a].iv_start, (
+                f"ranks {a} and {b}: cached spans overlap or are out of order"
             )
-            assert (payload.iv_start, payload.iv_end) == (a, b), (
-                "U interval disagrees with the heap's cached span"
-            )
-            by_payload[payload.rank] = (a, b)
-        assert set(by_payload) == set(spans), "U does not map exactly the nonempty heaps"
 
         M = self._M
         assert len(M) >= (occupied[-1] + 1 if occupied else 0)
@@ -324,6 +309,6 @@ class WorkSetHeap:
             cand = (entries[i], i)
             if suffix is None or cand[0] < suffix[0]:
                 suffix = cand
-            got = M._s.get(i)
+            got = M._s[i]
             got_val = (math.inf, 0) if got[0] == INFINITY else (value_of(got[0]), got[1])
             assert got_val == suffix[0], f"S[{i}] is not min(M[{i}:])"

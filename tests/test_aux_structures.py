@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distorder.aux_structures import IntervalMap, MinKeeper, SkippableArray
+from distorder.aux_structures import IntervalMap, MinKeeper
 from distorder.errors import ContractViolation
 from distorder.weights import INFINITY, WeightArena
 
@@ -91,78 +91,10 @@ class TestIntervalMap:
                 assert got == want
 
 
-def build_skippable(values):
-    s = SkippableArray()
-    s.set_prefix(list(values))
-    return s
-
-
-class TestSkippableArray:
-    def test_skip_examples(self):
-        s = build_skippable([5, 5, 3, 3, 3])
-        assert s.skip(4) == 1
-        assert build_skippable([7, 7, 7]).skip(2) == -1
-        assert build_skippable([1, 2, 3]).skip(2) == 1
-
-    def test_change_skip_semantics(self):
-        s = build_skippable([5, 5, 3, 3, 3])
-        assert s.change_skip(4, 2) == 1
-        assert s.to_list() == [5, 5, 2, 2, 2]
-
-    def test_change_skip_merges_with_left(self):
-        s = build_skippable([5, 5, 3, 3, 3])
-        assert s.change_skip(4, 5) == 1
-        assert s.to_list() == [5] * 5
-        assert len(s._starts) == 1  # a single run remains
-
-    def test_change_skip_at_zero(self):
-        s = build_skippable([4, 9])
-        assert s.change_skip(0, 8) == -1
-        assert s.to_list() == [8, 9]
-
-    def test_out_of_range(self):
-        s = build_skippable([1])
-        with pytest.raises(ContractViolation):
-            s.skip(1)
-        with pytest.raises(ContractViolation):
-            s.change_skip(-1, 0)
-
-    @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 5),
-                              st.integers(0, 3)), min_size=1, max_size=60))
-    @settings(max_examples=200, deadline=None)
-    def test_against_plain_list(self, ops):
-        rng_len = 12
-        model = [0] * rng_len
-        s = build_skippable(model)
-        for pos, val, op in ops:
-            if op == 0 and len(model) > 0:
-                i = pos % len(model)
-                # reference semantics for change_skip
-                j = i
-                while j >= 0 and model[j] == model[i]:
-                    j -= 1
-                got = s.change_skip(i, val)
-                assert got == j
-                for k in range(j + 1, i + 1):
-                    model[k] = val
-            elif op == 1 and len(model) > 0:
-                i = pos % len(model)
-                j = i
-                while j >= 0 and model[j] == model[i]:
-                    j -= 1
-                assert s.skip(i) == j
-            elif op == 2 and len(model) > 1:
-                model.pop()
-                s.pop()
-            else:
-                k = pos % (len(model) + 2) + 1
-                prefix = [val] * k if val % 2 else list(range(pos, pos + k))
-                s.set_prefix(prefix)
-                model[:k] = prefix
-                if k > len(model):
-                    model = prefix
-            s.check()
-            assert s.to_list() == model
+def count_runs(mk):
+    """Maximal stretches of equal entries in the suffix-minima list S."""
+    s = mk._s
+    return sum(1 for i in range(len(s)) if i == 0 or s[i] != s[i - 1])
 
 
 class TestMinKeeper:
@@ -250,7 +182,7 @@ class TestMinKeeper:
         arena = self.arena
         vals = [rng.randrange(1000) for _ in range(8)]
         mk = self.fill(vals)
-        runs = len(mk._s._starts)
+        runs = count_runs(mk)
         splits = merges = ops = 0
         for _ in range(500):
             if rng.random() < 0.7:
@@ -263,7 +195,7 @@ class TestMinKeeper:
                 vals[:k] = new
                 mk.change_prefix([(arena.intern(v), 0) for v in new])
             ops += 1
-            now = len(mk._s._starts)
+            now = count_runs(mk)
             if now > runs:
                 splits += now - runs
             else:

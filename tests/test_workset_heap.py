@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from distorder.dijkstra import run_dijkstra
 from distorder.errors import ContractViolation, EmptyHeapError
+from distorder.graph_core import gen_broom, gen_family
 from distorder.optimality_audit import working_set_sizes
 from distorder.weights import WeightArena
 from distorder.workset_heap import CAPS, WorkSetHeap
@@ -117,8 +119,8 @@ def test_decrease_below_global_min_and_stale_handles():
 
 
 def test_u_lookup_matches_shadow_rank_map():
-    # after a pile of inserts/extracts, U.find on each live element's time
-    # returns the heap actually holding it
+    # after a pile of inserts/extracts, the rank-slot lookup on each live
+    # element's time returns the heap actually holding it
     rng = random.Random(5)
     a = WeightArena(audit=True)
     h = WorkSetHeap(a)
@@ -136,8 +138,7 @@ def test_u_lookup_matches_shadow_rank_map():
             for nid in H.iter_nodes():
                 shadow[h._pool.time[nid]] = r
     for i, (nid, t) in live.items():
-        hit = h._U.find(t)
-        assert hit is not None and hit[2].rank == shadow[t]
+        assert h._heap_at(t).rank == shadow[t]
     h.check_invariants()
 
 
@@ -205,3 +206,19 @@ def test_survives_interleaved_patterns():
             oracle.insert(v, i)
         for _ in range(n):
             assert h.extract_min()[1] == oracle.extract_min()[1]
+
+
+def test_pinned_comparison_counts():
+    # exact workset comparison counts on fixed inputs; a change to the rank
+    # bookkeeping that moves any of them changes what the heap pays
+    def dijkstra_cmp(g):
+        return run_dijkstra(g, "workset").comparisons
+
+    assert dijkstra_cmp(gen_family("random_digraph", 2000, seed=0)) == 43908
+    assert dijkstra_cmp(gen_broom(44, 44 * 44 - 44 - 1, seed=0)) == 7928
+    assert dijkstra_cmp(gen_broom(45, 45 * 45 - 45 - 1, seed=0)) == 2338
+    a = WeightArena()
+    h = WorkSetHeap(a)
+    out, expect = run_workset_trace(a, h, random.Random(0), 20_000)
+    assert out == expect
+    assert a.cmp_count == 75661
