@@ -208,7 +208,10 @@ class WorkSetHeap:
             raise ContractViolation("stale handle: element already extracted")
         heap = self._heap_at(t)
         heap.decrease_key(nid, new_key)
-        self._M.decrease_if_lower(heap.rank, new_key, pool.vertex[nid])
+        # M[rank] can only change if nid became the heap's minimum, and then
+        # the new entry is already known not to exceed the old M[rank]
+        if heap.min == nid:
+            self._M._decrease_known_lower(heap.rank, new_key, pool.vertex[nid])
 
     def _heap_at(self, t: int) -> FibonacciHeap:
         """The heap whose span holds insertion time t of a live element."""
