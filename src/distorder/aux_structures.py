@@ -211,7 +211,11 @@ class MinKeeper:
         self._decrease_known_lower(i, x, tie)
 
     def decrease_if_lower(self, i: int, x: int, tie: int = 0) -> bool:
-        """One comparison; apply the decrease only if it lowers M[i]."""
+        """One comparison; apply the decrease only if it lowers M[i].
+
+        The working-set heap no longer calls this (it knows when M[i] can
+        drop); the benchmark's tracer still wraps it by name.
+        """
         h, t = self._m[i]
         if self._cmp(x, tie, h, t) > 0:
             return False

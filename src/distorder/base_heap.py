@@ -70,8 +70,9 @@ class FibonacciHeap:
     """Classic Fibonacci heap over a shared node pool.
 
     Melding consumes the argument heap.  Node ids remain stable across melds;
-    ownership is tracked externally (the working-set heap uses its interval
-    map for that, standalone users keep their own bookkeeping).
+    ownership is tracked externally (the working-set heap finds a node's heap
+    from its insertion time and the cached spans, standalone users keep their
+    own bookkeeping).
     """
 
     __slots__ = ("pool", "arena", "min", "size", "rank", "iv_start", "iv_end")
@@ -120,11 +121,6 @@ class FibonacciHeap:
         if self.min == _NIL:
             raise EmptyHeapError("find_min on empty heap")
         return self.min
-
-    def min_key(self) -> int:
-        if self.min == _NIL:
-            raise EmptyHeapError("min_key on empty heap")
-        return self.pool.key[self.min]
 
     def meld(self, other: "FibonacciHeap") -> "FibonacciHeap":
         """Absorb ``other`` (same pool and arena).  Amortized O(1)."""

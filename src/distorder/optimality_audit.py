@@ -5,7 +5,7 @@ insert and extract events.  The working set of interval x at time t collects
 the intervals that start no earlier than x and contain t; its maximum size
 |W_x| prices x's extraction at log2 |W_x| comparisons.  This module computes:
 
-* working-set sizes (vectorized sweep plus a brute-force twin for testing),
+* working-set sizes (a vectorized sweep),
 * cost(I) = sum of log2 |W_x|,
 * the greedy intersecting coloring, whose energy 2 * sum c_i log2 c_i is a
   certified lower bound on cost(I),
@@ -29,20 +29,6 @@ from .graph_core import Graph, SpanningTree, forward_edges
 # float-sum guard for inequalities whose two sides are independent float
 # accumulations of exact quantities; never applied to the greedy-energy bound
 _EPS = 1e-7
-
-
-def brute_force_working_sets(intervals: list[tuple[int, int]]) -> list[int]:
-    """|W_x| per interval by trying every event time.  For small inputs only."""
-    out = []
-    times = sorted({t for iv in intervals for t in iv})
-    for (lx, rx) in intervals:
-        best = 0
-        for t in times:
-            if lx <= t <= rx:
-                cnt = sum(1 for (ly, ry) in intervals if lx <= ly <= t <= ry)
-                best = max(best, cnt)
-        out.append(best)
-    return out
 
 
 def working_set_sizes(intervals: list[tuple[int, int]]) -> list[int]:
@@ -240,31 +226,6 @@ def tree_log_linearizations(tree: SpanningTree) -> float:
     for s in tree.subtree_sizes():
         total -= math.log2(s)
     return max(0.0, total)  # a count >= 1 never logs negative; clamp fp noise
-
-
-def count_linearizations_exhaustive(tree: SpanningTree) -> int:
-    """Count linear extensions by enumeration.  Only for tiny trees."""
-    from itertools import permutations
-
-    n = tree.n
-    if n > 9:
-        raise ValueError("exhaustive count is limited to n <= 9")
-    count = 0
-    verts = list(range(n))
-    parent = tree.parent
-    for perm in permutations(verts):
-        pos = [0] * n
-        for p, v in enumerate(perm):
-            pos[v] = p
-        ok = True
-        for v in verts:
-            p = parent[v]
-            if p >= 0 and pos[p] > pos[v]:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
 
 
 def bfs_layers(g: Graph) -> list[list[int]]:

@@ -193,9 +193,6 @@ class WeightArena:
     def __len__(self) -> int:
         return len(self._val)
 
-    def owns(self, handle: int) -> bool:
-        return handle == INFINITY or 0 <= handle - self._base < len(self._val)
-
     # -- audit-only export -------------------------------------------------
 
     def audit_value(self, handle: int):

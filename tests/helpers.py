@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import heapq
 import random
+from itertools import permutations
 
-from distorder.graph_core import Graph
+from distorder.graph_core import Graph, SpanningTree
 
 
 class SortedReplayOracle:
@@ -152,3 +153,40 @@ def run_workset_trace(arena, heap, rng: random.Random, n_ops: int,
         if per_op is not None:
             per_op(heap)
     return out, expect
+
+
+def brute_force_working_sets(intervals: list[tuple[int, int]]) -> list[int]:
+    """|W_x| per interval by trying every event time.  For small inputs only."""
+    out = []
+    times = sorted({t for iv in intervals for t in iv})
+    for (lx, rx) in intervals:
+        best = 0
+        for t in times:
+            if lx <= t <= rx:
+                cnt = sum(1 for (ly, ry) in intervals if lx <= ly <= t <= ry)
+                best = max(best, cnt)
+        out.append(best)
+    return out
+
+
+def count_linearizations_exhaustive(tree: SpanningTree) -> int:
+    """Count linear extensions by enumeration.  Only for tiny trees."""
+    n = tree.n
+    if n > 9:
+        raise ValueError("exhaustive count is limited to n <= 9")
+    count = 0
+    verts = list(range(n))
+    parent = tree.parent
+    for perm in permutations(verts):
+        pos = [0] * n
+        for p, v in enumerate(perm):
+            pos[v] = p
+        ok = True
+        for v in verts:
+            p = parent[v]
+            if p >= 0 and pos[p] > pos[v]:
+                ok = False
+                break
+        if ok:
+            count += 1
+    return count

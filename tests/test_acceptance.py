@@ -30,7 +30,7 @@ from distorder.optimality_audit import (cost, energy, greedy_coloring,
 from distorder.weights import WeightArena
 from distorder.workset_heap import WorkSetHeap
 
-from helpers import run_workset_trace
+from helpers import count_linearizations_exhaustive, run_workset_trace
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -447,8 +447,6 @@ def _count_linext_subset_dp(parent):
 
 def test_criterion_11_tree_dp_bound():
     # hook-length count validated exhaustively for every tree with n <= 8
-    from distorder.optimality_audit import count_linearizations_exhaustive
-
     checked = 0
     for n in range(1, 9):
         for parent in _all_increasing_trees(n):

@@ -80,7 +80,7 @@ def test_meld():
     y.insert(arena.intern(2), 2, 2)
     x.meld(y)
     assert len(x) == 2 and len(y) == 0
-    assert arena.compare(x.min_key(), arena.intern(1)) == 0
+    assert arena.compare(pool.key[x.find_min()], arena.intern(1)) == 0
     empty = FibonacciHeap(pool, arena)
     x.meld(empty)
     assert len(x) == 2

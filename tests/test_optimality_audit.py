@@ -4,15 +4,14 @@ import random
 from distorder.dijkstra import run_dijkstra
 from distorder.graph_core import SpanningTree, gen_broom, gen_family
 from distorder.optimality_audit import (bfs_layer_bound, bfs_layers,
-                                        bound_report,
-                                        brute_force_working_sets, cost,
-                                        count_linearizations_exhaustive,
-                                        energy, greedy_coloring,
+                                        bound_report, cost, energy,
+                                        greedy_coloring,
                                         tree_log_linearizations,
                                         verify_barrier_sequence,
                                         working_set_sizes)
 
-from helpers import random_interval_set
+from helpers import (brute_force_working_sets,
+                     count_linearizations_exhaustive, random_interval_set)
 
 
 class TestWorkingSets:
