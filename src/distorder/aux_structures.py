@@ -232,12 +232,9 @@ class MinKeeper:
         if c > 0 or (c == 0 and tie > cur[1]):
             return  # a later entry is still smaller; S untouched
         payload = (x, tie, i)
-        j = i
+        run, j = cur, i
         while True:
             # overwrite the run ending at j; tuple equality finds its extent
-            run = s[j]
-            s[j] = payload
-            j -= 1
             while j >= 0 and s[j] == run:
                 s[j] = payload
                 j -= 1
