@@ -258,12 +258,15 @@ class MinKeeper:
         return self._s[0]
 
     def pop(self) -> None:
-        """Drop the last entry; the last two entries must compare equal."""
+        """Drop the last entry; the last two entries must be the same entry.
+
+        "Same" is tuple equality (handle and tiebreak), checked at no cost:
+        equal values in distinct cells are refused.
+        """
         m = self._m
         if len(m) < 2:
             raise ContractViolation("pop needs at least two entries")
-        (ha, ta), (hb, tb) = m[-1], m[-2]
-        if self._cmp(ha, ta, hb, tb) != 0:
+        if m[-1] != m[-2]:
             raise ContractViolation("pop requires equal trailing entries")
         m.pop()
         self._s.pop()

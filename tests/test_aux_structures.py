@@ -136,12 +136,20 @@ class TestMinKeeper:
         assert self.fill([6, 6, 6]).find_min() == 0  # leftmost tie
 
     def test_pop(self):
-        mk = self.fill([4, 2, 2])
+        a = self.arena
+        two = a.intern(2)
+        mk = MinKeeper(a)
+        mk.change_prefix([(a.intern(4), 0), (two, 0), (two, 0)])
+        c0 = a.cmp_count
         mk.pop()
+        assert a.cmp_count == c0  # the equality check is free
         assert len(mk) == 2 and mk.find_min() == 1
         bad = self.fill([4, 2, 3])
         with pytest.raises(ContractViolation):
             bad.pop()
+        twin = self.fill([4, 2, 2])  # equal values in distinct cells
+        with pytest.raises(ContractViolation):
+            twin.pop()
 
     def test_random_ops_match_suffix_min_recompute(self):
         rng = random.Random(1)
@@ -164,11 +172,12 @@ class TestMinKeeper:
                     vals[:k] = new
                 mk.change_prefix([(arena.intern(v), 0) for v in new])
             else:
-                if vals[-1] != vals[-2]:
-                    m = min(vals[-1], vals[-2])
-                    vals[-1] = vals[-2] = m
-                    mk.change_prefix(
-                        [(arena.intern(v), 0) for v in vals])
+                # pop needs the same entry twice, as the heap passes it
+                m = min(vals[-1], vals[-2])
+                vals[-1] = vals[-2] = m
+                tail = (arena.intern(m), 0)
+                mk.change_prefix(
+                    [(arena.intern(v), 0) for v in vals[:-2]] + [tail, tail])
                 vals.pop()
                 mk.pop()
             mk.check()
