@@ -18,8 +18,7 @@ from .optimality_audit import (BoundReport, bound_report, cost, energy,
                                verify_barrier_sequence, working_set_sizes)
 from .comparison_optimal import (DominatorTree, contract_chains, deduplicate,
                                  dominator_tree, drop_back_edges,
-                                 hwang_lin_merge, optimal_distance_ordering,
-                                 run_pipeline, sssp_via_contraction,
+                                 hwang_lin_merge, run_pipeline,
                                  tree_dp_linearize)
 
 __all__ = [
@@ -32,6 +31,6 @@ __all__ = [
     "bound_report", "cost", "energy", "greedy_coloring",
     "tree_log_linearizations", "verify_barrier_sequence", "working_set_sizes",
     "DominatorTree", "contract_chains", "deduplicate", "dominator_tree",
-    "drop_back_edges", "hwang_lin_merge", "optimal_distance_ordering",
-    "run_pipeline", "sssp_via_contraction", "tree_dp_linearize",
+    "drop_back_edges", "hwang_lin_merge", "run_pipeline",
+    "tree_dp_linearize",
 ]

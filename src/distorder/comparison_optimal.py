@@ -241,16 +241,15 @@ def drop_back_edges(g: Graph, dom: DominatorTree):
 class ContractionRecord:
     """Mapping data needed to undo the chain contraction."""
 
-    __slots__ = ("phi", "chains", "chain_arcs", "arc_origin", "rep_of",
+    __slots__ = ("phi", "chains", "chain_arcs", "arc_origin",
                  "contracted_domtree", "n_new")
 
-    def __init__(self, phi, chains, chain_arcs, arc_origin, rep_of,
+    def __init__(self, phi, chains, chain_arcs, arc_origin,
                  contracted_domtree, n_new):
         self.phi = phi                  # original vertex -> contracted vertex
         self.chains = chains            # list of vertex chains (original ids)
         self.chain_arcs = chain_arcs    # per chain, the arc ids of its edges
         self.arc_origin = arc_origin    # contracted arc -> source arc id
-        self.rep_of = rep_of            # contracted vertex -> chain index or -1
         self.contracted_domtree = contracted_domtree
         self.n_new = n_new
 
@@ -323,7 +322,6 @@ def contract_chains(g: Graph, dom: DominatorTree):
         chain_arcs.append(arcs)
 
     phi = [-1] * n
-    rep_of: list[int] = []
     nxt = 0
     for v in range(n):
         ci = in_chain[v]
@@ -331,13 +329,11 @@ def contract_chains(g: Graph, dom: DominatorTree):
             head = chains[ci][0]
             if v == head:
                 phi[v] = nxt
-                rep_of.append(ci)
                 nxt += 1
             else:
                 phi[v] = phi[head]
         else:
             phi[v] = nxt
-            rep_of.append(-1)
             nxt += 1
 
     all_chain_arcs = {i for arcs in chain_arcs for i in arcs}
@@ -368,8 +364,7 @@ def contract_chains(g: Graph, dom: DominatorTree):
         if pv != pp:
             idom2[pv] = pp
     dom2 = SpanningTree(idom2, phi[g.s], "dominator")
-    record = ContractionRecord(phi, chains, chain_arcs, origin, rep_of,
-                               dom2, nxt)
+    record = ContractionRecord(phi, chains, chain_arcs, origin, dom2, nxt)
     g2 = Graph(nxt, True, phi[g.s], arena, tails, heads, weights)
     return g2, record
 
@@ -569,12 +564,3 @@ def run_pipeline(g: Graph) -> PipelineResult:
         dp_comparisons=cmp1 - cmp0 - cmp_sssp,
     )
 
-
-def sssp_via_contraction(g: Graph) -> SpanningTree:
-    """Shortest-path tree of (g, w) through the contraction pipeline."""
-    return run_pipeline(g).tree
-
-
-def optimal_distance_ordering(g: Graph) -> list[int]:
-    """A valid linearization of g computed with an optimal comparison budget."""
-    return run_pipeline(g).linearization

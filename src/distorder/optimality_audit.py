@@ -5,7 +5,7 @@ insert and extract events.  The working set of interval x at time t collects
 the intervals that start no earlier than x and contain t; its maximum size
 |W_x| prices x's extraction at log2 |W_x| comparisons.  This module computes:
 
-* working-set sizes (a vectorized sweep),
+* working-set sizes (one segment-tree sweep, O(n log n)),
 * cost(I) = sum of log2 |W_x|,
 * the greedy intersecting coloring, whose energy 2 * sum c_i log2 c_i is a
   certified lower bound on cost(I),
@@ -20,9 +20,8 @@ flagged.  All logarithms are base 2 and 0 * log 0 = 0.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .graph_core import Graph, SpanningTree, forward_edges
 
@@ -32,36 +31,61 @@ _EPS = 1e-7
 
 
 def working_set_sizes(intervals: list[tuple[int, int]]) -> list[int]:
-    """|W_x| for every interval, by a sweep over insertion events.
+    """|W_x| for every interval, by one O(n log n) sweep over its events.
 
-    The maximum of |W_{x,t}| is always attained at an insertion time, where
-    it equals x's suffix position among alive intervals ordered by start.
+    Slots number the intervals in start order, and inserts arrive in slot
+    order.  While x is alive, |W_{x,t}| is the number of live intervals in
+    slots at or after x's, so the insert or extract of slot s adds +1 or -1
+    to every slot in [0, s], and |W_x| is the highest value x's slot holds
+    before x closes.  A segment tree over the slots keeps that historic
+    maximum with lazy (add, highest prefix sum of the adds) tags, pushed down
+    along the one root-to-leaf path each event walks.  Intervals are closed:
+    at equal times inserts come before extracts.
     """
     n = len(intervals)
     if n == 0:
         return []
     order = sorted(range(n), key=lambda i: intervals[i][0])
-    events = []  # (time, is_insert, slot in start order)
+    events = []  # (time, is_extract, slot)
     for slot, i in enumerate(order):
         l, r = intervals[i]
-        events.append((l, 1, slot))
-        events.append((r, 0, slot))
+        events.append((l, 0, slot))
+        events.append((r, 1, slot))
     events.sort()
-    alive = np.zeros(n, dtype=np.int32)
-    hist = np.zeros(n, dtype=np.int32)
-    for _t, is_ins, slot in events:
-        if is_ins:
-            alive[slot] = 1
-            head = alive[: slot + 1]
-            cand = np.cumsum(head[::-1])[::-1]
-            cand *= head
-            seg = hist[: slot + 1]
-            np.maximum(seg, cand, out=seg)
-        else:
-            alive[slot] = 0
+    depth = (n - 1).bit_length()
+    add = [0] * (2 << depth)   # pending add of each node
+    peak = [0] * (2 << depth)  # highest prefix sum of the pending adds
+    shifts = range(depth - 1, -1, -1)
     out = [0] * n
-    for slot, i in enumerate(order):
-        out[i] = int(hist[slot])
+    for _t, is_extract, slot in events:
+        d = -1 if is_extract else 1
+        node = 1
+        for shift in shifts:
+            left = 2 * node
+            a = add[node]
+            h = peak[node]
+            if a or h:
+                add[node] = peak[node] = 0
+                for c in (left, left + 1):
+                    v = add[c]
+                    if v + h > peak[c]:
+                        peak[c] = v + h
+                    add[c] = v + a
+            if slot >> shift & 1:
+                # the whole left child lies inside [0, slot]
+                v = add[left] + d
+                add[left] = v
+                if v > peak[left]:
+                    peak[left] = v
+                node = left + 1
+            else:
+                node = left
+        if is_extract:
+            out[order[slot]] = peak[node]
+        v = add[node] + d
+        add[node] = v
+        if v > peak[node]:
+            peak[node] = v
     return out
 
 
@@ -87,79 +111,44 @@ class IntersectingColoring:
 def greedy_coloring(intervals: list[tuple[int, int]]) -> IntersectingColoring:
     """Repeatedly give the largest working set a fresh color and recurse.
 
-    The returned coloring always satisfies energy(C) >= cost(I).  Small
-    residual sets use a dense alive matrix; large ones fall back to the
-    event sweep, and once every working set is a singleton the rest of the
-    intervals become singleton classes outright.
+    No working set is computed.  The largest |W_x| among the remaining
+    intervals equals the largest number of them alive at one start time:
+    W_{x,t} holds only intervals alive at t, and the oldest interval alive at
+    t has all of them.  The oldest live interval only moves forward in time,
+    so the greedy's x (largest working set, earliest start) is the oldest
+    interval alive at the earliest time t* of that maximum; t* is the
+    witness, and the class is everything alive at t*.  Once no two remaining
+    intervals overlap, each becomes its own class.  The returned coloring
+    always satisfies energy(C) >= cost(I).
     """
-    n = len(intervals)
-    color = [-1] * n
+    color = [-1] * len(intervals)
     classes: list[list[int]] = []
     witnesses: list[int] = []
-    remaining = list(range(n))
+    remaining = sorted(range(len(intervals)), key=lambda i: intervals[i][0])
     while remaining:
-        idx = sorted(remaining, key=lambda i: intervals[i][0])
-        k = len(idx)
-        ls = [intervals[i][0] for i in idx]
-        rs = [intervals[i][1] for i in idx]
-        if k <= 512:
-            la = np.array(ls, dtype=np.int64)
-            ra = np.array(rs, dtype=np.int64)
-            # alive[y, j]: interval y (start order) is alive at start time la[j]
-            alive = (la[None, :] >= la[:, None]) & (la[None, :] <= ra[:, None])
-            suffix = np.cumsum(alive[::-1, :], axis=0)[::-1, :]
-            scores = np.where(alive, suffix, 0)
-            best = scores.max(axis=1)
-            x = int(best.argmax())  # smallest start among maximizers
-            best_size = int(best[x])
-            j = int(scores[x].argmax())
-            witness = int(la[j])
-            members = [idx[y] for y in range(x, k) if alive[y, j]]
-        else:
-            sizes = working_set_sizes([intervals[i] for i in idx])
-            x = max(range(k), key=lambda y: (sizes[y], -y))
-            best_size = sizes[x]
-            witness, members = _witness_and_members(ls, rs, idx, x)
-        if best_size <= 1:
-            # every residual working set is a singleton; finish in one shot
-            for i in idx:
-                cnum = len(classes)
-                color[i] = cnum
+        ls = [intervals[i][0] for i in remaining]
+        rs = sorted(intervals[i][1] for i in remaining)
+        best = 0
+        ended = 0  # intervals ending before the current start time
+        for y, l in enumerate(ls):
+            while rs[ended] < l:
+                ended += 1
+            if y + 1 - ended > best:
+                best, witness = y + 1 - ended, l
+        if best <= 1:
+            for i in remaining:
+                color[i] = len(classes)
                 classes.append([i])
                 witnesses.append(intervals[i][0])
             break
-        cnum = len(classes)
+        members = [i for i in remaining[: bisect_right(ls, witness)]
+                   if intervals[i][1] >= witness]
         for i in members:
-            color[i] = cnum
+            color[i] = len(classes)
         classes.append(members)
         witnesses.append(witness)
-        gone = set(members)
-        remaining = [i for i in remaining if i not in gone]
+        remaining = [i for i in remaining if color[i] < 0]
     return IntersectingColoring(color, classes, witnesses)
-
-
-def _witness_and_members(ls, rs, idx, pos):
-    """Best time for interval at ``pos`` (start order) and who overlaps there."""
-    lx, rx = ls[pos], rs[pos]
-    events = []
-    for y in range(pos, len(idx)):
-        if ls[y] > rx:
-            break  # starts are sorted; later intervals cannot matter
-        events.append((ls[y], 1))
-        events.append((rs[y], -1))
-    events.sort()
-    count = 0
-    best = (0, lx)
-    for t, delta in events:
-        if t > rx:
-            break
-        count += delta
-        if delta > 0 and lx <= t and count > best[0]:
-            best = (count, t)
-    witness = best[1]
-    members = [idx[y] for y in range(pos, len(idx))
-               if ls[y] <= witness <= rs[y]]
-    return witness, members
 
 
 def energy(coloring: IntersectingColoring) -> float:
@@ -181,8 +170,6 @@ def verify_barrier_sequence(coloring: IntersectingColoring,
     to "some seen entry time lies strictly inside v's interval", answered
     with two bisections against the sorted entry times seen so far.
     """
-    from bisect import bisect_right, insort
-
     if vertex_of is None:
         vertex_of = lambda i: i
     tin, tout = explore.dfs_times()

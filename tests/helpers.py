@@ -169,6 +169,43 @@ def brute_force_working_sets(intervals: list[tuple[int, int]]) -> list[int]:
     return out
 
 
+def brute_force_greedy_coloring(intervals: list[tuple[int, int]]):
+    """(color, witnesses) of the greedy coloring, from its definition.
+
+    Each round recomputes every remaining working set by brute force; the
+    largest wins, the smallest start breaks ties.  The witness is the
+    earliest event time at which x's working set reaches that size, and the
+    class is the remaining intervals alive then that start no earlier than
+    x.  Once every working set is a singleton, each remaining interval
+    becomes its own class, in start order.  For small inputs only.
+    """
+    color = [-1] * len(intervals)
+    witnesses: list[int] = []
+    remaining = sorted(range(len(intervals)), key=lambda i: intervals[i][0])
+    while remaining:
+        ivs = [intervals[i] for i in remaining]
+        sizes = brute_force_working_sets(ivs)
+        best = max(sizes)
+        if best <= 1:
+            for i in remaining:
+                color[i] = len(witnesses)
+                witnesses.append(intervals[i][0])
+            break
+        lx, rx = min((iv for iv, w in zip(ivs, sizes) if w == best),
+                     key=lambda iv: iv[0])
+        times = sorted({t for iv in ivs for t in iv})
+        witness = next(
+            t for t in times if lx <= t <= rx
+            and sum(1 for (l, r) in ivs if lx <= l <= t <= r) == best)
+        for i in remaining:
+            l, r = intervals[i]
+            if lx <= l <= witness <= r:
+                color[i] = len(witnesses)
+        witnesses.append(witness)
+        remaining = [i for i in remaining if color[i] < 0]
+    return color, witnesses
+
+
 def count_linearizations_exhaustive(tree: SpanningTree) -> int:
     """Count linear extensions by enumeration.  Only for tiny trees."""
     n = tree.n

@@ -5,9 +5,7 @@ import pytest
 
 from distorder.comparison_optimal import (contract_chains, deduplicate,
                                           dominator_tree, drop_back_edges,
-                                          hwang_lin_merge,
-                                          optimal_distance_ordering,
-                                          run_pipeline, sssp_via_contraction,
+                                          hwang_lin_merge, run_pipeline,
                                           tree_dp_linearize)
 from distorder.dijkstra import run_dijkstra
 from distorder.errors import UsageError
@@ -237,7 +235,7 @@ class TestPipeline:
     def test_rejects_undirected(self):
         g = parse_graph("2 1 0 undirected\n0 1 1\n")
         with pytest.raises(UsageError):
-            sssp_via_contraction(g)
+            run_pipeline(g)
 
     def test_path_zero_comparisons(self):
         for n in (2, 3, 50, 700):
@@ -328,8 +326,8 @@ class TestPipeline:
         d = bellman_ford(g)
         assert [g.arena.audit_value(h) for h in res.dist] == d
 
-    def test_optimal_distance_ordering_wrapper(self):
+    def test_linearization_sorted_by_distance(self):
         g = gen_family("star", 12, seed=4, audit=True)
-        lin = optimal_distance_ordering(g)
+        lin = run_pipeline(g).linearization
         d = bellman_ford(g)
         assert [d[v] for v in lin] == sorted(d)

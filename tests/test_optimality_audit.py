@@ -1,6 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import distorder
 from distorder.dijkstra import run_dijkstra
 from distorder.graph_core import SpanningTree, gen_broom, gen_family
 from distorder.optimality_audit import (bfs_layer_bound, bfs_layers,
@@ -10,8 +15,15 @@ from distorder.optimality_audit import (bfs_layer_bound, bfs_layers,
                                         verify_barrier_sequence,
                                         working_set_sizes)
 
-from helpers import (brute_force_working_sets,
+from helpers import (brute_force_greedy_coloring, brute_force_working_sets,
                      count_linearizations_exhaustive, random_interval_set)
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(distorder.__file__).resolve().parents[1])
+    code = "import distorder, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 class TestWorkingSets:
@@ -27,8 +39,14 @@ class TestWorkingSets:
     def test_matches_brute_force(self):
         rng = random.Random(0)
         for _ in range(150):
-            ivs = random_interval_set(rng, rng.randrange(1, 16), span=200)
+            ivs = random_interval_set(rng, rng.randrange(1, 41), span=200)
             assert working_set_sizes(ivs) == brute_force_working_sets(ivs)
+
+    def test_closed_intervals_share_endpoints(self):
+        # an interval ending when another starts overlaps it
+        ivs = [(1, 3), (3, 5), (5, 5), (2, 9)]
+        assert working_set_sizes(ivs) == brute_force_working_sets(ivs)
+        assert working_set_sizes(ivs) == [3, 2, 1, 3]
 
 
 class TestCost:
@@ -75,6 +93,17 @@ class TestGreedy:
         for _ in range(120):
             ivs = random_interval_set(rng, rng.randrange(1, 40))
             assert energy(greedy_coloring(ivs)) >= cost(ivs)
+
+    def test_matches_brute_force(self):
+        rng = random.Random(4)
+        for _ in range(200):
+            ivs = random_interval_set(rng, rng.randrange(1, 31), span=300)
+            col = greedy_coloring(ivs)
+            assert (col.color, col.witnesses) == brute_force_greedy_coloring(ivs)
+            assert col.classes == [
+                sorted((i for i, c in enumerate(col.color) if c == k),
+                       key=lambda i: ivs[i][0])
+                for k in range(len(col.classes))]
 
     def test_energy_examples(self):
         ivs = [(1, 10), (2, 11), (3, 12), (4, 13)]
