@@ -321,20 +321,18 @@ def contract_chains(g: Graph, dom: DominatorTree):
             prefix_of[b] = pref
         chain_arcs.append(arcs)
 
+    # number heads and non-chain vertices first: an interior may have a
+    # smaller id than its chain head
     phi = [-1] * n
     nxt = 0
     for v in range(n):
         ci = in_chain[v]
-        if ci >= 0:
-            head = chains[ci][0]
-            if v == head:
-                phi[v] = nxt
-                nxt += 1
-            else:
-                phi[v] = phi[head]
-        else:
+        if ci < 0 or chains[ci][0] == v:
             phi[v] = nxt
             nxt += 1
+    for chain in chains:
+        for v in chain[1:]:
+            phi[v] = phi[chain[0]]
 
     all_chain_arcs = {i for arcs in chain_arcs for i in arcs}
     tails, heads, weights, origin = [], [], [], []

@@ -9,8 +9,8 @@ from distorder.comparison_optimal import (contract_chains, deduplicate,
                                           tree_dp_linearize)
 from distorder.dijkstra import run_dijkstra
 from distorder.errors import UsageError
-from distorder.graph_core import (SpanningTree, gen_broom, gen_dense,
-                                  gen_family, parse_graph)
+from distorder.graph_core import (SpanningTree, emit_graph, gen_broom,
+                                  gen_dense, gen_family, parse_graph)
 from distorder.optimality_audit import (energy, greedy_coloring,
                                         tree_log_linearizations)
 from distorder.weights import WeightArena
@@ -19,6 +19,32 @@ from distorder.graph_core import forward_edges
 from helpers import bellman_ford, brute_idoms
 
 BUDGET_C1 = 64  # documented constant for the end-to-end query budget
+
+
+def relabel(g, rng):
+    """Re-parse g with its non-source vertex ids randomly permuted.
+
+    Every generator gives idom(v) < v; relabelling breaks that order.
+    """
+    rest = [v for v in range(g.n) if v != g.s]
+    perm = rest[:]
+    rng.shuffle(perm)
+    new_id = dict(zip(rest, perm))
+    new_id[g.s] = g.s
+    header, *body = emit_graph(g).splitlines()
+    lines = [header]
+    for ln in body:
+        u, v, w = ln.split()
+        lines.append(f"{new_id[int(u)]} {new_id[int(v)]} {w}")
+    return parse_graph("\n".join(lines) + "\n", audit=True)
+
+
+def assert_matches_bellman_ford(g, res):
+    d = bellman_ford(g)
+    assert [g.arena.audit_value(h) for h in res.dist] == d
+    lv = [d[v] for v in res.linearization]
+    assert lv == sorted(lv)
+    assert sorted(res.linearization) == list(range(g.n))
 
 
 class TestDominators:
@@ -325,6 +351,25 @@ class TestPipeline:
         assert res.core_graph.n == k + 2
         d = bellman_ford(g)
         assert [g.arena.audit_value(h) for h in res.dist] == d
+
+    def test_chain_interior_numbered_before_head(self):
+        # chain 3 -> 2 -> 1 has its head 3 after its interiors 2 and 1
+        g = parse_graph("5 5 0 directed\n0 3 1\n3 2 1\n2 1 1\n0 4 10\n"
+                        "2 4 1/2\n", audit=True)
+        res = run_pipeline(g)
+        assert res.linearization == [0, 3, 2, 4, 1]
+        assert_matches_bellman_ford(g, res)
+
+    def test_relabelled_graphs_match_bellman_ford(self):
+        rng = random.Random(15)
+        for trial in range(60):
+            g = gen_family("random_digraph", rng.randrange(3, 60),
+                           seed=1700 + trial)
+            g = relabel(g, rng)
+            assert_matches_bellman_ford(g, run_pipeline(g))
+        for t, r in ((3, 5), (5, 19), (7, 41)):
+            g = relabel(gen_broom(t, r, seed=t), rng)
+            assert_matches_bellman_ford(g, run_pipeline(g))
 
     def test_linearization_sorted_by_distance(self):
         g = gen_family("star", 12, seed=4, audit=True)
