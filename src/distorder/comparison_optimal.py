@@ -11,7 +11,9 @@ working-set Dijkstra on the remaining core, and rebuilds the answer:
 4. lazily deduplicate parallel edges: a group's minimum is paid for with
    group-size - 1 comparisons the first time anything looks at it,
 5. Dijkstra with the working-set heap on the contracted core,
-6. uncontract the shortest-path tree back to the original graph, and
+6. uncontract: every arc carries its origin (an input arc id, or the lazy
+   group whose resolved winner names one), so each core tree arc and each
+   contracted chain edge maps straight back to an input arc, and
 7. order the tree by a bottom-up merge using Hwang-Lin binary merging, whose
    total comparison count is at most 2 log2 of the tree's linearization count.
 
@@ -149,10 +151,10 @@ class LazyMin:
 
     __slots__ = ("arena", "members", "origins", "handle", "winner", "spent")
 
-    def __init__(self, arena: WeightArena, members: list, origins: list[int]):
+    def __init__(self, arena: WeightArena, members: list, origins: list):
         self.arena = arena
         self.members = members  # weight handles or nested LazyMin objects
-        self.origins = origins  # arc ids in the graph this group was built from
+        self.origins = origins  # members' origins: input arc ids or LazyMins
         self.handle: int | None = None
         self.winner: int | None = None
         self.spent = 0
@@ -181,35 +183,32 @@ class LazyMin:
 def deduplicate(g: Graph):
     """Collapse parallel arcs into lazy-minimum groups.
 
-    Returns (simple graph, groups, arc_origin) where arc_origin maps each new
-    arc either to its single source arc or to the LazyMin that will name the
-    winner once resolved.  Costs zero comparisons now.
+    Returns (simple graph, groups).  A group's LazyMin is both the new arc's
+    weight and its origin; it names the winning member once resolved.  Costs
+    zero comparisons now.
     """
     groups: dict[tuple[int, int], list[int]] = {}
-    order: list[tuple[int, int]] = []
-    for i, (u, v) in enumerate(zip(g.tails, g.heads)):
-        key = (u, v)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(i)
-    tails, heads, weights = [], [], []
-    arc_origin: list = []  # int arc id, or LazyMin carrying its candidates
+    for i, key in enumerate(zip(g.tails, g.heads)):
+        if key in groups:
+            groups[key].append(i)
+        else:
+            groups[key] = [i]
+    tails, heads, weights, origin = [], [], [], []
     lazies: list[LazyMin] = []
-    for (u, v) in order:
-        arcs = groups[(u, v)]
+    gw, go = g.weights, g.origin
+    for (u, v), arcs in groups.items():
         tails.append(u)
         heads.append(v)
         if len(arcs) == 1:
-            weights.append(g.weights[arcs[0]])
-            arc_origin.append(arcs[0])
+            weights.append(gw[arcs[0]])
+            origin.append(go[arcs[0]])
         else:
-            lm = LazyMin(g.arena, [g.weights[i] for i in arcs], arcs)
+            lm = LazyMin(g.arena, [gw[i] for i in arcs], [go[i] for i in arcs])
             weights.append(lm)
-            arc_origin.append(lm)
+            origin.append(lm)
             lazies.append(lm)
-    g2 = Graph(g.n, True, g.s, g.arena, tails, heads, weights)
-    return g2, lazies, arc_origin
+    g2 = Graph(g.n, True, g.s, g.arena, tails, heads, weights, origin)
+    return g2, lazies
 
 
 def _has_parallel_arcs(g: Graph) -> bool:
@@ -223,35 +222,19 @@ def drop_back_edges(g: Graph, dom: DominatorTree):
     """Remove arcs u->v where v dominates u (self-loops included).
 
     Such arcs can never lie on a path that first reaches their head, so
-    reachability from the source is untouched.  Returns (graph, arc_origin).
+    reachability from the source is untouched.
     """
     tails, heads, weights, origin = [], [], [], []
     dominates = dom.dominates
+    gw, go = g.weights, g.origin
     for i, (u, v) in enumerate(zip(g.tails, g.heads)):
         if dominates(v, u):
             continue
         tails.append(u)
         heads.append(v)
-        weights.append(g.weights[i])
-        origin.append(i)
-    g2 = Graph(g.n, True, g.s, g.arena, tails, heads, weights)
-    return g2, origin
-
-
-class ContractionRecord:
-    """Mapping data needed to undo the chain contraction."""
-
-    __slots__ = ("phi", "chains", "chain_arcs", "arc_origin",
-                 "contracted_domtree", "n_new")
-
-    def __init__(self, phi, chains, chain_arcs, arc_origin,
-                 contracted_domtree, n_new):
-        self.phi = phi                  # original vertex -> contracted vertex
-        self.chains = chains            # list of vertex chains (original ids)
-        self.chain_arcs = chain_arcs    # per chain, the arc ids of its edges
-        self.arc_origin = arc_origin    # contracted arc -> source arc id
-        self.contracted_domtree = contracted_domtree
-        self.n_new = n_new
+        weights.append(gw[i])
+        origin.append(go[i])
+    return Graph(g.n, True, g.s, g.arena, tails, heads, weights, origin)
 
 
 def contract_chains(g: Graph, dom: DominatorTree):
@@ -261,6 +244,7 @@ def contract_chains(g: Graph, dom: DominatorTree):
     get weights prefix + w built with protected additions; no comparisons.
     Verifies on every chain that the chain edge is its head's unique in-edge
     and that no edge skips from a chain vertex into the child's subtree.
+    Returns (graph, chains, the origins of the contracted chain edges).
     """
     n = g.n
     children_count = [0] * n
@@ -298,10 +282,10 @@ def contract_chains(g: Graph, dom: DominatorTree):
     arena = g.arena
     add = arena.add
     tin, tout = dom._tin, dom._tout
-    chain_arcs: list[list[int]] = []
+    chain_arcs: set[int] = set()
+    chain_origin = []
     prefix_of = {}  # original vertex -> handle of chain-start -> vertex distance
     for chain in chains:
-        arcs = []
         pref = None
         for a, b in zip(chain, chain[1:]):
             cand = in_arcs[b]
@@ -315,11 +299,11 @@ def contract_chains(g: Graph, dom: DominatorTree):
                     raise ContractViolation(
                         f"arc {a}->{z} skips into the subtree of {b}")
             arc = cand[0]
-            arcs.append(arc)
+            chain_arcs.add(arc)
+            chain_origin.append(g.origin[arc])
             w = g.arc_weight(arc)
             pref = w if pref is None else add(pref, w)
             prefix_of[b] = pref
-        chain_arcs.append(arcs)
 
     # number heads and non-chain vertices first: an interior may have a
     # smaller id than its chain head
@@ -334,12 +318,11 @@ def contract_chains(g: Graph, dom: DominatorTree):
         for v in chain[1:]:
             phi[v] = phi[chain[0]]
 
-    all_chain_arcs = {i for arcs in chain_arcs for i in arcs}
     tails, heads, weights, origin = [], [], [], []
     for i, (u, v) in enumerate(zip(g.tails, g.heads)):
         ci, cj = in_chain[u], in_chain[v]
         if ci >= 0 and ci == cj:
-            if i not in all_chain_arcs:
+            if i not in chain_arcs:
                 raise ContractViolation(
                     f"unexpected intra-chain arc {u}->{v}")
             continue
@@ -351,20 +334,9 @@ def contract_chains(g: Graph, dom: DominatorTree):
         tails.append(phi[u])
         heads.append(phi[v])
         weights.append(w)
-        origin.append(i)
-
-    idom2 = [-1] * nxt
-    for v in range(n):
-        p = dom.idom[v]
-        if p < 0:
-            continue
-        pv, pp = phi[v], phi[p]
-        if pv != pp:
-            idom2[pv] = pp
-    dom2 = SpanningTree(idom2, phi[g.s], "dominator")
-    record = ContractionRecord(phi, chains, chain_arcs, origin, dom2, nxt)
-    g2 = Graph(nxt, True, phi[g.s], arena, tails, heads, weights)
-    return g2, record
+        origin.append(g.origin[i])
+    g2 = Graph(nxt, True, phi[g.s], arena, tails, heads, weights, origin)
+    return g2, chains, chain_origin
 
 
 # -- merging and tree DP -----------------------------------------------------
@@ -472,7 +444,7 @@ class PipelineResult:
     """Everything the contraction pipeline produced, for auditing."""
 
     __slots__ = ("tree", "tree_arc", "linearization", "dist", "run",
-                 "core_graph", "multi_graph", "record", "lazy_groups",
+                 "core_graph", "multi_graph",
                  "comparisons", "additions", "lazy_spend",
                  "sssp_comparisons", "dp_comparisons")
 
@@ -489,56 +461,28 @@ def run_pipeline(g: Graph) -> PipelineResult:
     cmp0, add0 = arena.counters()
 
     if _has_parallel_arcs(g):
-        g0, lazies0, origin0 = deduplicate(g)
+        g0, lazies0 = deduplicate(g)
     else:
-        g0, lazies0, origin0 = g, [], list(range(g.m))
+        g0, lazies0 = g, []
     dom = dominator_tree(g0)
-    g1, origin1 = drop_back_edges(g0, dom)
-    g2, record = contract_chains(g1, dom)
-    g3, lazies3, origin3 = deduplicate(g2)
+    g1 = drop_back_edges(g0, dom)
+    g2, _, chain_origin = contract_chains(g1, dom)
+    g3, lazies3 = deduplicate(g2)
     run = run_dijkstra(g3, "workset")
 
-    # resolve each core tree arc back to an arc of the input graph
-    def source_arc(i3: int) -> int:
-        o = origin3[i3]
-        if isinstance(o, LazyMin):
-            if o.winner is None:
-                o.resolve()
-            i2 = o.origins[o.winner]
-        else:
-            i2 = o
-        i1 = record.arc_origin[i2]
-        i0 = origin1[i1]
-        o0 = origin0[i0]
-        if isinstance(o0, LazyMin):
-            if o0.winner is None:
-                o0.resolve()
-            return o0.origins[o0.winner]
-        return o0
-
-    n = g.n
-    parent = [-1] * n
-    parent_arc = [-1] * n
-    for v3 in range(g3.n):
-        pa = run.sssp_arcs[v3]
-        if pa < 0:
-            continue
-        ia = source_arc(pa)
-        head = g.heads[ia]
-        parent[head] = g.tails[ia]
-        parent_arc[head] = ia
-    for ci, chain in enumerate(record.chains):
-        for (a, b), arc1 in zip(zip(chain, chain[1:]), record.chain_arcs[ci]):
-            i0 = origin1[arc1]
-            o0 = origin0[i0]
-            if isinstance(o0, LazyMin):
-                if o0.winner is None:
-                    o0.resolve()
-                ia = o0.origins[o0.winner]
-            else:
-                ia = o0
-            parent[b] = a
-            parent_arc[b] = ia
+    # uncontract: follow each tree arc's origin down to an input arc; every
+    # group met here was resolved by the core Dijkstra or contract_chains
+    tails, heads = g.tails, g.heads
+    parent = [-1] * g.n
+    parent_arc = [-1] * g.n
+    core_origin = g3.origin
+    for o in [core_origin[a] for a in run.sssp_arcs if a >= 0] + chain_origin:
+        while type(o) is not int:
+            o.resolve()
+            o = o.origins[o.winner]
+        v = heads[o]
+        parent[v] = tails[o]
+        parent_arc[v] = o
     tree = SpanningTree(parent, g.s, "sssp")
     cmp_sssp = arena.cmp_count - cmp0
 
@@ -553,8 +497,6 @@ def run_pipeline(g: Graph) -> PipelineResult:
         run=run,
         core_graph=g3,
         multi_graph=g2,
-        record=record,
-        lazy_groups=(lazies0, lazies3),
         comparisons=cmp1 - cmp0,
         additions=add1 - add0,
         lazy_spend=sum(lm.spent for lm in lazies0) + sum(lm.spent for lm in lazies3),

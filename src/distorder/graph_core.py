@@ -25,13 +25,18 @@ from .weights import WeightArena
 
 
 class Graph:
-    """Directed multigraph with a source; weights held as arena handles."""
+    """Directed multigraph with a source; weights held as arena handles.
+
+    ``origin[i]`` names what arc i stands for in the graph that was parsed or
+    generated: that graph's arc id, or the ``LazyMin`` of a parallel group
+    whose resolved winner leads to one.  It defaults to ``range(m)``.
+    """
 
     __slots__ = ("n", "directed", "s", "arena", "tails", "heads", "weights",
-                 "adj", "_source_values")
+                 "origin", "adj", "_source_values")
 
     def __init__(self, n, directed, s, arena, tails, heads, weights,
-                 source_values=None):
+                 origin=None, source_values=None):
         self.n = n
         self.directed = directed
         self.s = s
@@ -39,6 +44,7 @@ class Graph:
         self.tails = tails
         self.heads = heads
         self.weights = weights
+        self.origin = range(len(tails)) if origin is None else origin
         adj: list[list[int]] = [[] for _ in range(n)]
         for i, u in enumerate(tails):
             adj[u].append(i)

@@ -80,13 +80,13 @@ class TestDropBackEdges:
     def test_path_with_back_edge(self):
         g = parse_graph("3 3 0 directed\n0 1 1\n1 2 1\n2 1 5\n")
         dt = dominator_tree(g)
-        g2, origin = drop_back_edges(g, dt)
-        assert g2.m == 2 and origin == [0, 1]
+        g2 = drop_back_edges(g, dt)
+        assert g2.m == 2 and g2.origin == [0, 1]
 
     def test_dag_unchanged(self):
         g = gen_family("random_dag", 40, seed=3)
         dt = dominator_tree(g)
-        g2, _ = drop_back_edges(g, dt)
+        g2 = drop_back_edges(g, dt)
         assert g2.m == g.m
 
     def test_no_dominated_heads_remain(self):
@@ -94,7 +94,7 @@ class TestDropBackEdges:
         for trial in range(30):
             g = gen_family("random_digraph", rng.randrange(3, 60), seed=trial)
             dt = dominator_tree(g)
-            g2, _ = drop_back_edges(g, dt)
+            g2 = drop_back_edges(g, dt)
             for u, v in zip(g2.tails, g2.heads):
                 assert not dt.dominates(v, u)
 
@@ -103,42 +103,54 @@ class TestContraction:
     def test_pure_path_collapses_to_point(self):
         g = gen_family("path", 9)
         dt = dominator_tree(g)
-        g1, _ = drop_back_edges(g, dt)
-        g2, record = contract_chains(g1, dt)
+        g1 = drop_back_edges(g, dt)
+        g2, chains, chain_origin = contract_chains(g1, dt)
         assert g2.n == 1 and g2.m == 0
-        assert record.chains[0] == list(range(9))
+        assert chains == [list(range(9))]
+        assert chain_origin == list(range(8))
 
     def test_broom_keeps_star_collapses_path(self):
         t, r = 5, 12
         g = gen_broom(t, r, seed=0)
         dt = dominator_tree(g)
-        g1, _ = drop_back_edges(g, dt)
-        g2, record = contract_chains(g1, dt)
+        g1 = drop_back_edges(g, dt)
+        g2, chains, _ = contract_chains(g1, dt)
         assert g2.n == t + 2  # s, the path supernode, and the leaves
-        assert record.chains == [list(range(1, r + 1))]
+        assert chains == [list(range(1, r + 1))]
 
     def test_contracted_domtree_matches_recomputation(self):
         rng = random.Random(4)
         for trial in range(40):
             g = gen_family("random_digraph", rng.randrange(2, 80), seed=trial)
             dt = dominator_tree(g)  # simple input: no pre-deduplication needed
-            g1, _ = drop_back_edges(g, dt)
-            g2, record = contract_chains(g1, dt)
-            fresh = dominator_tree(g2)
-            assert fresh.idom == record.contracted_domtree.parent
+            g1 = drop_back_edges(g, dt)
+            g2, chains, _ = contract_chains(g1, dt)
+            # collapse each chain onto its head; survivors keep id order
+            rep = list(range(g.n))
+            for chain in chains:
+                for v in chain[1:]:
+                    rep[v] = chain[0]
+            new_id = {v: k for k, v in enumerate(
+                v for v in range(g.n) if rep[v] == v)}
+            idom2 = [-1] * len(new_id)
+            for v, p in enumerate(dt.idom):
+                if p >= 0 and rep[v] != rep[p]:
+                    idom2[new_id[rep[v]]] = new_id[rep[p]]
+            assert dominator_tree(g2).idom == idom2
             # no outdegree-1 nodes remain
-            ch = record.contracted_domtree.children()
+            ch = SpanningTree(idom2, new_id[g.s], "dominator").children()
             assert all(len(c) != 1 for c in ch)
             # vertex count drops by exactly the number of contracted edges
-            contracted_edges = sum(len(c) - 1 for c in record.chains)
+            contracted_edges = sum(len(c) - 1 for c in chains)
             assert g2.n == g1.n - contracted_edges
 
 
 class TestDedup:
     def test_parallel_pair_lazy_cost(self):
         g = parse_graph("2 2 0 directed\n0 1 3\n0 1 5\n", audit=True)
-        g2, lazies, _ = deduplicate(g)
+        g2, lazies = deduplicate(g)
         assert g2.m == 1 and len(lazies) == 1
+        assert g2.origin == lazies and lazies[0].origins == [0, 1]
         assert g.arena.cmp_count == 0  # nothing spent yet
         h = g2.arc_weight(0)
         assert g.arena.cmp_count == 1 and lazies[0].spent == 1
@@ -148,7 +160,7 @@ class TestDedup:
 
     def test_no_parallels_zero_cost(self):
         g = gen_family("random_dag", 30, seed=5)
-        g2, lazies, _ = deduplicate(g)
+        g2, lazies = deduplicate(g)
         assert not lazies and g2.m == g.m
 
     def test_grouped_random_spend(self):
@@ -171,7 +183,7 @@ class TestDedup:
         for k in [(1, 2), (2, 3), (3, 4), (4, 5)]:
             groups[k] = groups.get(k, 0) + 1
         g = parse_graph(text, audit=True)
-        g2, lazies, _ = deduplicate(g)
+        g2, lazies = deduplicate(g)
         for lm in lazies:
             lm.resolve()
         want = sum(c - 1 for c in groups.values() if c > 1)
