@@ -11,8 +11,8 @@ Edge-list format::
 
 Undirected inputs are doubled into two arcs sharing one weight cell.  Every
 vertex must be reachable from the source s and all weights must be strictly
-positive; both are checked at load (the positivity comparisons run on a side
-arena so benchmark counters stay clean).
+positive; both are checked at load, positivity on the raw values before they
+are interned, so no arena counter moves.
 """
 
 from __future__ import annotations
@@ -83,13 +83,8 @@ def _reachable_from(n, adj, heads, s) -> list[bool]:
 def _build(n, directed, s, pairs, values, audit=False):
     """Intern values, double undirected edges, and validate the result."""
     arena = WeightArena(audit=audit)
-    # positivity is checked through counted comparisons on a side arena so
-    # the main counters stay untouched
-    side = WeightArena()
-    zero = side.zero()
     for lineno, v in enumerate(values):
-        h = side.intern(v)
-        if side.compare(h, zero) <= 0:
+        if v <= 0:
             raise GraphParseError(lineno + 2, f"weight {v} is not positive")
     handles = [arena.intern(v) for v in values]
     tails, heads, weights = [], [], []

@@ -82,6 +82,13 @@ def test_run_parse_error_exit_code(tmp_path, capsys):
     assert rc == 1 and "line 2" in err
 
 
+def test_run_negative_weight_exit_code(tmp_path, capsys):
+    f = tmp_path / "neg.edges"
+    f.write_text("2 1 0 directed\n0 1 -3\n")
+    rc, _o, err = run_cli(capsys, "run", "--in", str(f))
+    assert rc == 1 and "line 2" in err and "not positive" in err
+
+
 def test_bench_csv_schema_and_determinism(tmp_path, capsys):
     out = tmp_path / "r.csv"
     args = ("bench", "--family", "star", "--n", "16,32", "--heaps",

@@ -18,9 +18,10 @@ class TestParse:
         assert g.n == 2 and g.m == 1 and g.directed
 
     def test_zero_weight_rejected(self):
-        with pytest.raises(GraphParseError) as ei:
-            parse_graph("2 1 0 directed\n0 1 0\n")
-        assert ei.value.lineno == 2
+        for w in ("0", "-3", "-1/2"):
+            with pytest.raises(GraphParseError) as ei:
+                parse_graph(f"3 2 0 directed\n0 1 1\n1 2 {w}\n")
+            assert ei.value.lineno == 3
 
     def test_unreachable_rejected(self):
         with pytest.raises(GraphParseError):
