@@ -87,8 +87,6 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     g = _load_graph(args, audit=args.audit)
     if args.algo == "optimal":
-        if not g.directed:
-            raise UsageError("algo=optimal requires a directed graph")
         t0 = time.perf_counter_ns()
         res = run_pipeline(g)
         wall = time.perf_counter_ns() - t0
@@ -237,9 +235,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        # gen-only parsers lack some attributes run expects
-        if not hasattr(args, "n"):
-            args.n = None
         return args.fn(args)
     except (UsageError, GraphParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,8 +42,7 @@ class WorkSetHeap:
     """Fibonacci-like priority queue with the working-set property."""
 
     __slots__ = ("arena", "_pool", "_heaps", "_M", "_next_time", "size",
-                 "_spares", "last_extract_rank", "last_extract_time",
-                 "extract_comparisons")
+                 "_spares", "last_extract_rank", "extract_comparisons")
 
     def __init__(self, arena):
         self.arena = arena
@@ -54,7 +53,6 @@ class WorkSetHeap:
         self.size = 0
         self._spares: list[FibonacciHeap] = []  # emptied heap shells, reused as carries
         self.last_extract_rank = -1
-        self.last_extract_time = -1
         self.extract_comparisons = 0  # total comparisons spent inside extract_min
 
     def __len__(self):
@@ -151,10 +149,9 @@ class WorkSetHeap:
             pre_R -= 1
         r_star = M.find_min()
         H = heaps[r_star]
-        key, t, vertex = H.extract_min()
+        key, _, vertex = H.extract_min()
         self.size -= 1
         self.last_extract_rank = r_star
-        self.last_extract_time = t
         if H.size == 0:
             heaps[r_star] = None
             self._spares.append(H)
