@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distorder.comparison_optimal import (contract_chains, deduplicate,
                                           dominator_tree, drop_back_edges,
@@ -37,6 +38,36 @@ def relabel(g, rng):
         u, v, w = ln.split()
         lines.append(f"{new_id[int(u)]} {new_id[int(v)]} {w}")
     return parse_graph("\n".join(lines) + "\n", audit=True)
+
+
+weight_tokens = st.one_of(
+    st.integers(1, 12).map(str),
+    st.tuples(st.integers(1, 40), st.integers(2, 6)).map(lambda t: f"{t[0]}/{t[1]}"))
+
+
+@st.composite
+def reachable_multigraphs(draw):
+    """Edge-list text of a reachable digraph with duplicated arcs.
+
+    A spanning tree in a drawn vertex order keeps everything reachable from
+    the source 0; extra arcs (self-loops too) and copies of drawn arcs with
+    fresh weights make the parallel groups.
+    """
+    n = draw(st.integers(2, 10))
+    order = draw(st.permutations(range(1, n)))
+    arcs = []
+    for k, v in enumerate(order):
+        u = draw(st.sampled_from((0,) + tuple(order[:k])))
+        arcs.append((u, v, draw(weight_tokens)))
+    for _ in range(draw(st.integers(0, 2 * n))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        arcs.append((u, v, draw(weight_tokens)))
+    for _ in range(draw(st.integers(1, 2 * n))):
+        u, v, _w = draw(st.sampled_from(arcs))
+        arcs.append((u, v, draw(weight_tokens)))
+    arcs = draw(st.permutations(arcs))
+    return f"{n} {len(arcs)} 0 directed\n" + "".join(
+        f"{u} {v} {w}\n" for u, v, w in arcs)
 
 
 def assert_matches_bellman_ford(g, res):
@@ -382,6 +413,21 @@ class TestPipeline:
         for t, r in ((3, 5), (5, 19), (7, 41)):
             g = relabel(gen_broom(t, r, seed=t), rng)
             assert_matches_bellman_ford(g, run_pipeline(g))
+
+    @given(reachable_multigraphs())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_parallel_input_arcs_match_bellman_ford(self, text):
+        g = parse_graph(text, audit=True)
+        res = run_pipeline(g)
+        assert_matches_bellman_ford(g, res)
+        d = bellman_ford(g)
+        for v in range(g.n):
+            if v == g.s:
+                continue
+            a, p = res.tree_arc[v], res.tree.parent[v]
+            assert 0 <= a < g.m
+            assert (g.tails[a], g.heads[a]) == (p, v)
+            assert g.arena.audit_value(g.weights[a]) + d[p] == d[v]
 
     def test_linearization_sorted_by_distance(self):
         g = gen_family("star", 12, seed=4, audit=True)
