@@ -14,11 +14,16 @@ working-set Dijkstra on the remaining core, and rebuilds the answer:
 6. uncontract: every arc carries its origin (an input arc id, or the lazy
    group whose resolved winner names one), so each core tree arc and each
    contracted chain edge maps straight back to an input arc, and
-7. order the tree by a bottom-up merge using Hwang-Lin binary merging, whose
-   total comparison count is at most 2 log2 of the tree's linearization count.
+7. linearize from the core Dijkstra's extraction order, which is sorted and
+   already paid for: each chain's interiors, sorted by their prefix sums,
+   go into the part of that order after their head, spliced in with one
+   comparison when they all precede it, Hwang-Lin merged otherwise.
 
-Ties between equal distances merge the accumulated list before the incoming
-child list, so the output is one deterministic valid linearization.
+Ties among core vertices follow the working-set heap's extraction order, and
+a chain interior goes after every existing element of equal distance, so the
+output is one deterministic valid linearization.  ``tree_dp_linearize``, a
+bottom-up merge over the whole tree within 2 log2 of its linearization count,
+is kept as a standalone routine.
 Undirected inputs are rejected; the contraction argument needs directions.
 """
 
@@ -244,7 +249,9 @@ def contract_chains(g: Graph, dom: DominatorTree):
     get weights prefix + w built with protected additions; no comparisons.
     Verifies on every chain that the chain edge is its head's unique in-edge
     and that no edge skips from a chain vertex into the child's subtree.
-    Returns (graph, chains, the origins of the contracted chain edges).
+    Chain heads and vertices in no chain become core vertices 0, 1, ... in
+    id order.  Returns (graph, chains, the origins of the contracted chain
+    edges).
     """
     n = g.n
     children_count = [0] * n
@@ -437,11 +444,44 @@ def tree_dp_linearize(tree: SpanningTree, dist: list[int],
     return lists[tree.root]
 
 
+def merge_chains(core_order: list[int], chains: list[list[int]],
+                 dist: list[int], arena: WeightArena) -> list[int]:
+    """Linearize the input graph from the core Dijkstra's extraction order.
+
+    Core id k stands for the k-th input vertex that is not a chain interior
+    (see ``contract_chains``).  Each chain's interiors are sorted already
+    and belong after their head: the last head goes first, so earlier heads
+    keep their positions.  One comparison splices the interiors in when they
+    all precede everything after the head; otherwise Hwang-Lin merges them
+    in, existing elements first on ties.
+    """
+    interior = [False] * len(dist)
+    for chain in chains:
+        for v in chain[1:]:
+            interior[v] = True
+    rep = [v for v, is_inner in enumerate(interior) if not is_inner]
+    lin = [rep[c] for c in core_order]
+    pos = {v: i for i, v in enumerate(lin)}
+    compare = arena.compare
+    for chain in sorted(chains, key=lambda c: pos[c[0]], reverse=True):
+        p = pos[chain[0]] + 1
+        inner = chain[1:]
+        if p == len(lin) or compare(dist[inner[-1]], dist[lin[p]]) < 0:
+            lin[p:p] = inner
+        else:
+            lin[p:] = hwang_lin_merge(arena, lin[p:], inner, dist)
+    return lin
+
+
 # -- the full pipeline -------------------------------------------------------
 
 
 class PipelineResult:
-    """Everything the contraction pipeline produced, for auditing."""
+    """Everything the contraction pipeline produced, for auditing.
+
+    ``sssp_comparisons`` covers everything up to the uncontracted tree;
+    ``dp_comparisons`` is the rest, the linearization's comparisons.
+    """
 
     __slots__ = ("tree", "tree_arc", "linearization", "dist", "run",
                  "core_graph", "multi_graph",
@@ -466,8 +506,11 @@ def run_pipeline(g: Graph) -> PipelineResult:
         g0, lazies0 = g, []
     dom = dominator_tree(g0)
     g1 = drop_back_edges(g0, dom)
-    g2, _, chain_origin = contract_chains(g1, dom)
-    g3, lazies3 = deduplicate(g2)
+    g2, chains, chain_origin = contract_chains(g1, dom)
+    if _has_parallel_arcs(g2):
+        g3, lazies3 = deduplicate(g2)
+    else:
+        g3, lazies3 = g2, []
     run = run_dijkstra(g3, "workset")
 
     # uncontract: follow each tree arc's origin down to an input arc; every
@@ -487,7 +530,7 @@ def run_pipeline(g: Graph) -> PipelineResult:
     cmp_sssp = arena.cmp_count - cmp0
 
     dist = tree_distances(g, tree, parent_arc)
-    lin = tree_dp_linearize(tree, dist, arena)
+    lin = merge_chains(run.linearization, chains, dist, arena)
     cmp1, add1 = arena.counters()
     return PipelineResult(
         tree=tree,

@@ -11,8 +11,8 @@ Edge-list format::
 
 Undirected inputs are doubled into two arcs sharing one weight cell.  Every
 vertex must be reachable from the source s and all weights must be strictly
-positive; both are checked at load, positivity on the raw values before they
-are interned, so no arena counter moves.
+positive; both are checked at load, positivity on each parsed value before
+it is interned, so no arena counter moves.
 """
 
 from __future__ import annotations
@@ -83,9 +83,6 @@ def _reachable_from(n, adj, heads, s) -> list[bool]:
 def _build(n, directed, s, pairs, values, audit=False):
     """Intern values, double undirected edges, and validate the result."""
     arena = WeightArena(audit=audit)
-    for lineno, v in enumerate(values):
-        if v <= 0:
-            raise GraphParseError(lineno + 2, f"weight {v} is not positive")
     handles = [arena.intern(v) for v in values]
     tails, heads, weights = [], [], []
     for (u, v), h in zip(pairs, handles):
@@ -136,13 +133,12 @@ def parse_graph(text: str, audit: bool = False) -> Graph:
         raise GraphParseError(1, f"bad header field: {exc}") from None
     if n < 1 or not 0 <= s < n:
         raise GraphParseError(1, f"bad vertex count {n} or source {s}")
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = [(k, ln) for k, ln in enumerate(lines[1:], 2) if ln.strip()]
     if len(body) != m:
         raise GraphParseError(1, f"expected {m} edge lines, found {len(body)}")
     pairs, values = [], []
-    for k, ln in enumerate(body):
+    for lineno, ln in body:
         parts = ln.split()
-        lineno = k + 2
         if len(parts) != 3:
             raise GraphParseError(lineno, f"expected 'u v w', got {ln!r}")
         try:
@@ -152,6 +148,8 @@ def parse_graph(text: str, audit: bool = False) -> Graph:
             raise GraphParseError(lineno, f"bad edge line: {exc}") from None
         if not (0 <= u < n and 0 <= v < n):
             raise GraphParseError(lineno, f"vertex out of range in {ln!r}")
+        if w <= 0:
+            raise GraphParseError(lineno, f"weight {w} is not positive")
         pairs.append((u, v))
         values.append(w)
     return _build(n, head[3] == "directed", s, pairs, values, audit=audit)

@@ -1,9 +1,11 @@
 import math
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from distorder import comparison_optimal
 from distorder.comparison_optimal import (contract_chains, deduplicate,
                                           dominator_tree, drop_back_edges,
                                           hwang_lin_merge, run_pipeline,
@@ -434,3 +436,59 @@ class TestPipeline:
         lin = run_pipeline(g).linearization
         d = bellman_ford(g)
         assert [d[v] for v in lin] == sorted(d)
+
+
+class TestLinearization:
+    """The order comes from the core Dijkstra plus one merge per chain."""
+
+    def test_pinned_comparison_counts(self):
+        # exact pipeline comparison counts on fixed inputs; a change to the
+        # contraction or to the chain merges moves them
+        def pipeline_cmp(g):
+            return run_pipeline(g).comparisons
+
+        assert pipeline_cmp(gen_family("random_digraph", 2000, seed=0)) == 40372
+        assert pipeline_cmp(gen_broom(44, 44 * 44 - 44 - 1, seed=0)) == 344
+        assert pipeline_cmp(gen_broom(45, 45 * 45 - 45 - 1, seed=0)) == 347
+        assert pipeline_cmp(gen_dense(16, seed=0)) == 4218
+        assert pipeline_cmp(gen_family("star", 1501, seed=0)) == 25808
+
+    def test_no_more_than_workset_dijkstra(self):
+        makers = [partial(gen_family, kind, 2000, seed=seed)
+                  for kind in ("random_digraph", "random_dag")
+                  for seed in range(3)]
+        makers += [partial(gen_broom, t, t * t - t - 1, seed=0) for t in (44, 45)]
+        makers += [partial(gen_dense, k, seed=0) for k in (8, 16)]
+        for make in makers:
+            res = run_pipeline(make())
+            assert res.comparisons <= run_dijkstra(make(), "workset").comparisons
+
+    def test_star_linearization_is_free(self):
+        # no chains: the core order is the answer
+        res = run_pipeline(gen_family("star", 1501, seed=0))
+        assert res.dp_comparisons == 0
+        assert res.linearization == res.run.linearization
+
+    def test_brooms_splice_with_one_comparison(self):
+        for t in (44, 45):
+            g = gen_broom(t, t * t - t - 1, seed=0, audit=True)
+            res = run_pipeline(g)
+            assert res.dp_comparisons == 1
+            assert_matches_bellman_ford(g, res)
+
+    def test_interiors_interleave_with_core(self, monkeypatch):
+        # chain 1 -> 2 -> 3 (distances 1, 3, 5) against the core vertices
+        # 4 and 5 (distances 3, 5): the splice test fails and the interiors
+        # are merged in, each after the core vertex of equal distance
+        calls = []
+
+        def merge(arena, a, b, dist):
+            calls.append((list(a), list(b)))
+            return hwang_lin_merge(arena, a, b, dist)
+        monkeypatch.setattr(comparison_optimal, "hwang_lin_merge", merge)
+        g = parse_graph("6 5 0 directed\n0 1 1\n1 2 2\n2 3 2\n0 4 3\n"
+                        "0 5 5\n", audit=True)
+        res = run_pipeline(g)
+        assert calls == [([4, 5], [2, 3])]
+        assert res.linearization == [0, 1, 4, 2, 5, 3]
+        assert_matches_bellman_ford(g, res)

@@ -23,6 +23,16 @@ class TestParse:
                 parse_graph(f"3 2 0 directed\n0 1 1\n1 2 {w}\n")
             assert ei.value.lineno == 3
 
+    def test_line_numbers_count_blank_lines(self):
+        cases = (("2 1 0 directed\n\n0 1 -3\n", 3),  # non-positive weight
+                 ("3 2 0 directed\n0 1 1\n\n\n1 2 0\n", 5),
+                 ("2 1 0 directed\n\n0 x 1\n", 3),  # bad token
+                 ("3 2 0 directed\n0 1 1\n \n1 2 1/0\n", 4))
+        for text, lineno in cases:
+            with pytest.raises(GraphParseError) as ei:
+                parse_graph(text)
+            assert ei.value.lineno == lineno, text
+
     def test_unreachable_rejected(self):
         with pytest.raises(GraphParseError):
             parse_graph("3 1 0 directed\n0 1 1\n")
