@@ -328,12 +328,17 @@ class FibonacciQueue:
     def __len__(self):
         return self._heap.size
 
-    def insert(self, key: int, vertex: int) -> int:
-        self._time += 1
-        return self._heap.insert(key, self._time, vertex)
+    def insert(self, key: int, vertex: int) -> tuple[int, int]:
+        """Insert (key, vertex); returns a (node id, insertion time) handle."""
+        t = self._time + 1
+        self._time = t
+        return self._heap.insert(key, t, vertex), t
 
-    def decrease_key(self, token: int, key: int) -> None:
-        self._heap.decrease_key(token, key)
+    def decrease_key(self, handle: tuple[int, int], key: int) -> None:
+        nid, t = handle
+        if self._heap.pool.time[nid] != t:
+            raise ContractViolation("stale handle: element already extracted")
+        self._heap.decrease_key(nid, key)
 
     def extract_min(self) -> tuple[int, int]:
         key, _t, vertex = self._heap.extract_min()
@@ -480,6 +485,8 @@ class PairingQueue:
         return eid
 
     def decrease_key(self, eid: int, key: int) -> None:
+        if eid != self._root and self._prev[eid] == _NIL:
+            raise ContractViolation("stale handle: element already extracted")
         if self._arena.compare(key, self._key[eid]) > 0:
             raise ContractViolation("decrease_key would increase the key")
         self._key[eid] = key

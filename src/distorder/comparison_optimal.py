@@ -3,7 +3,7 @@
 The pipeline contracts away everything whose order is forced, runs the
 working-set Dijkstra on the remaining core, and rebuilds the answer:
 
-1. dominator tree of the input (iterative Lengauer-Tarjan),
+1. dominator tree of the input (iterative semi-NCA),
 2. drop every edge that points from a vertex into one of its dominators,
 3. contract each maximal chain of outdegree-1 dominator-tree nodes into one
    vertex, rebuilding the weights of edges leaving chain interiors as
@@ -56,7 +56,7 @@ class DominatorTree:
 
 
 def dominator_tree(g: Graph) -> DominatorTree:
-    """Lengauer-Tarjan with path compression; all loops iterative."""
+    """Semi-NCA (Georgiadis, Tarjan and Werneck 2006); all loops iterative."""
     n = g.n
     s = g.s
     out_adj = g.adj
@@ -66,16 +66,14 @@ def dominator_tree(g: Graph) -> DominatorTree:
         preds[v].append(g.tails[i])
 
     dfnum = [-1] * n
-    order: list[int] = []
+    dfnum[s] = 0
+    order = [s]  # DFS preorder
     parent = [-1] * n
     ptr = [0] * n
-    dfnum[s] = 0
-    order.append(s)
     stack = [s]
     while stack:
         u = stack[-1]
         arcs = out_adj[u]
-        advanced = False
         while ptr[u] < len(arcs):
             v = heads[arcs[ptr[u]]]
             ptr[u] += 1
@@ -84,63 +82,45 @@ def dominator_tree(g: Graph) -> DominatorTree:
                 order.append(v)
                 parent[v] = u
                 stack.append(v)
-                advanced = True
                 break
-        if not advanced:
+        else:
             stack.pop()
     if len(order) != n:
         raise ContractViolation("graph has vertices unreachable from the source")
 
     semi = dfnum[:]  # per vertex, as DFS numbers
-    ancestor = [-1] * n
-    label = list(range(n))
-    idom = [-1] * n
-    samedom = [-1] * n
-    bucket: list[list[int]] = [[] for _ in range(n)]
-
-    def compress_to(v: int) -> None:
-        path = []
-        u = v
-        while ancestor[ancestor[u]] != -1:
-            path.append(u)
-            u = ancestor[u]
-        for u in reversed(path):
-            a = ancestor[u]
-            if semi[label[a]] < semi[label[u]]:
-                label[u] = label[a]
-            ancestor[u] = ancestor[a]
-
-    def evaluate(v: int) -> int:
-        if ancestor[v] == -1:
-            return v
-        compress_to(v)
-        return label[v]
-
-    for w in reversed(order[1:]):
-        p = parent[w]
-        best = semi[w]
+    ancestor = [-1] * n  # the linked forest, compressed as it is searched
+    label = list(range(n))  # least-semi vertex on the compressed path
+    for d in range(n - 1, 0, -1):
+        w = order[d]
+        best = d
         for u in preds[w]:
-            if dfnum[u] < 0:
-                continue
-            if dfnum[u] <= dfnum[w]:
-                cand = dfnum[u]
-            else:
-                cand = semi[evaluate(u)]
+            if ancestor[u] != -1:
+                # u is linked: compress its forest path so label[u] is exact
+                path = []
+                x = u
+                while ancestor[ancestor[x]] != -1:
+                    path.append(x)
+                    x = ancestor[x]
+                for x in reversed(path):
+                    a = ancestor[x]
+                    if semi[label[a]] < semi[label[x]]:
+                        label[x] = label[a]
+                    ancestor[x] = ancestor[a]
+            cand = semi[label[u]]
             if cand < best:
                 best = cand
         semi[w] = best
-        bucket[order[best]].append(w)
-        ancestor[w] = p
-        for v in bucket[p]:
-            y = evaluate(v)
-            if semi[y] == semi[v]:
-                idom[v] = p
-            else:
-                samedom[v] = y
-        bucket[p] = []
+        ancestor[w] = parent[w]
+
+    # in preorder, climb the dominator tree from w's DFS parent to the first
+    # vertex numbered at most semi[w]; idom[w] is w's DFS parent until then
+    idom = parent
     for w in order[1:]:
-        if samedom[w] != -1:
-            idom[w] = idom[samedom[w]]
+        x = idom[w]
+        while dfnum[x] > semi[w]:
+            x = idom[x]
+        idom[w] = x
     return DominatorTree(idom, s)
 
 

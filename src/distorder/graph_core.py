@@ -62,9 +62,6 @@ class Graph:
             return w
         return w.resolve()
 
-    def arcs(self):
-        return zip(self.tails, self.heads, self.weights)
-
 
 def _reachable_from(n, adj, heads, s) -> list[bool]:
     seen = [False] * n

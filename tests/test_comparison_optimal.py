@@ -108,6 +108,27 @@ class TestDominators:
             dt = dominator_tree(g)
             assert dt.idom == brute_idoms(g), (trial,)
 
+    def test_structured_families_vs_oracle(self):
+        rng = random.Random(3)
+        graphs = [gen_dense(k, seed=k) for k in range(2, 7)]
+        graphs += [gen_broom(t, r, seed=t) for t in (1, 3, 6) for r in (1, 4, 9)]
+        graphs += [gen_family(kind, n, seed=n) for kind in
+                   ("path", "fan", "star", "random_dag") for n in (2, 5, 17)]
+        graphs.append(gen_family("path", 1))
+        for trial in range(60):
+            # a random spanning tree keeps everything reachable; extra arcs
+            # bring self-loops, parallel copies and back arcs
+            n = rng.randrange(2, 14)
+            arcs = [(rng.randrange(v), v) for v in range(1, n)]
+            arcs += [(rng.randrange(n), rng.randrange(n))
+                     for _ in range(rng.randrange(2 * n))]
+            arcs += rng.choices(arcs, k=rng.randrange(1, n))
+            g = parse_graph(f"{n} {len(arcs)} 0 directed\n" + "".join(
+                f"{u} {v} {rng.randrange(1, 9)}\n" for u, v in arcs), audit=True)
+            graphs.append(relabel(g, rng))
+        for i, g in enumerate(graphs):
+            assert dominator_tree(g).idom == brute_idoms(g), (i,)
+
 
 class TestDropBackEdges:
     def test_path_with_back_edge(self):

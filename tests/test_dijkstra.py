@@ -1,11 +1,15 @@
 import math
 import random
 
-from distorder.dijkstra import HEAP_KINDS, run_dijkstra
+import pytest
+
+from distorder.dijkstra import HEAP_KINDS, make_queue, run_dijkstra
+from distorder.errors import ContractViolation
 from distorder.graph_core import gen_broom, gen_family, parse_graph
 from distorder.optimality_audit import working_set_sizes
+from distorder.weights import WeightArena
 
-from helpers import bellman_ford
+from helpers import SortedReplayOracle, bellman_ford
 
 
 def test_path_run_shape():
@@ -139,3 +143,40 @@ def test_broom_binary_vs_workset_comparison_shape():
     n = g1.n
     assert ws.comparisons <= 12 * n
     assert bi.comparisons >= n * math.log2(t) / 2
+
+
+@pytest.mark.parametrize("kind", HEAP_KINDS)
+def test_stale_and_foreign_handles_raise_and_keep_the_queue(kind):
+    arena = WeightArena()
+    q = make_queue(kind, arena)
+    oracle = SortedReplayOracle()
+    values = random.Random(6).sample(range(1, 1000), 12)
+    token = {}
+
+    def insert(ident):
+        token[ident] = q.insert(arena.intern(values[ident]), ident)
+        oracle.insert(values[ident], ident)
+
+    def extract():
+        _key, got = q.extract_min()
+        assert got == oracle.extract_min()[1]
+        return got
+
+    for ident in range(6):
+        insert(ident)
+    gone = [extract(), extract()]
+    with pytest.raises(ContractViolation):
+        q.decrease_key(token[gone[0]], arena.zero())
+    for ident in range(6, 12):  # may reuse the extracted elements' nodes
+        insert(ident)
+    for ident in gone:
+        with pytest.raises(ContractViolation):
+            q.decrease_key(token[ident], arena.zero())
+    live = max(token, key=values.__getitem__)
+    with pytest.raises(ContractViolation):
+        q.decrease_key(token[live], WeightArena().intern(0))
+    q.decrease_key(token[live], arena.intern(0))
+    oracle.decrease(live, 0)
+    while len(oracle):
+        extract()
+    assert len(q) == 0
