@@ -99,11 +99,13 @@ class FibonacciHeap:
     def insert(self, key: int, time: int, vertex: int) -> int:
         """Add an element; returns its node id.  Amortized O(1)."""
         pool = self.pool
-        nid = pool.alloc(key, time, vertex)
         m = self.min
         if m == _NIL:
-            self.min = nid
+            nid = self.min = pool.alloc(key, time, vertex)
         else:
+            # compare first, so a rejected key leaves the heap untouched
+            c = self.arena.compare(key, pool.key[m])
+            nid = pool.alloc(key, time, vertex)
             # splice nid into the root ring, left of m
             left, right = pool.left, pool.right
             lm = left[m]
@@ -111,7 +113,6 @@ class FibonacciHeap:
             left[nid] = lm
             right[nid] = m
             left[m] = nid
-            c = self.arena.compare(key, pool.key[m])
             if c < 0 or (c == 0 and vertex < pool.vertex[m]):
                 self.min = nid
         self.size += 1
@@ -375,7 +376,13 @@ class BinaryQueue:
         self._vtx.append(vertex)
         self._pos.append(len(self._heap))
         self._heap.append(eid)
-        self._bubble_up(len(self._heap) - 1)
+        try:
+            self._bubble_up(len(self._heap) - 1)
+        except ContractViolation:
+            # only the first comparison can raise, before anything moved
+            for lst in (self._key, self._vtx, self._pos, self._heap):
+                lst.pop()
+            raise
         return eid
 
     def decrease_key(self, eid: int, key: int) -> None:

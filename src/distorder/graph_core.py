@@ -80,7 +80,7 @@ def _reachable_from(n, adj, heads, s) -> list[bool]:
 def _build(n, directed, s, pairs, values, audit=False):
     """Intern values, double undirected edges, and validate the result."""
     arena = WeightArena(audit=audit)
-    handles = [arena.intern(v) for v in values]
+    handles = arena.intern_many(values)
     tails, heads, weights = [], [], []
     for (u, v), h in zip(pairs, handles):
         tails.append(u)

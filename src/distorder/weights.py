@@ -1,10 +1,21 @@
 """Protected weight cells with counted Add and Compare.
 
 All weight access in this package goes through a :class:`WeightArena`.  A cell
-holds an exact nonnegative rational (plain ``int`` fast path, ``Fraction``
-otherwise) and is referred to by an opaque integer handle.  The only ways to
-observe a cell are :meth:`WeightArena.add` and :meth:`WeightArena.compare`,
-each of which bumps the corresponding counter.
+holds an exact nonnegative rational and is referred to by an opaque integer
+handle.  The only ways to observe a cell are :meth:`WeightArena.add` and
+:meth:`WeightArena.compare`, each of which bumps the corresponding counter.
+
+Cells are plain ``int``: each holds its value times one common denominator D,
+the least common multiple of the denominators interned so far (D = 1 while
+every weight is an integer).  The model only adds and compares, and scaling
+every weight by D > 0 keeps each sum exact and each comparison's sign, so the
+counts are those of the unscaled values while every operation stays on ints.
+When an intern raises D, the existing cells are multiplied in place by the
+factor, so handles never change; :meth:`WeightArena.intern_many` raises D at
+most once per batch.  If D would pass ``2**64`` (say, every arc with its own
+prime denominator), the arena falls back for good: every cell is converted
+once to its unscaled value, an ``int`` or a ``Fraction``, and later cells are
+stored unscaled too.
 
 Handles encode the issuing arena in their high bits, so using a handle with a
 foreign arena raises :class:`ContractViolation` instead of reading garbage.
@@ -12,15 +23,18 @@ foreign arena raises :class:`ContractViolation` instead of reading garbage.
 compared for free; it never occupies a cell.
 
 Arenas created with ``audit=True`` additionally store cell payloads XOR-masked
-with a random key (so code that bypasses the API reads noise) and allow exact
-values to be exported through :meth:`WeightArena.audit_value` for independent
-test oracles.  Non-audit arenas never export values.
+with a random key (an ``int`` cell as ``cell ^ key``, a fallback ``Fraction``
+as its masked numerator and denominator), so code that bypasses the API reads
+noise, and allow exact values to be exported through
+:meth:`WeightArena.audit_value` for independent test oracles.  Non-audit
+arenas never export values.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .errors import ContractViolation
 
@@ -34,16 +48,30 @@ INFINITY = -1
 _BASE_SHIFT = 44
 _arena_serial = itertools.count(1)
 
+# The common denominator never passes this; an arena that would need a larger
+# one stores unscaled values instead.
+_DEN_LIMIT = 1 << 64
+
+
+def _exact(value):
+    """``value`` as an int or a Fraction; floats are rejected."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    if isinstance(value, float):
+        raise ContractViolation("weights must be exact (int or Fraction)")
+    return Fraction(value)
+
 
 class WeightArena:
     """Append-only store of protected weight cells with operation counters."""
 
-    __slots__ = ("_base", "_val", "cmp_count", "add_count", "audit", "_mask",
-                 "compare", "add")
+    __slots__ = ("_base", "_val", "_den", "_unscaled", "cmp_count",
+                 "add_count", "audit", "_mask", "compare", "add")
 
     def __init__(self, audit: bool = False, mask_seed: int | None = None):
         self._base = next(_arena_serial) << _BASE_SHIFT
-        self._val: list = []
+        self._den = 1  # cells hold value * _den
+        self._unscaled = False  # set for good once _den would pass _DEN_LIMIT
         self.cmp_count = 0
         self.add_count = 0
         self.audit = audit
@@ -57,7 +85,7 @@ class WeightArena:
             self._mask = 0
             self.compare = self._compare_plain
             self.add = self._add_plain
-        self._val.append(self._store(0))  # reserved zero cell
+        self._val: list = [self._mask]  # reserved zero cell
 
     # -- cell creation ---------------------------------------------------
 
@@ -67,26 +95,71 @@ class WeightArena:
 
     def intern(self, value) -> int:
         """Load an original weight value (int or Fraction) into a new cell."""
-        if isinstance(value, float):
-            raise ContractViolation("weights must be exact (int or Fraction)")
-        value = value if isinstance(value, int) else Fraction(value)
+        if type(value) is not int:
+            return self.intern_many((value,))[0]
         if value < 0:
             raise ContractViolation("weights must be nonnegative")
-        self._val.append(self._store(value))
-        return self._base + len(self._val) - 1
+        # skip identity arithmetic, so the cell shares the caller's int
+        # object instead of holding a copy
+        if self._den != 1:
+            value *= self._den
+        if self._mask:
+            value ^= self._mask
+        val = self._val
+        val.append(value)
+        return self._base + len(val) - 1
 
     def intern_many(self, values) -> list[int]:
-        """Bulk :meth:`intern` of nonnegative ints; returns their handles."""
-        val = self._val
-        base = self._base + len(val)
-        if self._mask:
-            m = self._mask
-            val.extend(int(v) ^ m for v in values)
-        else:
-            val.extend(int(v) for v in values)
-        if any(self._load(v) < 0 for v in val[base - self._base :]):
+        """Bulk :meth:`intern`; returns the handles in order.
+
+        The whole batch is checked before any cell is added, so a rejected
+        batch leaves the arena as it was.
+        """
+        vals = [v if type(v) is int else _exact(v) for v in values]
+        if vals and min(vals) < 0:
             raise ContractViolation("weights must be nonnegative")
-        return list(range(base, self._base + len(val)))
+        dens = {v.denominator for v in vals if type(v) is not int}
+        d = self._den
+        if dens and not self._unscaled:
+            for q in dens:
+                if d % q:
+                    d = lcm(d, q)
+                    if d > _DEN_LIMIT:
+                        break
+            if d > _DEN_LIMIT:
+                self._unscale()
+            else:
+                if d != self._den:
+                    self._rescale(d)
+                vals = [v * d if type(v) is int else v.numerator * (d // v.denominator)
+                        for v in vals]
+        elif d != 1:
+            vals = [v * d for v in vals]
+        if self._mask:
+            vals = [self._store(v) for v in vals]
+        val = self._val
+        start = self._base + len(val)
+        val.extend(vals)
+        return list(range(start, self._base + len(val)))
+
+    def _rescale(self, den: int) -> None:
+        """Raise the common denominator to ``den``, a multiple of the old one."""
+        f = den // self._den
+        m = self._mask
+        self._val[:] = [((c ^ m) * f) ^ m for c in self._val]
+        self._den = den
+
+    def _unscale(self) -> None:
+        """Store every cell as its unscaled value from now on."""
+        d, m = self._den, self._mask
+        cells = []
+        for c in self._val:
+            v = c ^ m
+            q, r = divmod(v, d)
+            cells.append(self._store(Fraction(v, d) if r else q))
+        self._val[:] = cells
+        self._den = 1
+        self._unscaled = True
 
     def _add_plain(self, a: int, b: int) -> int:
         """Return a fresh handle holding value(a) + value(b).  Counts one addition."""
@@ -204,7 +277,9 @@ class WeightArena:
         idx = handle - self._base
         if not 0 <= idx < len(self._val):
             self._fault(handle, handle, "audit_value")
-        return self._load(self._val[idx])
+        v = self._load(self._val[idx])
+        d = self._den
+        return v if d == 1 else Fraction(v, d)
 
     def fork_values(self, handles):
         """Clone the values behind ``handles`` into a fresh side arena.
@@ -213,7 +288,6 @@ class WeightArena:
         Requires audit mode.  Returns ``(side_arena, side_handles)``.
         """
         side = WeightArena()
-        out = []
-        for h in handles:
-            out.append(INFINITY if h == INFINITY else side.intern(self.audit_value(h)))
-        return side, out
+        cells = iter(side.intern_many(
+            [self.audit_value(h) for h in handles if h != INFINITY]))
+        return side, [INFINITY if h == INFINITY else next(cells) for h in handles]

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import heapq
 import random
+from functools import lru_cache
 from itertools import permutations
 
-from distorder.graph_core import Graph, SpanningTree
+from distorder.graph_core import (Graph, SpanningTree, emit_graph, gen_family,
+                                  parse_graph)
 
 
 class SortedReplayOracle:
@@ -227,3 +229,38 @@ def count_linearizations_exhaustive(tree: SpanningTree) -> int:
         if ok:
             count += 1
     return count
+
+
+def first_primes(count: int) -> list[int]:
+    """The first ``count`` primes, by a sieve that doubles until it has them."""
+    limit = 16
+    while True:
+        sieve = bytearray([1]) * limit
+        sieve[:2] = b"\0\0"
+        for i in range(2, int(limit**0.5) + 1):
+            if sieve[i]:
+                sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
+        primes = [i for i in range(limit) if sieve[i]]
+        if len(primes) >= count:
+            return primes[:count]
+        limit *= 2
+
+
+@lru_cache(maxsize=None)
+def _prime_denominator_text(n: int, seed: int) -> str:
+    header, *body = emit_graph(gen_family("random_digraph", n, seed=seed)).splitlines()
+    lines = [header]
+    for ln, p in zip(body, first_primes(len(body))):
+        lines.append(f"{ln}/{p}")
+    return "\n".join(lines) + "\n"
+
+
+def prime_denominator_graph(n: int = 2000, seed: int = 0,
+                            audit: bool = False) -> Graph:
+    """``random_digraph``'s arcs with arc i weighing w_i / p_i, p_i the i-th prime.
+
+    The common denominator of these weights is the product of the primes
+    (117,466 bits for the 7,992 arcs at n = 2000, seed 0), far past what a
+    weight arena scales by.
+    """
+    return parse_graph(_prime_denominator_text(n, seed), audit=audit)

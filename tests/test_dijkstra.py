@@ -3,13 +3,14 @@ import random
 
 import pytest
 
+from distorder.comparison_optimal import run_pipeline
 from distorder.dijkstra import HEAP_KINDS, make_queue, run_dijkstra
 from distorder.errors import ContractViolation
-from distorder.graph_core import gen_broom, gen_family, parse_graph
+from distorder.graph_core import gen_broom, gen_dense, gen_family, parse_graph
 from distorder.optimality_audit import working_set_sizes
 from distorder.weights import WeightArena
 
-from helpers import SortedReplayOracle, bellman_ford
+from helpers import SortedReplayOracle, bellman_ford, prime_denominator_graph
 
 
 def test_path_run_shape():
@@ -180,3 +181,51 @@ def test_stale_and_foreign_handles_raise_and_keep_the_queue(kind):
     while len(oracle):
         extract()
     assert len(q) == 0
+
+
+@pytest.mark.parametrize("kind", HEAP_KINDS)
+def test_foreign_insert_raises_and_keeps_the_queue(kind):
+    arena = WeightArena()
+    q = make_queue(kind, arena)
+    oracle = SortedReplayOracle()
+    for ident, v in enumerate((5, 3, 8)):
+        q.insert(arena.intern(v), ident)
+        oracle.insert(v, ident)
+    with pytest.raises(ContractViolation):
+        q.insert(WeightArena().intern(1), 3)
+    for ident, v in ((4, 4), (5, 9), (6, 1)):
+        q.insert(arena.intern(v), ident)
+        oracle.insert(v, ident)
+    assert len(q) == len(oracle)
+    while len(oracle):
+        assert q.extract_min()[1] == oracle.extract_min()[1]
+    assert len(q) == 0
+
+
+@pytest.mark.parametrize("make, pinned", [
+    # every weight a fraction; the arena scales by one 23-bit denominator
+    (lambda: gen_dense(16, seed=0),
+     {"workset": (15260, 4351), "fibonacci": (17877, 4351),
+      "binary": (19271, 4351), "pairing": (16382, 4351),
+      "pipeline": (4218, 4621)}),
+    # integer spokes, rim arcs of 1/2
+    (lambda: gen_family("fan", 200, seed=0),
+     {"workset": (3153, 397), "fibonacci": (1508, 397),
+      "binary": (2655, 397), "pairing": (1211, 397),
+      "pipeline": (3153, 596)}),
+    # a common denominator past the arena's bound: unscaled cells
+    (prime_denominator_graph,
+     {"workset": (39806, 3989), "fibonacci": (31866, 3989),
+      "binary": (41321, 3989), "pairing": (35645, 3989),
+      "pipeline": (39829, 6461)}),
+], ids=["dense-16", "fan-200", "prime-denominators"])
+def test_pinned_counts_on_rational_weights(make, pinned):
+    # exact (comparisons, additions); how the arena stores a weight must not
+    # move them
+    got = {}
+    for kind in HEAP_KINDS:
+        run = run_dijkstra(make(), kind)
+        got[kind] = (run.comparisons, run.additions)
+    res = run_pipeline(make())
+    got["pipeline"] = (res.comparisons, res.additions)
+    assert got == pinned

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distorder.errors import GraphParseError, UsageError
 from distorder.graph_core import (emit_graph, forward_edges, gen_broom,
@@ -10,6 +11,21 @@ from distorder.graph_core import (emit_graph, forward_edges, gen_broom,
 from distorder.dijkstra import run_dijkstra
 
 from helpers import bellman_ford
+
+
+def _decimal_token(whole, frac):
+    tok = f"{whole}.{frac:03d}"
+    return tok, Fraction(tok)
+
+
+weight_tokens = st.one_of(
+    st.integers(1, 10**12).map(lambda v: (str(v), v)),
+    st.builds(_decimal_token, st.integers(0, 10**6), st.integers(1, 999)),
+    # denominators up to 2**70 push the arena past its bound, onto the
+    # unscaled fallback
+    st.builds(lambda p, q: (f"{p}/{q}", Fraction(p, q)), st.integers(1, 10**9),
+              st.one_of(st.integers(1, 60), st.integers(1, 2**70))),
+)
 
 
 class TestParse:
@@ -75,6 +91,27 @@ class TestRoundTrip:
         assert emit_graph(g2) == text
         assert (g2.n, g2.m, g2.s, g2.directed) == (g.n, g.m, g.s, g.directed)
         assert g2.tails == g.tails and g2.heads == g.heads
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_exact_weights_survive_parse_and_emit(self, data):
+        # every arc reads back its source value, before and after a round trip
+        n = data.draw(st.integers(1, 8))
+        directed = data.draw(st.booleans())
+        pairs = [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        pairs += data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                              st.integers(0, n - 1)), max_size=8))
+        tokens = [data.draw(weight_tokens) for _ in pairs]
+        lines = [f"{n} {len(pairs)} 0 {'directed' if directed else 'undirected'}"]
+        lines += [f"{u} {v} {tok}" for (u, v), (tok, _) in zip(pairs, tokens)]
+        text = "\n".join(lines) + "\n"
+        step = 1 if directed else 2
+        for src in (text, emit_graph(parse_graph(text))):
+            g = parse_graph(src, audit=True)
+            assert g.m == step * len(pairs)
+            got = [g.arena.audit_value(g.weights[i]) for i in range(g.m)]
+            assert got == [w for _, w in tokens for _ in range(step)]
+        assert emit_graph(parse_graph(emit_graph(g))) == emit_graph(g)
 
     def test_same_seed_same_bytes(self):
         a = emit_graph(gen_broom(7, 11, seed=9))

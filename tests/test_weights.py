@@ -1,5 +1,8 @@
 import pytest
 from fractions import Fraction
+from math import lcm
+
+from hypothesis import given, settings, strategies as st
 
 from distorder.errors import ContractViolation
 from distorder.weights import INFINITY, WeightArena
@@ -125,3 +128,159 @@ def test_intern_many_matches_intern():
     assert a.compare(hs[0], hs[2]) == -1
     with pytest.raises(ContractViolation):
         a.intern_many([3, -1])
+
+
+def test_intern_many_checks_the_whole_batch_first():
+    a = WeightArena()
+    for bad in ([0.5, Fraction(7, 2), 3], [5, -1], [Fraction(1, 3), -Fraction(1, 2)]):
+        with pytest.raises(ContractViolation):
+            a.intern_many(bad)
+        assert len(a) == 1  # only the zero cell
+    b = WeightArena(audit=True, mask_seed=3)
+    hb = b.intern_many([Fraction(7, 2), 3, "2.5", Fraction(1, 3)])
+    assert [b.audit_value(h) for h in hb] == [Fraction(7, 2), 3, Fraction(5, 2),
+                                              Fraction(1, 3)]
+
+
+def test_rising_denominator_keeps_handles_and_order():
+    a = WeightArena(audit=True, mask_seed=11)
+    hs = a.intern_many([3, Fraction(1, 2), 7])
+    calls = []
+    rescale = WeightArena._rescale
+
+    def counted(self, den):
+        calls.append(den)
+        rescale(self, den)
+
+    try:
+        WeightArena._rescale = counted
+        more = a.intern_many([Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)])
+    finally:
+        WeightArena._rescale = rescale
+    assert calls == [2 * 3 * 7 * 11]  # one rescale for the whole batch
+    assert [a.audit_value(h) for h in hs + more] == [
+        3, Fraction(1, 2), 7, Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)]
+    s = a.add(hs[1], more[0])
+    assert a.audit_value(s) == Fraction(5, 6)
+    assert a.compare(s, hs[0]) == -1
+    assert a.counters() == (1, 1)
+
+
+def test_denominator_past_the_bound_falls_back_to_exact_values():
+    a = WeightArena(audit=True)
+    h = a.intern(Fraction(1, 6))
+    big = a.intern_many([Fraction(1, 2**61 - 1), Fraction(1, 2**31 - 1)])
+    assert a._unscaled and a._den == 1
+    assert a.audit_value(h) == Fraction(1, 6)
+    assert a.compare(big[0], big[1]) == -1
+    later = a.intern(Fraction(1, 5))  # stays unscaled
+    assert a._unscaled and a.audit_value(later) == Fraction(1, 5)
+    assert a.audit_value(a.add(h, later)) == Fraction(11, 30)
+    b = WeightArena()  # single interns cross the bound too
+    hb = [b.intern(Fraction(1, q)) for q in (2**31 - 1, 2**61 - 1)]
+    assert b._unscaled and b.compare(hb[0], hb[1]) == 1
+
+
+# -- property test against exact Fraction arithmetic -------------------------
+
+_MERSENNE = (2**31 - 1, 2**61 - 1)  # lcm past the arena's 2**64 bound
+
+small_values = st.one_of(
+    st.integers(0, 10**6),
+    st.decimals(min_value=0, max_value=10**4, places=3, allow_nan=False,
+                allow_infinity=False),
+    st.fractions(min_value=0, max_value=10**4, max_denominator=12),
+)
+any_values = st.one_of(small_values,
+                       st.fractions(min_value=0, max_denominator=10**9))
+
+
+def ops(values):
+    index = st.integers(0, 10**6)
+    return st.lists(st.one_of(
+        st.tuples(st.just("intern"), values),
+        st.tuples(st.just("batch"), st.lists(values, max_size=6)),
+        st.tuples(st.just("add"), index, index),
+        st.tuples(st.just("compare"), index, index),
+        st.tuples(st.just("compare_inf"), index, st.booleans()),
+    ), max_size=25)
+
+
+class _Checked:
+    """Drives a plain and an audit arena in step with a list of exact values."""
+
+    def __init__(self):
+        self.arenas = (WeightArena(), WeightArena(audit=True, mask_seed=5))
+        self.handles = [[a.zero()] for a in self.arenas]
+        self.exact = [Fraction(0)]
+        self.expected = (0, 0)
+
+    def batch(self, values):
+        for arena, hs in zip(self.arenas, self.handles):
+            hs.extend(arena.intern_many(values))
+        self.exact.extend(Fraction(v) for v in values)
+        self.check_counters()
+
+    def run(self, program):
+        for op in program:
+            kind = op[0]
+            if kind == "intern":
+                for arena, hs in zip(self.arenas, self.handles):
+                    hs.append(arena.intern(op[1]))
+                self.exact.append(Fraction(op[1]))
+            elif kind == "batch":
+                self.batch(op[1])
+            else:
+                n = len(self.exact)
+                i = op[1] % n
+                if kind == "add":
+                    j = op[2] % n
+                    for arena, hs in zip(self.arenas, self.handles):
+                        hs.append(arena.add(hs[i], hs[j]))
+                    self.exact.append(self.exact[i] + self.exact[j])
+                    self.expected = (self.expected[0], self.expected[1] + 1)
+                elif kind == "compare":
+                    j = op[2] % n
+                    want = (self.exact[i] > self.exact[j]) - (self.exact[i] < self.exact[j])
+                    for arena, hs in zip(self.arenas, self.handles):
+                        assert arena.compare(hs[i], hs[j]) == want
+                    self.expected = (self.expected[0] + 1, self.expected[1])
+                else:  # INFINITY on either side is free
+                    for arena, hs in zip(self.arenas, self.handles):
+                        pair = (hs[i], INFINITY) if op[2] else (INFINITY, hs[i])
+                        assert arena.compare(*pair) == (-1 if op[2] else 1)
+            self.check_counters()
+        self.check_values()
+
+    def check_counters(self):
+        for arena in self.arenas:
+            assert arena.counters() == self.expected
+
+    def check_values(self):
+        audit, hs = self.arenas[1], self.handles[1]
+        assert [audit.audit_value(h) for h in hs] == self.exact
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_arena_matches_fraction_oracle(data):
+    c = _Checked()
+    c.batch(data.draw(st.lists(small_values, min_size=1, max_size=6)))
+    c.run(data.draw(ops(small_values)))  # denominators divide 27720 * 1000
+    dens = [a._den for a in c.arenas]
+    bump = data.draw(st.lists(small_values, max_size=4))
+    bump.insert(data.draw(st.integers(0, len(bump))), Fraction(1, 13))
+    c.batch(bump)
+    for arena, den in zip(c.arenas, dens):
+        assert arena._den == lcm(den, *(Fraction(v).denominator for v in bump))
+        assert arena._den > den and not arena._unscaled
+    c.check_values()
+    c.run(data.draw(ops(small_values)))
+    cross = data.draw(st.lists(small_values, max_size=4))
+    for q in _MERSENNE:
+        cross.insert(data.draw(st.integers(0, len(cross))),
+                     Fraction(data.draw(st.integers(1, 10**30)), q))
+    c.batch(cross)
+    assert all(a._unscaled and a._den == 1 for a in c.arenas)
+    c.check_values()
+    c.run(data.draw(ops(any_values)))
