@@ -13,7 +13,9 @@
 Entries in :class:`MinKeeper` are (weight handle, tiebreak) pairs ordered by
 the arena comparison first and the integer tiebreak second, so callers that
 need a deterministic total order (the working-set heap breaks ties by vertex
-id) get one without extra weight comparisons.
+id) get one without extra weight comparisons.  Empty ranks hold +inf entries;
+the suffix-minimum loops test each side for +inf with an int comparison and
+settle those cases with ``arena.compare_inf``, never ``arena.compare``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Optional
 
 from .errors import ContractViolation
+from .weights import INFINITY
 
 
 class Interval(NamedTuple):
@@ -196,11 +199,17 @@ class MinKeeper:
             k -= 1
             h, t = m[k]
             s[k] = best = (h, t, k)
+        bh, bt, _ = best
         for i in range(k - 1, -1, -1):
             h, t = m[i]
-            c = compare(h, best[0])
-            if c < 0 or (c == 0 and t <= best[1]):
+            if h == INFINITY or bh == INFINITY:
+                c = self._arena.compare_inf(h, bh)
+            else:
+                c = compare(h, bh)
+            if c < 0 or (c == 0 and t <= bt):
                 best = (h, t, i)
+                bh = h
+                bt = t
             s[i] = best
 
     def decrease(self, i: int, x: int, tie: int = 0) -> None:
@@ -226,9 +235,11 @@ class MinKeeper:
         """Set M[i] := (x, tie), already known not to exceed M[i]."""
         self._m[i] = (x, tie)
         s = self._s
-        compare = self._arena.compare
+        arena = self._arena
+        compare = arena.compare
         cur = s[i]
-        c = compare(x, cur[0])
+        h = cur[0]
+        c = arena.compare_inf(x, h) if h == INFINITY else compare(x, h)
         if c > 0 or (c == 0 and tie > cur[1]):
             return  # a later entry is still smaller; S untouched
         payload = (x, tie, i)
@@ -241,7 +252,8 @@ class MinKeeper:
             if j < 0:
                 return
             run = s[j]
-            c = compare(run[0], x)
+            h = run[0]
+            c = arena.compare_inf(h, x) if h == INFINITY else compare(h, x)
             if c < 0 or (c == 0 and run[1] <= tie):
                 return
 

@@ -11,11 +11,18 @@ the same comparison discipline; they are not used by the working-set heap.
 Heap order is min by ``arena.compare`` with ties broken by vertex id, which
 makes every extraction sequence deterministic and lets independent oracles
 predict it exactly.
+
+Dijkstra inserts each vertex with a +inf key and lowers it at once, so every
+queue settles the two comparisons that meet +inf there itself, the insert's
+and the decrease's contract check, with one int test instead of a call into
+the arena.  A key entering an empty queue, or lowering a +inf key, is checked
+to be a handle of the queue's arena, since no comparison does it.
 """
 
 from __future__ import annotations
 
 from .errors import ContractViolation, EmptyHeapError
+from .weights import INFINITY
 
 _NIL = -1
 
@@ -103,8 +110,13 @@ class FibonacciHeap:
         if m == _NIL:
             nid = self.min = pool.alloc(key, time, vertex)
         else:
-            # compare first, so a rejected key leaves the heap untouched
-            c = self.arena.compare(key, pool.key[m])
+            # compare first, so a rejected key leaves the heap untouched;
+            # +inf loses to a finite minimum and ties a +inf one, for free
+            km = pool.key[m]
+            if key == INFINITY:
+                c = 0 if km == INFINITY else 1
+            else:
+                c = self.arena.compare(key, km)
             nid = pool.alloc(key, time, vertex)
             # splice nid into the root ring, left of m
             left, right = pool.left, pool.right
@@ -243,8 +255,10 @@ class FibonacciHeap:
     def decrease_key(self, nid: int, new_key: int) -> None:
         """Lower a node's key.  Raising it is a contract violation."""
         pool = self.pool
-        c = self.arena.compare(new_key, pool.key[nid])
-        if c > 0:
+        old = pool.key[nid]
+        if old == INFINITY:
+            self.arena.check_handle(new_key)  # nothing lies above +inf
+        elif self.arena.compare(new_key, old) > 0:
             raise ContractViolation("decrease_key would increase the key")
         pool.key[nid] = new_key
         p = pool.parent[nid]
@@ -331,9 +345,12 @@ class FibonacciQueue:
 
     def insert(self, key: int, vertex: int) -> tuple[int, int]:
         """Insert (key, vertex); returns a (node id, insertion time) handle."""
+        heap = self._heap
+        if not heap.size:
+            heap.arena.check_handle(key)
         t = self._time + 1
         self._time = t
-        return self._heap.insert(key, t, vertex), t
+        return heap.insert(key, t, vertex), t
 
     def decrease_key(self, handle: tuple[int, int], key: int) -> None:
         nid, t = handle
@@ -371,24 +388,34 @@ class BinaryQueue:
         return self._vtx[a] < self._vtx[b]
 
     def insert(self, key: int, vertex: int) -> int:
+        heap = self._heap
+        i = len(heap)
+        if not i:
+            self._arena.check_handle(key)
         eid = len(self._key)
         self._key.append(key)
         self._vtx.append(vertex)
-        self._pos.append(len(self._heap))
-        self._heap.append(eid)
-        try:
-            self._bubble_up(len(self._heap) - 1)
-        except ContractViolation:
-            # only the first comparison can raise, before anything moved
-            for lst in (self._key, self._vtx, self._pos, self._heap):
-                lst.pop()
-            raise
+        self._pos.append(i)
+        heap.append(eid)
+        # +inf stays at the bottom for free, unless its parent is +inf too
+        # and the tie goes by vertex
+        if i and (key != INFINITY or self._key[heap[(i - 1) >> 1]] == INFINITY):
+            try:
+                self._bubble_up(i)
+            except ContractViolation:
+                # only the first comparison can raise, before anything moved
+                for lst in (self._key, self._vtx, self._pos, heap):
+                    lst.pop()
+                raise
         return eid
 
     def decrease_key(self, eid: int, key: int) -> None:
         if self._pos[eid] < 0:
             raise ContractViolation("stale handle: element already extracted")
-        if self._arena.compare(key, self._key[eid]) > 0:
+        old = self._key[eid]
+        if old == INFINITY:
+            self._arena.check_handle(key)  # nothing lies above +inf
+        elif self._arena.compare(key, old) > 0:
             raise ContractViolation("decrease_key would increase the key")
         self._key[eid] = key
         self._bubble_up(self._pos[eid])
@@ -481,20 +508,38 @@ class PairingQueue:
         return a
 
     def insert(self, key: int, vertex: int) -> int:
+        root = self._root
+        if root == _NIL:
+            self._arena.check_handle(key)
         eid = len(self._key)
         self._key.append(key)
         self._vtx.append(vertex)
         self._child.append(_NIL)
         self._sib.append(_NIL)
         self._prev.append(_NIL)
-        self._root = eid if self._root == _NIL else self._link(self._root, eid)
+        if root == _NIL:
+            self._root = eid
+        elif key == INFINITY and self._key[root] != INFINITY:
+            # +inf loses to a finite root for free: eid becomes its first
+            # child, as _link would make it
+            c = self._child[root]
+            self._sib[eid] = c
+            if c != _NIL:
+                self._prev[c] = eid
+            self._child[root] = eid
+            self._prev[eid] = root
+        else:
+            self._root = self._link(root, eid)
         self._size += 1
         return eid
 
     def decrease_key(self, eid: int, key: int) -> None:
         if eid != self._root and self._prev[eid] == _NIL:
             raise ContractViolation("stale handle: element already extracted")
-        if self._arena.compare(key, self._key[eid]) > 0:
+        old = self._key[eid]
+        if old == INFINITY:
+            self._arena.check_handle(key)  # nothing lies above +inf
+        elif self._arena.compare(key, old) > 0:
             raise ContractViolation("decrease_key would increase the key")
         self._key[eid] = key
         if eid == self._root:

@@ -120,11 +120,16 @@ def run_dijkstra(g: Graph, heap_kind: str = "workset") -> DijkstraRun:
                 lo[v] = event
                 token[v] = q_insert(INFINITY, v)
                 explore[v] = u
-            nd = add(du, w)
-            if compare(nd, dist[v]) < 0:
-                dist[v] = nd
+                # dist[v] is +inf, so the first sum wins without a comparison
+                dist[v] = add(du, w)
                 sssp[v] = u
                 sssp_arc[v] = i
+            else:
+                nd = add(du, w)
+                if compare(nd, dist[v]) < 0:
+                    dist[v] = nd
+                    sssp[v] = u
+                    sssp_arc[v] = i
             q_decrease(token[v], dist[v])
 
     cmp1, add1 = arena.counters()

@@ -20,7 +20,12 @@ stored unscaled too.
 Handles encode the issuing arena in their high bits, so using a handle with a
 foreign arena raises :class:`ContractViolation` instead of reading garbage.
 ``INFINITY`` is a reserved sentinel handle that orders above every cell and is
-compared for free; it never occupies a cell.
+compared for free; it never occupies a cell.  A comparison against it carries
+no weight information, so it is not counted, but ``compare`` reaches it only
+by catching an ``IndexError``, which costs several counted comparisons in wall
+time.  Hot callers that may hold ``INFINITY`` therefore test for it with one
+int comparison and settle the case themselves, calling :meth:`compare_inf`
+(or :meth:`check_handle`, where the outcome is already known) instead.
 
 Arenas created with ``audit=True`` additionally store cell payloads XOR-masked
 with a random key (an ``int`` cell as ``cell ^ key``, a fallback ``Fraction``
@@ -54,12 +59,11 @@ _DEN_LIMIT = 1 << 64
 
 
 def _exact(value):
-    """``value`` as an int or a Fraction; floats are rejected."""
-    if isinstance(value, (int, Fraction)):
-        return value
-    if isinstance(value, float):
-        raise ContractViolation("weights must be exact (int or Fraction)")
-    return Fraction(value)
+    """``value`` itself if it is an int or a Fraction; anything else is rejected."""
+    if type(value) is bool or not isinstance(value, (int, Fraction)):
+        raise ContractViolation(
+            f"weights must be exact (int or Fraction), got {type(value).__name__}")
+    return value
 
 
 class WeightArena:
@@ -223,11 +227,33 @@ class WeightArena:
         return 0
 
     def _compare_special(self, a: int, b: int) -> int:
+        # reached from compare through an IndexError: a side is INFINITY or
+        # not a handle of this arena
         if a == INFINITY or b == INFINITY:
-            if a == b:
-                return 0
-            return 1 if a == INFINITY else -1
+            return self.compare_inf(a, b)
         self._fault(a, b, "compare")
+
+    def compare_inf(self, a: int, b: int) -> int:
+        """Sign of value(a) - value(b), where a or b is INFINITY.  Free.
+
+        Reads no cell and counts nothing.  The other side must be INFINITY
+        or a handle of this arena, else :class:`ContractViolation`.
+        """
+        if a == INFINITY:
+            h = b
+        elif b == INFINITY:
+            h = a
+        else:
+            raise ContractViolation("compare_inf: neither side is INFINITY")
+        if h != INFINITY and not 0 <= h - self._base < len(self._val):
+            self._fault(a, b, "compare")
+        return (a == INFINITY) - (b == INFINITY)
+
+    def check_handle(self, h: int) -> None:
+        """Raise :class:`ContractViolation` unless h is INFINITY or a handle
+        of this arena.  Free: a range test that reads no cell."""
+        if h != INFINITY and not 0 <= h - self._base < len(self._val):
+            self._fault(h, h, "check_handle")
 
     def _fault(self, a, b, opname):
         raise ContractViolation(

@@ -27,6 +27,8 @@ deterministic; the +infinity sentinel never costs a comparison.
 
 from __future__ import annotations
 
+import math
+
 from .aux_structures import MinKeeper
 from .base_heap import FibonacciHeap, HeapNodePool, _NIL
 from .errors import ContractViolation, EmptyHeapError
@@ -35,7 +37,10 @@ from .weights import INFINITY
 #: Rank size caps 2**(2**r).  Rank 7 caps at 2**128; unreachable in practice.
 CAPS = [2 ** (2 ** r) for r in range(8)]
 
-_INF_ENTRY = (INFINITY, 0)
+# An empty rank's M entry: +inf, with a tiebreak above every vertex id, so a
+# live +inf key (its tiebreak is its vertex) beats it and S never points at
+# an empty rank.
+_INF_ENTRY = (INFINITY, math.inf)
 
 
 class WorkSetHeap:
@@ -62,6 +67,8 @@ class WorkSetHeap:
 
     def insert(self, key: int, vertex: int) -> tuple[int, int]:
         """Insert (key, vertex); returns an element handle.  Amortized O(1)."""
+        if not self.size:
+            self.arena.check_handle(key)  # no comparison meets the first key
         t = self._next_time
         self._next_time = t + 1
         pool = self._pool
@@ -155,7 +162,7 @@ class WorkSetHeap:
         if H.size == 0:
             heaps[r_star] = None
             self._spares.append(H)
-            M.set_entry(r_star, INFINITY, 0)
+            M.set_entry(r_star, *_INF_ENTRY)
         else:
             m = H.min
             M.set_entry(r_star, pool.key[m], pool.vertex[m])
@@ -232,13 +239,14 @@ class WorkSetHeap:
         """Full-scan debug check of invariants 1-3, the spans and M validity.
 
         ``value_of`` maps a weight handle to its exact value; if omitted the
-        arena must be in audit mode.  Raises AssertionError on any violation.
-        Never spends arena comparisons.
+        arena must be in audit mode.  INFINITY reads as ``math.inf``.  Raises
+        AssertionError on any violation.  Never spends arena comparisons.
         """
-        import math
+        cell_value = value_of or self.arena.audit_value
 
-        if value_of is None:
-            value_of = self.arena.audit_value
+        def value_of(h):
+            return math.inf if h == INFINITY else cell_value(h)
+
         pool = self._pool
         heaps = self._heaps
         spans = {}
@@ -293,22 +301,19 @@ class WorkSetHeap:
             h, tie = M.entries()[r]
             H = heaps[r] if r < len(heaps) else None
             if H is None:
-                assert h == INFINITY, f"M[{r}] should be the +inf token"
+                assert (h, tie) == _INF_ENTRY, f"M[{r}] should be the +inf token"
             else:
                 m = H.min
                 assert h == pool.key[m] and tie == pool.vertex[m], (
                     f"M[{r}] is not the minimum of H_{r}"
                 )
         # S really holds suffix minima of M (by value, tie by vertex)
-        entries = [
-            (math.inf, 0) if h == INFINITY else (value_of(h), tie)
-            for h, tie in M.entries()
-        ]
+        entries = [(value_of(h), tie) for h, tie in M.entries()]
         suffix = None
         for i in range(len(entries) - 1, -1, -1):
             cand = (entries[i], i)
             if suffix is None or cand[0] < suffix[0]:
                 suffix = cand
             got = M._s[i]
-            got_val = (math.inf, 0) if got[0] == INFINITY else (value_of(got[0]), got[1])
+            got_val = (value_of(got[0]), got[1])
             assert got_val == suffix[0], f"S[{i}] is not min(M[{i}:])"

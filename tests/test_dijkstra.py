@@ -2,13 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distorder.comparison_optimal import run_pipeline
 from distorder.dijkstra import HEAP_KINDS, make_queue, run_dijkstra
 from distorder.errors import ContractViolation
 from distorder.graph_core import gen_broom, gen_dense, gen_family, parse_graph
 from distorder.optimality_audit import working_set_sizes
-from distorder.weights import WeightArena
+from distorder.weights import INFINITY, WeightArena
 
 from helpers import SortedReplayOracle, bellman_ford, prime_denominator_graph
 
@@ -200,6 +201,132 @@ def test_foreign_insert_raises_and_keeps_the_queue(kind):
     while len(oracle):
         assert q.extract_min()[1] == oracle.extract_min()[1]
     assert len(q) == 0
+
+
+def _drain(q, oracle):
+    while len(oracle):
+        assert q.extract_min()[1] == oracle.extract_min()[1]
+    assert len(q) == 0
+
+
+@pytest.mark.parametrize("kind", HEAP_KINDS)
+def test_foreign_first_insert_raises_and_keeps_the_queue(kind):
+    # no comparison meets the first key of an empty queue, so the queue
+    # checks its arena itself
+    arena = WeightArena()
+    q = make_queue(kind, arena)
+    oracle = SortedReplayOracle()
+    with pytest.raises(ContractViolation):
+        q.insert(WeightArena().intern(1), 0)
+    assert len(q) == 0
+    for ident, v in ((1, 5), (2, 3), (3, 8)):
+        q.insert(arena.intern(v), ident)
+        oracle.insert(v, ident)
+    _drain(q, oracle)
+
+
+@pytest.mark.parametrize("kind", HEAP_KINDS)
+def test_foreign_decrease_of_an_infinite_key_raises_and_keeps_the_queue(kind):
+    arena = WeightArena()
+    q = make_queue(kind, arena)
+    oracle = SortedReplayOracle()
+    for ident, v in ((0, 5), (1, 3)):
+        q.insert(arena.intern(v), ident)
+        oracle.insert(v, ident)
+    token = q.insert(INFINITY, 2)
+    oracle.insert(math.inf, 2)
+    with pytest.raises(ContractViolation):
+        q.decrease_key(token, WeightArena().intern(0))
+    q.insert(arena.intern(4), 3)
+    oracle.insert(4, 3)
+    q.decrease_key(token, arena.intern(4))  # ties vertex 3, goes first
+    oracle.decrease(2, 4)
+    _drain(q, oracle)
+
+
+# a queue program: ("insert", value), ("decrease", live pick, amount) or
+# ("extract",); value None is +inf, and a decrease from +inf goes to amount
+# (None stays +inf), from a finite value v to max(v - amount, 0)
+_value = st.one_of(st.none(), st.integers(0, 12))
+_queue_ops = st.lists(st.one_of(
+    st.tuples(st.just("insert"), _value),
+    st.tuples(st.just("decrease"), st.integers(0, 10**6), _value),
+    st.tuples(st.just("extract")),
+), max_size=60)
+
+
+@given(_queue_ops)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_infinite_keys_follow_the_sorted_replay_oracle(program):
+    # finite and +inf keys mixed, several +inf keys alive at once (ties by
+    # vertex), decreases from +inf, and extractions down to empty
+    for kind in HEAP_KINDS:
+        arena = WeightArena(audit=True, mask_seed=1)
+        q = make_queue(kind, arena)
+        oracle = SortedReplayOracle()
+        token, value = {}, {}
+
+        def handle(v):
+            return INFINITY if v == math.inf else arena.intern(v)
+
+        def extract():
+            key, got = q.extract_min()
+            v, want = oracle.extract_min()
+            assert got == want
+            assert arena.audit_value(key) == (None if v == math.inf else v)
+            del value[got]
+
+        for op in program:
+            if op[0] == "insert":
+                ident = len(token)
+                v = math.inf if op[1] is None else op[1]
+                token[ident] = q.insert(handle(v), ident)
+                oracle.insert(v, ident)
+                value[ident] = v
+            elif op[0] == "decrease" and value:
+                ident = sorted(value)[op[1] % len(value)]
+                old = value[ident]
+                if old == math.inf:
+                    v = math.inf if op[2] is None else op[2]
+                else:
+                    v = max(old - (op[2] or 0), 0)
+                q.decrease_key(token[ident], handle(v))
+                oracle.decrease(ident, v)
+                value[ident] = v
+            elif op[0] == "extract" and value:
+                extract()
+            assert len(q) == len(oracle)
+            if kind == "workset":
+                q.check_invariants()
+        while value:
+            extract()
+        assert len(q) == 0
+
+
+def test_no_free_comparison_reaches_the_arena(monkeypatch):
+    # Dijkstra and its queues settle every comparison against +inf before
+    # calling the arena, which reaches one only through a caught IndexError
+    calls = []
+    special = WeightArena._compare_special
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return special(self, a, b)
+
+    monkeypatch.setattr(WeightArena, "_compare_special", counted)
+    makers = [lambda: gen_broom(44, 44 * 44 - 44 - 1, seed=0),
+              lambda: gen_broom(45, 45 * 45 - 45 - 1, seed=0),
+              lambda: gen_family("random_digraph", 2000, seed=0),
+              lambda: gen_dense(8, seed=0),
+              lambda: gen_family("star", 500, seed=0)]
+    for make in makers:
+        for kind in HEAP_KINDS:
+            run_dijkstra(make(), kind)
+        run_pipeline(make())
+    assert calls == []
+    a = WeightArena()
+    a.compare(a.zero(), INFINITY)  # the guard does see a free comparison
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("make, pinned", [

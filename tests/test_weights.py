@@ -1,4 +1,5 @@
 import pytest
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
@@ -66,6 +67,38 @@ def test_infinity_sentinel_is_free_and_largest():
     assert a.cmp_count == before
     with pytest.raises(ContractViolation):
         a.add(h, INFINITY)
+
+
+def test_infinity_against_a_foreign_handle_faults():
+    # +inf stays free, but only against INFINITY or this arena's own cells
+    for a in (WeightArena(), WeightArena(audit=True, mask_seed=2)):
+        h, foreign = a.intern(3), WeightArena().intern(2)
+        for pair in ((foreign, INFINITY), (INFINITY, foreign)):
+            with pytest.raises(ContractViolation):
+                a.compare(*pair)
+            with pytest.raises(ContractViolation):
+                a.compare_inf(*pair)
+        with pytest.raises(ContractViolation):
+            a.check_handle(foreign)
+        assert a.compare_inf(h, INFINITY) == -1
+        assert a.compare_inf(INFINITY, a.zero()) == 1
+        assert a.compare_inf(INFINITY, INFINITY) == 0
+        a.check_handle(h)
+        a.check_handle(INFINITY)
+        with pytest.raises(ContractViolation):
+            a.compare_inf(h, a.zero())  # neither side is INFINITY
+        assert a.counters() == (0, 0)
+
+
+@pytest.mark.parametrize("bad", ["2.5", "abc", None, True, Decimal("2.5"), 2.5],
+                         ids=repr)
+def test_intern_accepts_only_ints_and_fractions(bad):
+    for a in (WeightArena(), WeightArena(audit=True)):
+        with pytest.raises(ContractViolation):
+            a.intern(bad)
+        with pytest.raises(ContractViolation):
+            a.intern_many([1, Fraction(1, 2), bad])
+        assert len(a) == 1  # only the zero cell
 
 
 def test_rational_weights_exact():
@@ -137,7 +170,7 @@ def test_intern_many_checks_the_whole_batch_first():
             a.intern_many(bad)
         assert len(a) == 1  # only the zero cell
     b = WeightArena(audit=True, mask_seed=3)
-    hb = b.intern_many([Fraction(7, 2), 3, "2.5", Fraction(1, 3)])
+    hb = b.intern_many([Fraction(7, 2), 3, Fraction(5, 2), Fraction(1, 3)])
     assert [b.audit_value(h) for h in hb] == [Fraction(7, 2), 3, Fraction(5, 2),
                                               Fraction(1, 3)]
 
@@ -187,8 +220,9 @@ _MERSENNE = (2**31 - 1, 2**61 - 1)  # lcm past the arena's 2**64 bound
 
 small_values = st.one_of(
     st.integers(0, 10**6),
+    # decimal fractions, passed as the Fractions they equal
     st.decimals(min_value=0, max_value=10**4, places=3, allow_nan=False,
-                allow_infinity=False),
+                allow_infinity=False).map(Fraction),
     st.fractions(min_value=0, max_value=10**4, max_denominator=12),
 )
 any_values = st.one_of(small_values,
@@ -249,6 +283,7 @@ class _Checked:
                     for arena, hs in zip(self.arenas, self.handles):
                         pair = (hs[i], INFINITY) if op[2] else (INFINITY, hs[i])
                         assert arena.compare(*pair) == (-1 if op[2] else 1)
+                        assert arena.compare_inf(*pair) == (-1 if op[2] else 1)
             self.check_counters()
         self.check_values()
 
