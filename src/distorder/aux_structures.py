@@ -238,10 +238,13 @@ class MinKeeper:
         arena = self._arena
         compare = arena.compare
         cur = s[i]
-        h = cur[0]
-        c = arena.compare_inf(x, h) if h == INFINITY else compare(x, h)
-        if c > 0 or (c == 0 and tie > cur[1]):
-            return  # a later entry is still smaller; S untouched
+        # when S[i]'s witness is i itself, S[i] is the old M[i], which the
+        # new entry does not exceed: the comparison's outcome is known
+        if cur[2] != i:
+            h = cur[0]
+            c = arena.compare_inf(x, h) if h == INFINITY else compare(x, h)
+            if c > 0 or (c == 0 and tie > cur[1]):
+                return  # a later entry is still smaller; S untouched
         payload = (x, tie, i)
         run, j = cur, i
         while True:

@@ -332,19 +332,19 @@ def test_no_free_comparison_reaches_the_arena(monkeypatch):
 @pytest.mark.parametrize("make, pinned", [
     # every weight a fraction; the arena scales by one 23-bit denominator
     (lambda: gen_dense(16, seed=0),
-     {"workset": (15260, 4351), "fibonacci": (17877, 4351),
+     {"workset": (14453, 4351), "fibonacci": (17877, 4351),
       "binary": (19271, 4351), "pairing": (16382, 4351),
-      "pipeline": (4218, 4621)}),
+      "pipeline": (4216, 4621)}),
     # integer spokes, rim arcs of 1/2
     (lambda: gen_family("fan", 200, seed=0),
-     {"workset": (3153, 397), "fibonacci": (1508, 397),
+     {"workset": (2955, 397), "fibonacci": (1508, 397),
       "binary": (2655, 397), "pairing": (1211, 397),
-      "pipeline": (3153, 596)}),
+      "pipeline": (2955, 596)}),
     # a common denominator past the arena's bound: unscaled cells
     (prime_denominator_graph,
-     {"workset": (39806, 3989), "fibonacci": (31866, 3989),
+     {"workset": (39794, 3989), "fibonacci": (31866, 3989),
       "binary": (41321, 3989), "pairing": (35645, 3989),
-      "pipeline": (39829, 6461)}),
+      "pipeline": (39818, 6461)}),
 ], ids=["dense-16", "fan-200", "prime-denominators"])
 def test_pinned_counts_on_rational_weights(make, pinned):
     # exact (comparisons, additions); how the arena stores a weight must not

@@ -214,11 +214,11 @@ def test_pinned_comparison_counts():
     def dijkstra_cmp(g):
         return run_dijkstra(g, "workset").comparisons
 
-    assert dijkstra_cmp(gen_family("random_digraph", 2000, seed=0)) == 40686
+    assert dijkstra_cmp(gen_family("random_digraph", 2000, seed=0)) == 40677
     assert dijkstra_cmp(gen_broom(44, 44 * 44 - 44 - 1, seed=0)) == 6013
     assert dijkstra_cmp(gen_broom(45, 45 * 45 - 45 - 1, seed=0)) == 2312
     a = WeightArena()
     h = WorkSetHeap(a)
     out, expect = run_workset_trace(a, h, random.Random(0), 20_000)
     assert out == expect
-    assert a.cmp_count == 72663
+    assert a.cmp_count == 70054
