@@ -14,8 +14,8 @@ predict it exactly.
 
 Dijkstra inserts each vertex with a +inf key and lowers it at once, so every
 queue settles the two comparisons that meet +inf there itself, the insert's
-and the decrease's contract check, with one int test instead of a call into
-the arena.  A key entering an empty queue, or lowering a +inf key, is checked
+and the decrease's contract check, with one int test instead of an arena
+comparison.  A key entering an empty queue, or lowering a +inf key, is checked
 to be a handle of the queue's arena, since no comparison does it.
 """
 

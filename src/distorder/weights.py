@@ -226,28 +226,26 @@ class WeightArena:
             return 1
         return 0
 
-    def _compare_special(self, a: int, b: int) -> int:
-        # reached from compare through an IndexError: a side is INFINITY or
-        # not a handle of this arena
-        if a == INFINITY or b == INFINITY:
-            return self.compare_inf(a, b)
-        self._fault(a, b, "compare")
-
     def compare_inf(self, a: int, b: int) -> int:
         """Sign of value(a) - value(b), where a or b is INFINITY.  Free.
 
-        Reads no cell and counts nothing.  The other side must be INFINITY
-        or a handle of this arena, else :class:`ContractViolation`.
+        Reads no cell and counts nothing.  Raises :class:`ContractViolation`
+        unless one side is INFINITY and the other is INFINITY or a handle of
+        this arena.
         """
         if a == INFINITY:
             h = b
         elif b == INFINITY:
             h = a
         else:
-            raise ContractViolation("compare_inf: neither side is INFINITY")
+            self._fault(a, b, "compare")
         if h != INFINITY and not 0 <= h - self._base < len(self._val):
             self._fault(a, b, "compare")
         return (a == INFINITY) - (b == INFINITY)
+
+    # what compare falls back on when a cell lookup raises IndexError: a
+    # side is INFINITY or not a handle of this arena
+    _compare_special = compare_inf
 
     def check_handle(self, h: int) -> None:
         """Raise :class:`ContractViolation` unless h is INFINITY or a handle
