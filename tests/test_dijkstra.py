@@ -244,12 +244,13 @@ def test_foreign_decrease_of_an_infinite_key_raises_and_keeps_the_queue(kind):
     _drain(q, oracle)
 
 
-# a queue program: ("insert", value), ("decrease", live pick, amount) or
-# ("extract",); value None is +inf, and a decrease from +inf goes to amount
-# (None stays +inf), from a finite value v to max(v - amount, 0)
+# a queue program: ("insert", value, vertex), ("decrease", live pick, amount)
+# or ("extract",); value None is +inf, and a decrease from +inf goes to
+# amount (None stays +inf), from a finite value v to max(v - amount, 0).
+# Vertices are drawn, not counted up, so a later +inf key can win a tie.
 _value = st.one_of(st.none(), st.integers(0, 12))
 _queue_ops = st.lists(st.one_of(
-    st.tuples(st.just("insert"), _value),
+    st.tuples(st.just("insert"), _value, st.integers(0, 40)),
     st.tuples(st.just("decrease"), st.integers(0, 10**6), _value),
     st.tuples(st.just("extract")),
 ), max_size=60)
@@ -278,7 +279,9 @@ def test_infinite_keys_follow_the_sorted_replay_oracle(program):
 
         for op in program:
             if op[0] == "insert":
-                ident = len(token)
+                ident = op[2]
+                while ident in token:  # each vertex is inserted once
+                    ident += 41
                 v = math.inf if op[1] is None else op[1]
                 token[ident] = q.insert(handle(v), ident)
                 oracle.insert(v, ident)
