@@ -4,7 +4,11 @@
   rank, plus the array S of suffix minima of M, so the global minimum's
   index is read off S[0] without touching M.  Both are plain lists: they
   never hold more than a handful of entries, and a run of equal suffix
-  minima is found by free tuple equality rather than stored.
+  minima is found by free tuple equality rather than stored.  The heap's
+  carries and fuses move whole entries between ranks, so S is shifted or
+  collapsed along with M instead of recomputed: a carry costs at most one
+  comparison here and a fuse none, and S's witnesses settle for free which
+  of two adjacent ranks' minima comes first (:meth:`MinKeeper.order`).
 * :class:`IntervalMap` stores right-open, pairwise non-overlapping integer
   intervals with attached payloads and answers point queries by bisection.
   The working-set heap no longer uses it (each inner heap caches its own
@@ -13,18 +17,25 @@
 Entries in :class:`MinKeeper` are (weight handle, tiebreak) pairs ordered by
 the arena comparison first and the integer tiebreak second, so callers that
 need a deterministic total order (the working-set heap breaks ties by vertex
-id) get one without extra weight comparisons.  Empty ranks hold +inf entries;
-the suffix-minimum loops test each side for +inf with an int comparison and
-settle those cases with ``arena.compare_inf``, never ``arena.compare``.
+id) get one without extra weight comparisons.  Empty ranks hold the EMPTY
+entry, above every live one, +inf keys included; the suffix-minimum loops
+test each side for +inf with an int comparison and settle those cases with
+``arena.compare_inf``, never ``arena.compare``.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Optional
 
 from .errors import ContractViolation
 from .weights import INFINITY
+
+# An empty slot's entry, an empty rank's in the working-set heap: +inf, with
+# a tiebreak above every integer, so a live +inf key (its tiebreak is its
+# vertex) beats it and S never points at an empty rank.
+EMPTY = (INFINITY, math.inf)
 
 
 class Interval(NamedTuple):
@@ -143,7 +154,9 @@ class MinKeeper:
     leftmost minimum of M[i:], so ``find_min`` is a single O(1) read.  A
     maximal stretch of S sharing one witness is a run; ``decrease`` walks S
     leftward one run at a time, paying one comparison per run, and is
-    amortized O(1) by the usual distinct-run potential.
+    amortized O(1) by the usual distinct-run potential.  ``shift`` and
+    ``collapse`` move entries between slots and remap S's witnesses with
+    them, paying at most one comparison and none.
     """
 
     __slots__ = ("_arena", "_m", "_s")
@@ -272,34 +285,105 @@ class MinKeeper:
             raise ContractViolation("min_entry on empty MinKeeper")
         return self._s[0]
 
-    def pop(self) -> None:
-        """Drop the last entry; the last two entries must be the same entry.
+    def order(self, i: int) -> int | None:
+        """What S says of M[i] against M[i+1], at no cost.
 
-        "Same" is tuple equality (handle and tiebreak), checked at no cost:
-        equal values in distinct cells are refused.
+        -1 when M[i] comes first, 1 when M[i+1] does, None when S leaves it
+        open.  S[i]'s witness decides: i means M[i] <= M[i+1], strictly when
+        their tiebreaks differ; i + 1 means M[i+1] < M[i].
+        """
+        w = self._s[i][2]
+        if w == i:
+            m = self._m
+            return -1 if m[i][1] != m[i + 1][1] else None
+        return 1 if w == i + 1 else None
+
+    def shift(self, r: int, entry: tuple, top: tuple) -> None:
+        """M[0 : r+1] := [entry, *M[0 : r-1], top] for r >= 1; one comparison.
+
+        This is a carry landing at rank r: each old M[i] for i < r - 1 moves
+        up one slot, and ``top`` must be the lesser of the old M[r-1] and
+        M[r] (just the old M[r-1] when M[r] is absent, which extends M).
+        S[1 : r+1] is then the old S[0 : r] with its witnesses remapped, and
+        only S[0] = min(entry, S[1]) costs a comparison, free when either
+        side is +inf.
         """
         m = self._m
-        if len(m) < 2:
-            raise ContractViolation("pop needs at least two entries")
-        if m[-1] != m[-2]:
-            raise ContractViolation("pop requires equal trailing entries")
-        m.pop()
-        self._s.pop()
+        s = self._s
+        m[: r + 1] = [entry, *m[: r - 1], top]
+        merged = (*top, r)
+        shifted = []
+        for cur in s[:r]:
+            w = cur[2]
+            if w < r - 1:
+                cur = (cur[0], cur[1], w + 1)
+            elif w <= r:
+                cur = merged  # old M[r-1] and M[r] now share slot r
+            shifted.append(cur)
+        h, t = entry
+        best = shifted[0]
+        bh = best[0]
+        if h == INFINITY or bh == INFINITY:
+            c = self._arena.compare_inf(h, bh)
+        else:
+            c = self._arena.compare(h, bh)
+        if c < 0 or (c == 0 and t <= best[1]):
+            best = (h, t, 0)
+        s[: r + 1] = [best, *shifted]
 
-    def check(self) -> None:
-        """Debug: S[i] equals the brute-force minimum of M[i:], every i.
+    def collapse(self, j: int, top: tuple) -> None:
+        """Fold M[j+1] into M[j]: M[j] := top, M[j+1] := EMPTY.  Free.
 
-        Spends comparisons on the arena; call only outside measured runs.
+        ``top`` must be the lesser of the old M[j] and M[j+1], and every
+        entry above j + 1 must be EMPTY.  A last M[j+1] is dropped instead.
+        S keeps its values; its witnesses j and j + 1 become j.
         """
-        assert len(self._s) == len(self._m)
-        cmp = self._cmp
-        for i in range(len(self._m)):
+        m = self._m
+        s = self._s
+        m[j] = top
+        merged = (*top, j)
+        i = j
+        # witnesses never decrease along S, so those >= j end S[0 : j+1]
+        while i >= 0 and s[i][2] >= j:
+            s[i] = merged
+            i -= 1
+        if len(m) == j + 2:
+            m.pop()
+            s.pop()
+        else:
+            m[j + 1] = EMPTY
+            s[j + 1] = (*EMPTY, j + 1)
+
+    def check(self, value_of=None) -> None:
+        """Debug: S[i] is the brute-force leftmost minimum of M[i:], every i.
+
+        Checks each S[i]'s value, its witness index and that it is the very
+        (handle, tiebreak) pair stored at M[witness].  ``value_of`` maps a
+        handle, INFINITY included, to its exact value, and then the check
+        spends no comparisons; without it the check compares on the arena,
+        so call it only outside measured runs.
+        """
+        m = self._m
+        s = self._s
+        assert len(s) == len(m)
+        if value_of is None:
+            cmp = self._cmp
+        else:
+            def cmp(ha, ta, hb, tb):
+                a = (value_of(ha), ta)
+                b = (value_of(hb), tb)
+                return (a > b) - (a < b)
+        for i in range(len(m)):
             best = None  # leftmost minimum of M[i:]
-            for j in range(i, len(self._m)):
-                h, t = self._m[j]
+            for j in range(i, len(m)):
+                h, t = m[j]
                 if best is None or cmp(h, t, best[0], best[1]) < 0:
                     best = (h, t, j)
-            got = self._s[i]
+            got = s[i]
             assert cmp(got[0], got[1], best[0], best[1]) == 0, (
                 f"S[{i}] does not equal min(M[{i}:])"
             )
+            assert got[2] == best[2], (
+                f"S[{i}]'s witness is not the leftmost minimum of M[{i}:]"
+            )
+            assert m[got[2]] == got[:2], f"S[{i}] is not its witness's entry"

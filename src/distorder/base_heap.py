@@ -135,8 +135,14 @@ class FibonacciHeap:
             raise EmptyHeapError("find_min on empty heap")
         return self.min
 
-    def meld(self, other: "FibonacciHeap") -> "FibonacciHeap":
-        """Absorb ``other`` (same pool and arena).  Amortized O(1)."""
+    def meld(self, other: "FibonacciHeap",
+             other_first: bool | None = None) -> "FibonacciHeap":
+        """Absorb ``other`` (same pool and arena).  Amortized O(1).
+
+        ``other_first`` says whether other's minimum precedes self's in the
+        (key, vertex) order, for a caller that already knows; None compares
+        them, at one comparison.
+        """
         if other.pool is not self.pool or other.arena is not self.arena:
             raise ContractViolation("meld requires a shared pool and arena")
         om = other.min
@@ -153,7 +159,9 @@ class FibonacciHeap:
             left[om] = lm
             right[lo] = m
             left[m] = lo
-            if self._less(om, m):
+            if other_first is None:
+                other_first = self._less(om, m)
+            if other_first:
                 self.min = om
         self.size += other.size
         other.min = _NIL
@@ -529,7 +537,14 @@ class PairingQueue:
             self._child[root] = eid
             self._prev[eid] = root
         else:
-            self._root = self._link(root, eid)
+            try:
+                self._root = self._link(root, eid)
+            except ContractViolation:
+                # only _link's comparison can raise, before anything moved
+                for lst in (self._key, self._vtx, self._child, self._sib,
+                            self._prev):
+                    lst.pop()
+                raise
         self._size += 1
         return eid
 

@@ -49,7 +49,9 @@ INFINITY = -1
 
 # Handles are ``base + index`` with per-arena bases spaced 2**44 apart, so a
 # handle from one arena can never alias a live index of another (arenas stay
-# far below 2**40 cells).
+# far below 2**40 cells).  A base's low 44 bits are 0, so ``h ^ base`` is the
+# index of a handle of this arena; a handle below the base, a foreign handle
+# and INFINITY all map outside the cell list, to an IndexError.
 _BASE_SHIFT = 44
 _arena_serial = itertools.count(1)
 
@@ -170,8 +172,8 @@ class WeightArena:
         base = self._base
         val = self._val
         try:
-            va = val[a - base]
-            vb = val[b - base]
+            va = val[a ^ base]
+            vb = val[b ^ base]
         except IndexError:
             self._fault(a, b, "add")
         self.add_count += 1
@@ -182,8 +184,8 @@ class WeightArena:
         base = self._base
         val = self._val
         try:
-            va = self._load(val[a - base])
-            vb = self._load(val[b - base])
+            va = self._load(val[a ^ base])
+            vb = self._load(val[b ^ base])
         except IndexError:
             self._fault(a, b, "add")
         self.add_count += 1
@@ -200,8 +202,8 @@ class WeightArena:
         base = self._base
         val = self._val
         try:
-            va = val[a - base]
-            vb = val[b - base]
+            va = val[a ^ base]
+            vb = val[b ^ base]
         except IndexError:
             return self._compare_special(a, b)
         self.cmp_count += 1
@@ -215,8 +217,8 @@ class WeightArena:
         base = self._base
         val = self._val
         try:
-            va = self._load(val[a - base])
-            vb = self._load(val[b - base])
+            va = self._load(val[a ^ base])
+            vb = self._load(val[b ^ base])
         except IndexError:
             return self._compare_special(a, b)
         self.cmp_count += 1

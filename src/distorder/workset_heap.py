@@ -14,12 +14,17 @@ covers.  By invariant 3 the spans of the nonempty heaps are disjoint and
 ordered oldest-first by rank, so decrease-key finds an element's heap from
 its timestamp alone: the lowest nonempty rank whose span starts at or before
 it, found by scanning the at most 8 rank slots.  A minimum keeper M holds
-each rank's current minimum (so find-min and the extraction rank are a
-single O(1) read).
+each rank's current minimum and the suffix minima S of M (so find-min and
+the extraction rank are a single O(1) read).
 
-Amortized comparison costs: insert and decrease-key O(1); extract-min
-O(1 + log |W_x|), where W_x is the working set of the extracted element
-(elements inserted after x and still present, maximized over x's lifetime).
+Comparison costs: an insert spends at most two, one in an inner heap (rank
+0's insert, or the carry's meld) and one for S[0].  A carry that lands at
+rank r moves the minima of ranks 0..r-1 up one rank, so S shifts with them
+instead of being recomputed, and S's witnesses often settle the meld too.
+Invariant 2's fuse is free: S says which of the top two minima wins.
+Decrease-key is amortized O(1); extract-min amortized O(1 + log |W_x|),
+where W_x is the working set of the extracted element (elements inserted
+after x and still present, maximized over x's lifetime).
 
 Ties between equal keys are broken by vertex id everywhere, making runs
 deterministic; the +infinity sentinel never costs a comparison.
@@ -29,18 +34,13 @@ from __future__ import annotations
 
 import math
 
-from .aux_structures import MinKeeper
+from .aux_structures import EMPTY, MinKeeper
 from .base_heap import FibonacciHeap, HeapNodePool, _NIL
 from .errors import ContractViolation, EmptyHeapError
 from .weights import INFINITY
 
 #: Rank size caps 2**(2**r).  Rank 7 caps at 2**128; unreachable in practice.
 CAPS = [2 ** (2 ** r) for r in range(8)]
-
-# An empty rank's M entry: +inf, with a tiebreak above every vertex id, so a
-# live +inf key (its tiebreak is its vertex) beats it and S never points at
-# an empty rank.
-_INF_ENTRY = (INFINITY, math.inf)
 
 
 class WorkSetHeap:
@@ -66,30 +66,35 @@ class WorkSetHeap:
     # -- operations --------------------------------------------------------
 
     def insert(self, key: int, vertex: int) -> tuple[int, int]:
-        """Insert (key, vertex); returns an element handle.  Amortized O(1)."""
-        if not self.size:
-            self.arena.check_handle(key)  # no comparison meets the first key
+        """Insert (key, vertex); returns an element handle.
+
+        At most two comparisons: one in an inner heap, one for S[0].
+        """
         t = self._next_time
         self._next_time = t + 1
         pool = self._pool
         heaps = self._heaps
         H0 = heaps[0] if heaps else None
+        M = self._M
         if H0 is not None and H0.size < CAPS[0]:
             # fast path: room at rank 0, extend its interval in place
             nid = H0.insert(key, t, vertex)
             H0.iv_end = t + 1
             if H0.min == nid:
-                self._M.set_entry(0, key, vertex)
+                # M[0] only drops: free when S[0] is the old M[0]
+                M._decrease_known_lower(0, key, vertex)
             self.size += 1
             return (nid, t)
 
+        # the carry moves heaps before any comparison meets the new key, and
+        # an empty heap compares it with nothing
+        self.arena.check_handle(key)
         spares = self._spares
         carry = spares.pop() if spares else FibonacciHeap(pool, self.arena)
         carry.rank = None
         nid = carry.insert(key, t, vertex)
         carry.iv_start = t
         carry.iv_end = t + 1
-        prefix = []
         r = 0
         while True:
             H = heaps[r] if r < len(heaps) else None
@@ -99,35 +104,29 @@ class WorkSetHeap:
                     heaps[r] = carry
                 else:
                     heaps.append(carry)
-                m = carry.min
-                prefix.append((pool.key[m], pool.vertex[m]))
+                top = carry
                 break
             if H.size + carry.size <= CAPS[r]:
-                # meld the carry into H_r and fuse their time intervals
-                H.meld(carry)
+                # meld the carry (the old H_{r-1}; r >= 1, since a full H_0
+                # leaves no room) into H_r and fuse their time intervals;
+                # S often knows which of M[r-1] and M[r] wins
+                o = M.order(r - 1)
+                H.meld(carry, None if o is None else o < 0)
                 spares.append(carry)
                 H.iv_end = carry.iv_end
-                m = H.min
-                prefix.append((pool.key[m], pool.vertex[m]))
+                top = H
                 break
             # carry takes the slot; the old H_r cascades upward
             carry.rank = r
             heaps[r] = carry
-            m = carry.min
-            prefix.append((pool.key[m], pool.vertex[m]))
             H.rank = None
             carry = H
             r += 1
-        # ranks whose minimum entry is unchanged need no S recomputation,
-        # provided everything above them in the prefix is unchanged too
-        M = self._M
-        entries = M.entries()
-        top = len(prefix) - 1
-        while top >= 0 and top < len(entries) and entries[top] == prefix[top]:
-            top -= 1
-        if top >= 0:
-            del prefix[top + 1 :]
-            M.change_prefix(prefix)
+        m = top.min
+        if r:
+            M.shift(r, (key, vertex), (pool.key[m], pool.vertex[m]))
+        else:
+            M.change_prefix([(key, vertex)])
         self.size += 1
         return (nid, t)
 
@@ -162,7 +161,7 @@ class WorkSetHeap:
         if H.size == 0:
             heaps[r_star] = None
             self._spares.append(H)
-            M.set_entry(r_star, *_INF_ENTRY)
+            M.set_entry(r_star, *EMPTY)
         else:
             m = H.min
             M.set_entry(r_star, pool.key[m], pool.vertex[m])
@@ -183,7 +182,9 @@ class WorkSetHeap:
                         heaps[pre_R] = None
                         merged = hi
                     else:
-                        lo.meld(hi)
+                        # S[pre_R-1]'s witness decides: H_R's minimum comes
+                        # first exactly when the witness is pre_R
+                        lo.meld(hi, M.order(pre_R - 1) == 1)
                         self._spares.append(hi)
                         lo.iv_start = hi.iv_start  # hi is older
                         heaps[pre_R] = None
@@ -194,13 +195,8 @@ class WorkSetHeap:
                     m = merged.min
                     e = (pool.key[m], pool.vertex[m])
                 else:
-                    e = _INF_ENTRY
-                if len(M) == pre_R + 1:
-                    M.change_prefix(M.entries()[: pre_R - 1] + [e, e])
-                    M.pop()
-                else:
-                    # an older, longer M tail of +inf entries stays in place
-                    M.change_prefix(M.entries()[: pre_R - 1] + [e, _INF_ENTRY])
+                    e = EMPTY
+                M.collapse(pre_R - 1, e)
         self.extract_comparisons += self.arena.cmp_count - cmp_at_entry
         return key, vertex
 
@@ -301,19 +297,11 @@ class WorkSetHeap:
             h, tie = M.entries()[r]
             H = heaps[r] if r < len(heaps) else None
             if H is None:
-                assert (h, tie) == _INF_ENTRY, f"M[{r}] should be the +inf token"
+                assert (h, tie) == EMPTY, f"M[{r}] should be the +inf token"
             else:
                 m = H.min
                 assert h == pool.key[m] and tie == pool.vertex[m], (
                     f"M[{r}] is not the minimum of H_{r}"
                 )
-        # S really holds suffix minima of M (by value, tie by vertex)
-        entries = [(value_of(h), tie) for h, tie in M.entries()]
-        suffix = None
-        for i in range(len(entries) - 1, -1, -1):
-            cand = (entries[i], i)
-            if suffix is None or cand[0] < suffix[0]:
-                suffix = cand
-            got = M._s[i]
-            got_val = (value_of(got[0]), got[1])
-            assert got_val == suffix[0], f"S[{i}] is not min(M[{i}:])"
+        # S holds the leftmost suffix minima of M (by value, tie by vertex)
+        M.check(value_of)

@@ -1,9 +1,10 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distorder.aux_structures import IntervalMap, MinKeeper
+from distorder.aux_structures import EMPTY, IntervalMap, MinKeeper
 from distorder.errors import ContractViolation
 from distorder.weights import INFINITY, WeightArena
 
@@ -135,51 +136,142 @@ class TestMinKeeper:
         assert self.fill([42]).find_min() == 0
         assert self.fill([6, 6, 6]).find_min() == 0  # leftmost tie
 
-    def test_pop(self):
+    def test_collapse_is_free(self):
         a = self.arena
-        two = a.intern(2)
+        four, two = (a.intern(4), 1), (a.intern(2), 2)
         mk = MinKeeper(a)
-        mk.change_prefix([(a.intern(4), 0), (two, 0), (two, 0)])
+        mk.change_prefix([(a.intern(5), 0), four, two])
         c0 = a.cmp_count
-        mk.pop()
-        assert a.cmp_count == c0  # the equality check is free
-        assert len(mk) == 2 and mk.find_min() == 1
-        bad = self.fill([4, 2, 3])
-        with pytest.raises(ContractViolation):
-            bad.pop()
-        twin = self.fill([4, 2, 2])  # equal values in distinct cells
-        with pytest.raises(ContractViolation):
-            twin.pop()
+        mk.collapse(1, two)  # the last pair: M[2] is dropped
+        assert a.cmp_count == c0
+        assert mk.entries() == [(mk.entries()[0][0], 0), two]
+        assert mk.find_min() == 1
+        mk.check()
+        # a longer +inf tail stays in place; M[2] joins it
+        three = (a.intern(3), 1)
+        mk = MinKeeper(a)
+        mk.change_prefix([(a.intern(5), 0), three, (a.intern(4), 2), EMPTY, EMPTY])
+        c0 = a.cmp_count
+        mk.collapse(1, three)
+        assert a.cmp_count == c0
+        assert len(mk) == 5 and mk.entries()[2] == EMPTY
+        assert mk.find_min() == 1
+        mk.check()
+
+    def test_order_reads_s_witnesses(self):
+        a = self.arena
+        mk = MinKeeper(a)
+        # S's witnesses are 0, 2, 2, 3, 4
+        vals = [1, 5, 3, 6, 7]
+        mk.change_prefix([(a.intern(v), i) for i, v in enumerate(vals)])
+        c0 = a.cmp_count
+        assert [mk.order(i) for i in range(4)] == [-1, 1, -1, -1]
+        assert a.cmp_count == c0
+        mk = MinKeeper(a)
+        # witness 2 for S[0]: M[0] against M[1] is left open
+        mk.change_prefix([(a.intern(v), i) for i, v in enumerate((4, 5, 1))])
+        assert mk.order(0) is None and mk.order(1) == 1
+        # equal entries: M[0] <= M[1] is all S knows
+        h = a.intern(2)
+        mk = MinKeeper(a)
+        mk.change_prefix([(h, 7), (h, 7)])
+        assert mk.order(0) is None
+
+    def test_shift_spends_one_comparison(self):
+        a = self.arena
+        mk = MinKeeper(a)
+        m = [(a.intern(v), i) for i, v in enumerate((6, 2, 9, 4))]
+        mk.change_prefix(m)
+        c0 = a.cmp_count
+        # a carry lands at rank 2: M[1] and M[2] meld, M[0] moves to slot 1
+        mk.shift(2, (a.intern(5), 9), m[1])
+        assert a.cmp_count == c0 + 1
+        assert mk.entries()[1:] == [m[0], m[1], m[3]]
+        assert mk.find_min() == 2
+        mk.check()
+        # landing past the end extends M; a +inf entry compares for free
+        c0 = a.cmp_count
+        mk.shift(4, (INFINITY, 3), m[3])
+        assert a.cmp_count == c0
+        assert len(mk) == 5 and mk.find_min() == 3
+        mk.check()
 
     def test_random_ops_match_suffix_min_recompute(self):
+        # a model list of (value, tiebreak) pairs, value math.inf for +inf,
+        # checked after every update; EMPTY models as (math.inf, math.inf)
         rng = random.Random(1)
         arena = self.arena
-        vals = [rng.randrange(100, 1000) for _ in range(6)]
-        mk = self.fill(vals)
-        for step in range(300):
+
+        def draw():
+            roll = rng.random()
+            if roll < 0.1:
+                return EMPTY, (math.inf, math.inf)
+            t = rng.randrange(4)  # few tiebreaks: equal pairs happen
+            if roll < 0.2:
+                return (INFINITY, t), (math.inf, t)
+            v = rng.randrange(100, 130)
+            return (arena.intern(v), t), (v, t)
+
+        mk = MinKeeper(arena)
+        drawn = [draw() for _ in range(6)]
+        mk.change_prefix([e for e, _ in drawn])
+        vals = [v for _, v in drawn]
+        for _ in range(1500):
             op = rng.random()
-            if op < 0.55:
-                i = rng.randrange(len(vals))
-                nv = max(0, vals[i] - rng.randrange(50))
-                vals[i] = nv
-                mk.decrease(i, arena.intern(nv))
-            elif op < 0.85 or len(vals) < 2:
-                k = rng.randrange(1, len(vals) + 2)
-                new = [rng.randrange(100, 1000) for _ in range(k)]
-                if k >= len(vals):
-                    vals = new
+            n = len(vals)
+            before = arena.cmp_count
+            if op < 0.3:
+                i = rng.randrange(n)
+                v, t = vals[i]
+                if v == math.inf:
+                    v = rng.randrange(90, 130)
+                    if t == math.inf:
+                        t = rng.randrange(4)
                 else:
-                    vals[:k] = new
-                mk.change_prefix([(arena.intern(v), 0) for v in new])
-            else:
-                # pop needs the same entry twice, as the heap passes it
-                m = min(vals[-1], vals[-2])
-                vals[-1] = vals[-2] = m
-                tail = (arena.intern(m), 0)
-                mk.change_prefix(
-                    [(arena.intern(v), 0) for v in vals[:-2]] + [tail, tail])
-                vals.pop()
-                mk.pop()
+                    v = max(0, v - rng.randrange(5))
+                vals[i] = (v, t)
+                mk.decrease(i, arena.intern(v), t)
+            elif op < 0.45:
+                k = rng.randrange(1, n + 2)
+                new = [draw() for _ in range(k)]
+                if k >= n:
+                    vals = [v for _, v in new]
+                else:
+                    vals[:k] = [v for _, v in new]
+                mk.change_prefix([e for e, _ in new])
+            elif op < 0.75:
+                # a carry lands at rank r; r == n extends M
+                r = rng.randrange(1, n + 1)
+                e, v = draw()
+                while e == EMPTY:
+                    e, v = draw()
+                top_at = r - 1 if r == n or vals[r - 1] <= vals[r] else r
+                vals[: r + 1] = [v, *vals[: r - 1], vals[top_at]]
+                mk.shift(r, e, mk.entries()[top_at])
+                assert arena.cmp_count - before <= 1
+            elif n >= 2:
+                # fold M[j+1] into M[j]; every entry above j + 1 is empty
+                lo = n
+                while lo > 0 and vals[lo - 1] == (math.inf, math.inf):
+                    lo -= 1
+                j = rng.randrange(max(0, lo - 2), n - 1)
+                top_at = j if vals[j] <= vals[j + 1] else j + 1
+                top = mk.entries()[top_at]
+                vals[j] = vals[top_at]
+                if n == j + 2:
+                    vals.pop()
+                else:
+                    vals[j + 1] = (math.inf, math.inf)
+                mk.collapse(j, top)
+                assert arena.cmp_count == before
+            assert len(mk) == len(vals)
+            before = arena.cmp_count
+            for i in range(len(vals) - 1):
+                o = mk.order(i)
+                if o is not None:
+                    assert (vals[i] < vals[i + 1]) == (o < 0)
+                    assert vals[i] != vals[i + 1]
+            assert arena.cmp_count == before
             mk.check()
             want = min(range(len(vals)), key=lambda i: (vals[i], i))
             assert mk.find_min() == want

@@ -57,6 +57,21 @@ def test_foreign_handle_faults():
         a.compare(ha, hb)
 
 
+@pytest.mark.parametrize("audit", [False, True], ids=["plain", "audit"])
+def test_handle_below_the_base_faults(audit):
+    # one below the zero cell is no handle of this arena; it must not read
+    # the arena's last cell
+    a = WeightArena(audit=audit, mask_seed=5)
+    h = a.intern(3)
+    below = a.zero() - 1
+    for pair in ((below, h), (h, below), (below, below)):
+        with pytest.raises(ContractViolation):
+            a.compare(*pair)
+        with pytest.raises(ContractViolation):
+            a.add(*pair)
+    assert a.counters() == (0, 0)
+
+
 def test_infinity_sentinel_is_free_and_largest():
     a = WeightArena()
     h = a.intern(10**18)
