@@ -32,9 +32,9 @@ from typing import NamedTuple, Optional
 from .errors import ContractViolation
 from .weights import INFINITY
 
-# An empty slot's entry, an empty rank's in the working-set heap: +inf, with
-# a tiebreak above every integer, so a live +inf key (its tiebreak is its
-# vertex) beats it and S never points at an empty rank.
+# The entry of an empty slot (an empty rank of the working-set heap): +inf,
+# with a tiebreak above every integer, so a live +inf key, whose tiebreak is
+# its vertex, comes first and S never points at an empty slot.
 EMPTY = (INFINITY, math.inf)
 
 
@@ -156,7 +156,7 @@ class MinKeeper:
     leftward one run at a time, paying one comparison per run, and is
     amortized O(1) by the usual distinct-run potential.  ``shift`` and
     ``collapse`` move entries between slots and remap S's witnesses with
-    them, paying at most one comparison and none.
+    them; ``shift`` pays at most one comparison and ``collapse`` none.
     """
 
     __slots__ = ("_arena", "_m", "_s")
