@@ -10,19 +10,13 @@ the same comparison discipline; they are not used by the working-set heap.
 
 Heap order is min by ``arena.compare`` with ties broken by vertex id, which
 makes every extraction sequence deterministic and lets independent oracles
-predict it exactly.
-
-Dijkstra inserts each vertex with a +inf key and lowers it at once, so every
-queue settles the two comparisons that meet +inf there itself, the insert's
-and the decrease's contract check, with one int test instead of an arena
-comparison.  A key entering an empty queue, or lowering a +inf key, is checked
-to be a handle of the queue's arena, since no comparison does it.
+predict it exactly.  A key entering an empty queue is checked to be a handle
+of the queue's arena, since no comparison does it.
 """
 
 from __future__ import annotations
 
 from .errors import ContractViolation, EmptyHeapError
-from .weights import INFINITY
 
 _NIL = -1
 
@@ -78,20 +72,18 @@ class FibonacciHeap:
 
     Melding consumes the argument heap.  Node ids remain stable across melds;
     ownership is tracked externally (the working-set heap finds a node's heap
-    from its insertion time and the cached spans, standalone users keep their
-    own bookkeeping).
+    from its insertion time and the cached span starts, standalone users keep
+    their own bookkeeping).
     """
 
-    __slots__ = ("pool", "arena", "min", "size", "rank", "iv_start", "iv_end")
+    __slots__ = ("pool", "arena", "min", "size", "iv_start")
 
     def __init__(self, pool: HeapNodePool, arena):
         self.pool = pool
         self.arena = arena
         self.min = _NIL
         self.size = 0
-        self.rank: int | None = None  # set by the working-set heap
-        self.iv_start = 0  # insertion-time interval this heap covers
-        self.iv_end = 0
+        self.iv_start = 0  # start of the insertion-time span this heap covers
 
     def __len__(self):
         return self.size
@@ -110,13 +102,8 @@ class FibonacciHeap:
         if m == _NIL:
             nid = self.min = pool.alloc(key, time, vertex)
         else:
-            # compare first, so a rejected key leaves the heap untouched;
-            # +inf loses to a finite minimum and ties a +inf one, for free
-            km = pool.key[m]
-            if key == INFINITY:
-                c = 0 if km == INFINITY else 1
-            else:
-                c = self.arena.compare(key, km)
+            # compare first, so a rejected key leaves the heap untouched
+            c = self.arena.compare(key, pool.key[m])
             nid = pool.alloc(key, time, vertex)
             # splice nid into the root ring, left of m
             left, right = pool.left, pool.right
@@ -263,10 +250,7 @@ class FibonacciHeap:
     def decrease_key(self, nid: int, new_key: int) -> None:
         """Lower a node's key.  Raising it is a contract violation."""
         pool = self.pool
-        old = pool.key[nid]
-        if old == INFINITY:
-            self.arena.check_handle(new_key)  # nothing lies above +inf
-        elif self.arena.compare(new_key, old) > 0:
+        if self.arena.compare(new_key, pool.key[nid]) > 0:
             raise ContractViolation("decrease_key would increase the key")
         pool.key[nid] = new_key
         p = pool.parent[nid]
@@ -405,9 +389,7 @@ class BinaryQueue:
         self._vtx.append(vertex)
         self._pos.append(i)
         heap.append(eid)
-        # +inf stays at the bottom for free, unless its parent is +inf too
-        # and the tie goes by vertex
-        if i and (key != INFINITY or self._key[heap[(i - 1) >> 1]] == INFINITY):
+        if i:
             try:
                 self._bubble_up(i)
             except ContractViolation:
@@ -420,10 +402,7 @@ class BinaryQueue:
     def decrease_key(self, eid: int, key: int) -> None:
         if self._pos[eid] < 0:
             raise ContractViolation("stale handle: element already extracted")
-        old = self._key[eid]
-        if old == INFINITY:
-            self._arena.check_handle(key)  # nothing lies above +inf
-        elif self._arena.compare(key, old) > 0:
+        if self._arena.compare(key, self._key[eid]) > 0:
             raise ContractViolation("decrease_key would increase the key")
         self._key[eid] = key
         self._bubble_up(self._pos[eid])
@@ -527,15 +506,6 @@ class PairingQueue:
         self._prev.append(_NIL)
         if root == _NIL:
             self._root = eid
-        elif key == INFINITY and self._key[root] != INFINITY:
-            # +inf loses to a finite root for free: eid becomes its first
-            # child, as _link would make it
-            c = self._child[root]
-            self._sib[eid] = c
-            if c != _NIL:
-                self._prev[c] = eid
-            self._child[root] = eid
-            self._prev[eid] = root
         else:
             try:
                 self._root = self._link(root, eid)
@@ -551,10 +521,7 @@ class PairingQueue:
     def decrease_key(self, eid: int, key: int) -> None:
         if eid != self._root and self._prev[eid] == _NIL:
             raise ContractViolation("stale handle: element already extracted")
-        old = self._key[eid]
-        if old == INFINITY:
-            self._arena.check_handle(key)  # nothing lies above +inf
-        elif self._arena.compare(key, old) > 0:
+        if self._arena.compare(key, self._key[eid]) > 0:
             raise ContractViolation("decrease_key would increase the key")
         self._key[eid] = key
         if eid == self._root:

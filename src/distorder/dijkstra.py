@@ -1,9 +1,9 @@
 """Dijkstra's algorithm, generic over the priority queue.
 
-Vertices are inserted lazily: on first relaxation a dummy +infinity key goes
-in, immediately lowered by decrease-key.  Decrease-key is called on every
-relaxation of a non-finalized endpoint, even when the key did not improve,
-and edges into finalized vertices are never touched.
+Vertices are inserted lazily: the first relaxation of v inserts it with its
+first tentative distance, so no queue is handed a +infinity key.  Every
+later relaxation of a non-finalized endpoint calls decrease-key, even when
+the key did not improve, and edges into finalized vertices are never touched.
 
 Each run records, besides the linearization, distances and both trees:
 
@@ -118,10 +118,10 @@ def run_dijkstra(g: Graph, heap_kind: str = "workset") -> DijkstraRun:
             if token[v] is None:
                 event += 1
                 lo[v] = event
-                token[v] = q_insert(INFINITY, v)
-                explore[v] = u
-                # dist[v] is +inf, so the first sum wins without a comparison
+                # the first sum is v's first tentative distance, no comparison
                 dist[v] = add(du, w)
+                token[v] = q_insert(dist[v], v)
+                explore[v] = u
                 sssp[v] = u
                 sssp_arc[v] = i
             else:
@@ -130,7 +130,7 @@ def run_dijkstra(g: Graph, heap_kind: str = "workset") -> DijkstraRun:
                     dist[v] = nd
                     sssp[v] = u
                     sssp_arc[v] = i
-            q_decrease(token[v], dist[v])
+                q_decrease(token[v], dist[v])
 
     cmp1, add1 = arena.counters()
     run = DijkstraRun(

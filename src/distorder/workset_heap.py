@@ -9,8 +9,9 @@ structural invariants are maintained after every public operation:
 2. If the maximum nonempty rank R is >= 2, |H_R| + |H_{R-1}| >= 2**(2**(R-1)).
 3. Every element of a higher rank is older than every element of a lower one.
 
-Each inner heap caches the span [iv_start, iv_end) of insertion times it
-covers.  By invariant 3 the spans of the nonempty heaps are disjoint and
+Each inner heap caches only the start ``iv_start`` of the span of insertion
+times it covers; the span runs up to the start of the next lower nonempty
+rank's.  By invariant 3 the spans of the nonempty heaps are disjoint and
 ordered oldest-first by rank, so decrease-key finds an element's heap from
 its timestamp alone: the lowest nonempty rank whose span starts at or before
 it, found by scanning the at most 8 rank slots.  A minimum keeper M holds
@@ -77,9 +78,8 @@ class WorkSetHeap:
         H0 = heaps[0] if heaps else None
         M = self._M
         if H0 is not None and H0.size < CAPS[0]:
-            # fast path: room at rank 0, extend its interval in place
+            # fast path: room at rank 0, whose span already reaches t
             nid = H0.insert(key, t, vertex)
-            H0.iv_end = t + 1
             if H0.min == nid:
                 # M[0] only drops: free when S[0] is the old M[0]
                 M._decrease_known_lower(0, key, vertex)
@@ -91,15 +91,12 @@ class WorkSetHeap:
         self.arena.check_handle(key)
         spares = self._spares
         carry = spares.pop() if spares else FibonacciHeap(pool, self.arena)
-        carry.rank = None
         nid = carry.insert(key, t, vertex)
         carry.iv_start = t
-        carry.iv_end = t + 1
         r = 0
         while True:
             H = heaps[r] if r < len(heaps) else None
-            if H is None or H.size == 0:
-                carry.rank = r
+            if H is None:
                 if r < len(heaps):
                     heaps[r] = carry
                 else:
@@ -108,18 +105,15 @@ class WorkSetHeap:
                 break
             if H.size + carry.size <= CAPS[r]:
                 # meld the carry (the old H_{r-1}; r >= 1, since a full H_0
-                # leaves no room) into H_r and fuse their time intervals;
+                # leaves no room) into H_r, whose older span start stays;
                 # S often knows which of M[r-1] and M[r] wins
                 o = M.order(r - 1)
                 H.meld(carry, None if o is None else o < 0)
                 spares.append(carry)
-                H.iv_end = carry.iv_end
                 top = H
                 break
             # carry takes the slot; the old H_r cascades upward
-            carry.rank = r
             heaps[r] = carry
-            H.rank = None
             carry = H
             r += 1
         m = top.min
@@ -177,7 +171,6 @@ class WorkSetHeap:
             if hi_size + lo_size < CAPS[pre_R - 1]:
                 if hi_size:
                     if lo is None:
-                        hi.rank = pre_R - 1
                         heaps[pre_R - 1] = hi
                         heaps[pre_R] = None
                         merged = hi
@@ -206,18 +199,19 @@ class WorkSetHeap:
         pool = self._pool
         if pool.time[nid] != t:
             raise ContractViolation("stale handle: element already extracted")
-        heap = self._heap_at(t)
+        r = self._rank_at(t)
+        heap = self._heaps[r]
         heap.decrease_key(nid, new_key)
-        # M[rank] can only change if nid became the heap's minimum, and then
-        # the new entry is already known not to exceed the old M[rank]
+        # M[r] can only change if nid became the heap's minimum, and then
+        # the new entry is already known not to exceed the old M[r]
         if heap.min == nid:
-            self._M._decrease_known_lower(heap.rank, new_key, pool.vertex[nid])
+            self._M._decrease_known_lower(r, new_key, pool.vertex[nid])
 
-    def _heap_at(self, t: int) -> FibonacciHeap:
-        """The heap whose span holds insertion time t of a live element."""
-        for heap in self._heaps:
+    def _rank_at(self, t: int) -> int:
+        """The rank whose heap's span holds insertion time t of a live element."""
+        for r, heap in enumerate(self._heaps):
             if heap is not None and heap.iv_start <= t:
-                return heap
+                return r
         raise ContractViolation("stale handle: element already extracted")
 
     # -- introspection -------------------------------------------------------
@@ -251,14 +245,13 @@ class WorkSetHeap:
             if H is None:
                 continue
             assert H.size > 0, f"rank {r}: empty heap object kept in slot"
-            assert H.rank == r, f"rank {r}: heap carries wrong rank tag"
             nodes = list(H.iter_nodes())
             assert len(nodes) == H.size, f"rank {r}: size field drifted"
             assert H.size <= CAPS[r], f"rank {r}: invariant 1 violated"
             times = [pool.time[n] for n in nodes]
             spans[r] = (min(times), max(times))
-            assert H.iv_start <= spans[r][0] and spans[r][1] < H.iv_end, (
-                f"rank {r}: live times escape the heap's interval"
+            assert H.iv_start <= spans[r][0], (
+                f"rank {r}: live times precede the heap's span start"
             )
             total += H.size
             # heap order within the inner heap
@@ -284,11 +277,12 @@ class WorkSetHeap:
                 bound = math.ceil(math.log2(math.log2(self.size))) + 2
                 assert R <= bound, f"max rank {R} exceeds loglog bound {bound}"
 
-        # the heaps' cached spans are disjoint and ordered oldest-first by
-        # rank, which is what decrease_key's rank-slot lookup relies on
+        # every live time of a rank precedes the cached span start of the
+        # next lower occupied rank, which is what decrease_key's rank-slot
+        # lookup relies on
         for a, b in zip(occupied, occupied[1:]):
-            assert heaps[b].iv_end <= heaps[a].iv_start, (
-                f"ranks {a} and {b}: cached spans overlap or are out of order"
+            assert spans[b][1] < heaps[a].iv_start, (
+                f"ranks {a} and {b}: cached span starts out of order"
             )
 
         M = self._M

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from distorder import dijkstra as dijkstra_module
 from distorder.base_heap import FibonacciQueue
 from distorder.comparison_optimal import run_pipeline
 from distorder.dijkstra import HEAP_KINDS, make_queue, run_dijkstra
@@ -321,8 +322,9 @@ def test_infinite_keys_follow_the_sorted_replay_oracle(program):
 
 
 def test_no_free_comparison_reaches_the_arena(monkeypatch):
-    # Dijkstra and its queues settle every comparison against +inf before
-    # calling the arena, which reaches one only through a caught IndexError
+    # Dijkstra hands its queues no +inf key, and MinKeeper settles its EMPTY
+    # entries' +inf comparisons itself, so the arena, which reaches one only
+    # through a caught IndexError, never sees one
     calls = []
     special = WeightArena._compare_special
 
@@ -362,7 +364,21 @@ def test_no_free_comparison_reaches_the_arena(monkeypatch):
      {"workset": (38698, 3989), "fibonacci": (31866, 3989),
       "binary": (41321, 3989), "pairing": (35645, 3989),
       "pipeline": (38774, 6461)}),
-], ids=["dense-16", "fan-200", "prime-denominators"])
+    # integer weights: the baselines next to the working-set heap
+    (lambda: gen_family("random_digraph", 2000, seed=0),
+     {"workset": (39575, 4214), "fibonacci": (32568, 4214),
+      "binary": (41834, 4214), "pairing": (36955, 4214),
+      "pipeline": (39316, 6637)}),
+    (lambda: gen_broom(44, 44 * 44 - 44 - 1, seed=0),
+     {"workset": (5985, 1935), "fibonacci": (5939, 1935),
+      "binary": (26829, 1935), "pairing": (2162, 1935),
+      "pipeline": (316, 3869)}),
+    (lambda: gen_broom(45, 45 * 45 - 45 - 1, seed=0),
+     {"workset": (2284, 2024), "fibonacci": (8182, 2024),
+      "binary": (26100, 2024), "pairing": (2267, 2024),
+      "pipeline": (319, 4047)}),
+], ids=["dense-16", "fan-200", "prime-denominators", "random-digraph-2000",
+        "broom-44", "broom-45"])
 def test_pinned_counts_on_rational_weights(make, pinned):
     # exact (comparisons, additions); how the arena stores a weight must not
     # move them
@@ -373,3 +389,46 @@ def test_pinned_counts_on_rational_weights(make, pinned):
     res = run_pipeline(make())
     got["pipeline"] = (res.comparisons, res.additions)
     assert got == pinned
+
+
+class _SpyQueue:
+    """Forwards to a real queue and records every key handed to it."""
+
+    def __init__(self, q, inserted, decreased):
+        self._q = q
+        self._inserted = inserted
+        self._decreased = decreased
+
+    def __len__(self):
+        return len(self._q)
+
+    def __getattr__(self, name):
+        return getattr(self._q, name)
+
+    def insert(self, key, vertex):
+        self._inserted.append(key)
+        return self._q.insert(key, vertex)
+
+    def decrease_key(self, token, key):
+        self._decreased.append(key)
+        self._q.decrease_key(token, key)
+
+
+@pytest.mark.parametrize("kind", HEAP_KINDS)
+def test_each_vertex_is_inserted_once_with_a_finite_key(kind, monkeypatch):
+    makers = [lambda: gen_broom(44, 1891, seed=0),
+              lambda: gen_family("random_digraph", 200, seed=0)]
+    plain = [run_dijkstra(make(), kind).comparisons for make in makers]
+    inserted, decreased = [], []
+    real = dijkstra_module.make_queue
+    monkeypatch.setattr(
+        dijkstra_module, "make_queue",
+        lambda k, arena: _SpyQueue(real(k, arena), inserted, decreased))
+    for make, comparisons in zip(makers, plain):
+        inserted.clear()
+        decreased.clear()
+        g = make()
+        run = run_dijkstra(g, kind)
+        assert len(inserted) == g.n
+        assert INFINITY not in inserted and INFINITY not in decreased
+        assert run.comparisons == comparisons

@@ -138,7 +138,7 @@ def test_u_lookup_matches_shadow_rank_map():
             for nid in H.iter_nodes():
                 shadow[h._pool.time[nid]] = r
     for i, (nid, t) in live.items():
-        assert h._heap_at(t).rank == shadow[t]
+        assert h._rank_at(t) == shadow[t]
     h.check_invariants()
 
 
