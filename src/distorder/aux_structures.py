@@ -157,6 +157,8 @@ class MinKeeper:
     amortized O(1) by the usual distinct-run potential.  ``shift`` and
     ``collapse`` move entries between slots and remap S's witnesses with
     them; ``shift`` pays at most one comparison and ``collapse`` none.
+    ``clear_first`` empties M[0] for free, and refilling an EMPTY M[0] with
+    ``_decrease_known_lower`` pays at most one comparison.
     """
 
     __slots__ = ("_arena", "_m", "_s")
@@ -330,6 +332,19 @@ class MinKeeper:
         if c < 0 or (c == 0 and t <= best[1]):
             best = (h, t, 0)
         s[: r + 1] = [best, *shifted]
+
+    def clear_first(self) -> None:
+        """M[0] := EMPTY.  Free: S[0] becomes a copy of S[1].
+
+        EMPTY loses every tie, so min(M[0:]) is S[1]'s entry unless S[1] is
+        EMPTY too, and then the leftmost EMPTY is M[0] itself.  The
+        working-set heap fills the slot again through ``_decrease_known_lower``
+        (EMPTY is above every entry), which then costs at most the one
+        comparison against S[0] = S[1].
+        """
+        s = self._s
+        self._m[0] = EMPTY
+        s[0] = s[1] if len(s) > 1 and s[1][1] != math.inf else (*EMPTY, 0)
 
     def collapse(self, j: int, top: tuple) -> None:
         """Fold M[j+1] into M[j]: M[j] := top, M[j+1] := EMPTY.  Free.

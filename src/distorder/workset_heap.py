@@ -22,10 +22,54 @@ Comparison costs: an insert spends at most two, one in an inner heap (rank
 0's insert, or the carry's meld) and one for S[0].  A carry that lands at
 rank r moves the minima of ranks 0..r-1 up one rank, so S shifts with them
 instead of being recomputed, and S's witnesses often settle the meld too.
+An insert into an empty rank 0 puts a one-node heap there and spends only
+the S[0] comparison, since S[0] is then a copy of S[1]; an extract that
+empties rank 0 copies S[1] back into S[0] for free.
 Invariant 2's fuse is free: S says which of the top two minima wins.
 Decrease-key is amortized O(1); extract-min amortized O(1 + log |W_x|),
 where W_x is the working set of the extracted element (elements inserted
 after x and still present, maximized over x's lifetime).
+
+The stale residue.  An extract from rank 0 can leave one older element, the
+residue, alone there.  Each later insert then takes the fast path beside it
+and each extract rebuilds S[0] from it: on a broom one leaf sits beside the
+whole path and triples its cost (3 comparisons per path vertex instead of
+1, depending only on where the t leaves happen to leave rank 0).  So once
+RESIDUE_STREAK rank-0 extracts in a row have left the same lone element
+behind, the next insert carries H0 upward, exactly as it carries a full H0,
+and the new element alone takes slot 0; the carry never melds back into
+rank 0.  An early carry keeps every guarantee:
+
+* It is an ordinary carry whose first heap holds one element, not two.
+  Invariant 1: the carry melds only where it fits.  Invariant 2: a new top
+  rank R receives the old H_{R-1} only when |H_{R-1}| + |carry| exceeds
+  CAPS[R-1], and the carry stays at R-1, whatever the carry's size.
+  Invariant 3: the residue is newer than every element above rank 0 and
+  older than the new element.
+* An insert still spends at most two comparisons: the new element enters
+  an empty heap (free), the meld costs at most one and S[0] one.
+* The extract bound rests on a floor: an element x extracted from rank
+  r >= 2 has |W_x| >= CAPS[r-2], so the O(2**r) cost of extracting from a
+  heap of at most CAPS[r] elements is O(log |W_x|).  x entered rank r in
+  H_{r-1}, which moves up only when a carry C of newer elements arrives
+  with |H_{r-1}| + |C| > CAPS[r-1].  For r >= 3, C (the old H_{r-2}) and
+  the carry that displaced it, now in rank r-2, together hold more than
+  CAPS[r-2] newer elements, since H_{r-2} moved up only because they did
+  not fit in it; that holds whatever the size of the carry out of rank 0.
+  For r = 2, C is the old H_0 and the new element is newer too, so
+  |W_x| >= 2 = CAPS[0] with a carry of one element as of two.
+  Ranks 0 and 1 hold at most 4 elements, so their extracts cost O(1).
+
+Why RESIDUE_STREAK = 8.  Keeping a residue costs about two comparisons a
+round, one carry costs at most two at once plus an extract later from rank
+1 (at most 4 elements) instead of rank 0, so any constant streak keeps the
+rule within a constant factor of the better choice in hindsight, as in ski
+rental.  Eight is the smallest power of two at which random inputs never
+trigger it on the benchmark's random-sparse and heap-churn inputs (seeds
+0-9 and 424242) or on ``random_digraph``/``random_dag`` at n = 2e4, so
+their counts are exactly those of the heap without the rule (over those
+seeds heap-churn fires 76 carries at a streak of 4 and 2,070 at 2), while a
+broom's path, hundreds of rounds long, pays for its residue only 8 times.
 
 Ties between equal keys are broken by vertex id everywhere, making runs
 deterministic; the +infinity sentinel never costs a comparison.
@@ -43,21 +87,29 @@ from .weights import INFINITY
 #: Rank size caps 2**(2**r).  Rank 7 caps at 2**128; unreachable in practice.
 CAPS = [2 ** (2 ** r) for r in range(8)]
 
+#: Rank-0 extracts in a row that leave one same element behind before the
+#: next insert carries it upward (see the module docstring).
+RESIDUE_STREAK = 8
+
 
 class WorkSetHeap:
     """Fibonacci-like priority queue with the working-set property."""
 
     __slots__ = ("arena", "_pool", "_heaps", "_M", "_next_time", "size",
-                 "_spares", "last_extract_rank", "extract_comparisons")
+                 "_spares", "_residue", "_streak", "last_extract_rank",
+                 "extract_comparisons")
 
     def __init__(self, arena):
         self.arena = arena
         self._pool = HeapNodePool()
-        self._heaps: list[FibonacciHeap | None] = []
+        self._heaps: list[FibonacciHeap | None] = [None]
         self._M = MinKeeper(arena)
+        self._M.change_prefix([EMPTY])
         self._next_time = 0
         self.size = 0
         self._spares: list[FibonacciHeap] = []  # emptied heap shells, reused as carries
+        self._residue = -1  # insertion time of the last lone rank-0 element
+        self._streak = 0  # rank-0 extracts in a row that left _residue alone
         self.last_extract_rank = -1
         self.extract_comparisons = 0  # total comparisons spent inside extract_min
 
@@ -73,11 +125,10 @@ class WorkSetHeap:
         """
         t = self._next_time
         self._next_time = t + 1
-        pool = self._pool
         heaps = self._heaps
-        H0 = heaps[0] if heaps else None
+        H0 = heaps[0]
         M = self._M
-        if H0 is not None and H0.size < CAPS[0]:
+        if H0 is not None and H0.size < CAPS[0] and self._streak < RESIDUE_STREAK:
             # fast path: room at rank 0, whose span already reaches t
             nid = H0.insert(key, t, vertex)
             if H0.min == nid:
@@ -86,14 +137,26 @@ class WorkSetHeap:
             self.size += 1
             return (nid, t)
 
-        # the carry moves heaps before any comparison meets the new key, and
-        # an empty heap compares it with nothing
+        # both paths below fill slot 0 before any comparison meets the new
+        # key, and an empty heap compares it with nothing
         self.arena.check_handle(key)
+        pool = self._pool
         spares = self._spares
-        carry = spares.pop() if spares else FibonacciHeap(pool, self.arena)
-        nid = carry.insert(key, t, vertex)
-        carry.iv_start = t
-        r = 0
+        new = spares.pop() if spares else FibonacciHeap(pool, self.arena)
+        nid = new.insert(key, t, vertex)
+        new.iv_start = t
+        heaps[0] = new
+        self.size += 1
+        self._streak = 0
+        if H0 is None:
+            # M[0] was EMPTY, so S[0] is S[1]: one comparison settles it
+            M._decrease_known_lower(0, key, vertex)
+            return (nid, t)
+
+        # H0 is full or a stale residue: carry it upward, never back into
+        # rank 0, whose slot the new element now holds
+        carry = H0
+        r = 1
         while True:
             H = heaps[r] if r < len(heaps) else None
             if H is None:
@@ -104,9 +167,8 @@ class WorkSetHeap:
                 top = carry
                 break
             if H.size + carry.size <= CAPS[r]:
-                # meld the carry (the old H_{r-1}; r >= 1, since a full H_0
-                # leaves no room) into H_r, whose older span start stays;
-                # S often knows which of M[r-1] and M[r] wins
+                # meld the carry (the old H_{r-1}) into H_r, whose older span
+                # start stays; S often knows which of M[r-1] and M[r] wins
                 o = M.order(r - 1)
                 H.meld(carry, None if o is None else o < 0)
                 spares.append(carry)
@@ -117,11 +179,7 @@ class WorkSetHeap:
             carry = H
             r += 1
         m = top.min
-        if r:
-            M.shift(r, (key, vertex), (pool.key[m], pool.vertex[m]))
-        else:
-            M.change_prefix([(key, vertex)])
-        self.size += 1
+        M.shift(r, (key, vertex), (pool.key[m], pool.vertex[m]))
         return (nid, t)
 
     def find_min(self) -> tuple[int, int]:
@@ -155,10 +213,22 @@ class WorkSetHeap:
         if H.size == 0:
             heaps[r_star] = None
             self._spares.append(H)
-            M.set_entry(r_star, *EMPTY)
+            if r_star:
+                M.set_entry(r_star, *EMPTY)
+            else:
+                M.clear_first()
         else:
             m = H.min
             M.set_entry(r_star, pool.key[m], pool.vertex[m])
+            if not r_star:
+                # rank 0 is down to one element; count how often in a row
+                # it is the same one
+                rt = pool.time[m]
+                if rt == self._residue:
+                    self._streak += 1
+                else:
+                    self._residue = rt
+                    self._streak = 1
 
         # Restore invariant 2: if the top pair shrank too much, fuse it.
         # Extractions from rank R-1 can deplete the pair just like rank-R

@@ -262,9 +262,8 @@ def test_criterion_06_broom_separation():
     Workset band: the heap promises an upper bound only (O(1 + log |W_x|)
     per extraction; path vertices have working sets of size O(1) and the
     t leaves add at most t*log2(t) = o(n)), so the band is ``x <= 3c`` with
-    c the first size's value and no floor.  The cost may fall with n (4.08
-    at 2^12, 4.06 at 2^13) and swings with t as the plain Fibonacci heap's
-    does (1.06 at t = 181).
+    c the first size's value and no floor.  The cost may fall with n (1.11
+    at 2^12, 1.08 at 2^13, 1.04 at 2^16); t = 181 at 2^15 gives 1.05.
 
     Binary growth: a cost a*log2(t) + b with b >= 0 grows over the sweep by
     at most log2(256) / log2(64) = 8/6 = 1.333, the growth of a cost exactly

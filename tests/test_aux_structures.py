@@ -177,6 +177,31 @@ class TestMinKeeper:
         mk.change_prefix([(h, 7), (h, 7)])
         assert mk.order(0) is None
 
+    def test_clear_first_is_free_and_refill_spends_one(self):
+        a = self.arena
+        mk = MinKeeper(a)
+        m = [(a.intern(v), i) for i, v in enumerate((3, 7, 5))]
+        mk.change_prefix(m)
+        c0 = a.cmp_count
+        mk.clear_first()
+        assert a.cmp_count == c0
+        assert mk.entries()[0] == EMPTY and mk.find_min() == 2
+        mk.check()  # compares on the arena
+        c0 = a.cmp_count
+        mk._decrease_known_lower(0, *m[0])
+        assert a.cmp_count == c0 + 1 and mk.find_min() == 0
+        mk.check()
+        # an EMPTY S[1] leaves M[0] itself the leftmost EMPTY; M of one too
+        for entries in ([m[0], EMPTY], [m[0]]):
+            mk = MinKeeper(a)
+            mk.change_prefix(entries)
+            c0 = a.cmp_count
+            mk.clear_first()
+            mk._decrease_known_lower(0, *m[1])
+            assert a.cmp_count == c0 and mk.find_min() == 0
+            mk.clear_first()
+            mk.check()
+
     def test_shift_spends_one_comparison(self):
         a = self.arena
         mk = MinKeeper(a)
@@ -220,7 +245,7 @@ class TestMinKeeper:
             op = rng.random()
             n = len(vals)
             before = arena.cmp_count
-            if op < 0.3:
+            if op < 0.25:
                 i = rng.randrange(n)
                 v, t = vals[i]
                 if v == math.inf:
@@ -231,7 +256,7 @@ class TestMinKeeper:
                     v = max(0, v - rng.randrange(5))
                 vals[i] = (v, t)
                 mk.decrease(i, arena.intern(v), t)
-            elif op < 0.45:
+            elif op < 0.37:
                 k = rng.randrange(1, n + 2)
                 new = [draw() for _ in range(k)]
                 if k >= n:
@@ -239,7 +264,7 @@ class TestMinKeeper:
                 else:
                     vals[:k] = [v for _, v in new]
                 mk.change_prefix([e for e, _ in new])
-            elif op < 0.75:
+            elif op < 0.62:
                 # a carry lands at rank r; r == n extends M
                 r = rng.randrange(1, n + 1)
                 e, v = draw()
@@ -249,6 +274,19 @@ class TestMinKeeper:
                 vals[: r + 1] = [v, *vals[: r - 1], vals[top_at]]
                 mk.shift(r, e, mk.entries()[top_at])
                 assert arena.cmp_count - before <= 1
+            elif op < 0.8 and vals[0] == (math.inf, math.inf):
+                # rank 0 refilled after it emptied: one comparison at most
+                e, v = draw()
+                while e == EMPTY:
+                    e, v = draw()
+                vals[0] = v
+                mk._decrease_known_lower(0, *e)
+                assert arena.cmp_count - before <= 1
+            elif op < 0.8:
+                # rank 0 emptied: S[0] becomes S[1], for free
+                vals[0] = (math.inf, math.inf)
+                mk.clear_first()
+                assert arena.cmp_count == before
             elif n >= 2:
                 # fold M[j+1] into M[j]; every entry above j + 1 is empty
                 lo = n

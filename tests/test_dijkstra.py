@@ -351,7 +351,7 @@ def test_no_free_comparison_reaches_the_arena(monkeypatch):
 @pytest.mark.parametrize("make, pinned", [
     # every weight a fraction; the arena scales by one 23-bit denominator
     (lambda: gen_dense(16, seed=0),
-     {"workset": (14443, 4351), "fibonacci": (17877, 4351),
+     {"workset": (13502, 4351), "fibonacci": (17877, 4351),
       "binary": (19271, 4351), "pairing": (16382, 4351),
       "pipeline": (4206, 4621)}),
     # integer spokes, rim arcs of 1/2
@@ -370,7 +370,7 @@ def test_no_free_comparison_reaches_the_arena(monkeypatch):
       "binary": (41834, 4214), "pairing": (36955, 4214),
       "pipeline": (39316, 6637)}),
     (lambda: gen_broom(44, 44 * 44 - 44 - 1, seed=0),
-     {"workset": (5985, 1935), "fibonacci": (5939, 1935),
+     {"workset": (2209, 1935), "fibonacci": (5939, 1935),
       "binary": (26829, 1935), "pairing": (2162, 1935),
       "pipeline": (316, 3869)}),
     (lambda: gen_broom(45, 45 * 45 - 45 - 1, seed=0),
