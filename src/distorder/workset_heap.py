@@ -147,7 +147,6 @@ class WorkSetHeap:
         new.iv_start = t
         heaps[0] = new
         self.size += 1
-        self._streak = 0
         if H0 is None:
             # M[0] was EMPTY, so S[0] is S[1]: one comparison settles it
             M._decrease_known_lower(0, key, vertex)
@@ -155,6 +154,7 @@ class WorkSetHeap:
 
         # H0 is full or a stale residue: carry it upward, never back into
         # rank 0, whose slot the new element now holds
+        self._streak = 0
         carry = H0
         r = 1
         while True:
@@ -217,6 +217,7 @@ class WorkSetHeap:
                 M.set_entry(r_star, *EMPTY)
             else:
                 M.clear_first()
+                self._streak = 0
         else:
             m = H.min
             M.set_entry(r_star, pool.key[m], pool.vertex[m])
@@ -354,6 +355,13 @@ class WorkSetHeap:
             assert spans[b][1] < heaps[a].iv_start, (
                 f"ranks {a} and {b}: cached span starts out of order"
             )
+
+        # a streak counts extracts that left the residue in rank 0, where it
+        # still is: a fuse must not hand the count to another element
+        if self._streak:
+            H0 = heaps[0]
+            assert H0 is not None and self._residue in [
+                pool.time[n] for n in H0.iter_nodes()], "stale residue streak"
 
         M = self._M
         assert len(M) >= (occupied[-1] + 1 if occupied else 0)

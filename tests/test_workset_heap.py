@@ -306,6 +306,29 @@ def test_foreign_insert_on_every_path_keeps_the_heap(case):
     assert [h.extract_min()[1] for _ in range(len(h))] == [99, *order]
 
 
+def test_a_streak_ends_with_its_residue():
+    # rank 0 holds a residue with a full streak; once the residue is gone,
+    # a fuse that moves another lone element into rank 0 starts no streak,
+    # so the next insert takes the fast path beside it instead of a carry
+    a = WeightArena(audit=True)
+    h = WorkSetHeap(a)
+    h.insert(a.intern(50), 0)
+    h.insert(a.intern(60), 1)
+    residue = h.insert(a.intern(1000), 2)
+    for i in range(3, 3 + RESIDUE_STREAK):
+        h.insert(a.intern(i), i)
+        assert h.extract_min()[1] == i
+    assert h.rank_sizes() == [1, 2]
+    h.decrease_key(residue, a.intern(0))
+    assert h.extract_min()[1] == 2  # empties rank 0
+    assert h.extract_min()[1] == 0  # fuses rank 1's last element down
+    assert h.rank_sizes() == [1, 0]
+    h.insert(a.intern(70), 99)
+    assert h.rank_sizes() == [2, 0]
+    h.check_invariants()
+    assert [h.extract_min()[1] for _ in range(2)] == [1, 99]
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_stale_residue_stretches_keep_invariants_and_cheap_inserts(seed):
     # broom-shaped stretches: insert one small key, extract it, beside
