@@ -82,7 +82,6 @@ def run_dijkstra(g: Graph, heap_kind: str = "workset") -> DijkstraRun:
     s = g.s
     dist: list[int] = [INFINITY] * n
     token: list = [None] * n
-    finalized = [False] * n
     lo = [0] * n
     hi = [0] * n
     sssp = [-1] * n
@@ -105,12 +104,11 @@ def run_dijkstra(g: Graph, heap_kind: str = "workset") -> DijkstraRun:
     while len(q):
         du, u = q_extract()
         event += 1
-        hi[u] = event
-        finalized[u] = True
+        hi[u] = event  # nonzero from here on: u is finalized
         order.append(u)
         for i in adj[u]:
             v = heads[i]
-            if finalized[v]:
+            if hi[v]:
                 continue
             w = weights[i]
             if type(w) is not int:

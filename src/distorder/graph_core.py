@@ -320,30 +320,22 @@ def gen_family(kind: str, n: int, seed: int = 0, audit: bool = False) -> Graph:
         for i in range(1, n - 1):
             pairs.append((i, i + 1))
             values.append(Fraction(1, 2))
-    elif kind == "random_dag":
+    elif kind in ("random_dag", "random_digraph"):
+        # a random arborescence from 0, then up to 3n extra arcs: forward
+        # ones (u < v) for a DAG, any non-loop for a digraph
         seen = set()
         for v in range(1, n):
             u = rng.randrange(v)
             pairs.append((u, v))
             values.append(rng.randrange(1, 1 << 20))
             seen.add((u, v))
-        for _ in range(3 * n):
-            u = rng.randrange(n - 1) if n > 1 else 0
-            v = rng.randrange(u + 1, n)
-            if (u, v) not in seen:
-                seen.add((u, v))
-                pairs.append((u, v))
-                values.append(rng.randrange(1, 1 << 20))
-    elif kind == "random_digraph":
-        seen = set()
-        for v in range(1, n):
-            u = rng.randrange(v)
-            pairs.append((u, v))
-            values.append(rng.randrange(1, 1 << 20))
-            seen.add((u, v))
-        for _ in range(3 * n):
-            u = rng.randrange(n)
-            v = rng.randrange(n)
+        for _ in range(3 * n if n > 1 else 0):
+            if kind == "random_dag":
+                u = rng.randrange(n - 1)
+                v = rng.randrange(u + 1, n)
+            else:
+                u = rng.randrange(n)
+                v = rng.randrange(n)
             if u != v and (u, v) not in seen:
                 seen.add((u, v))
                 pairs.append((u, v))

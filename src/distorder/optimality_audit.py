@@ -157,11 +157,10 @@ def energy(coloring: IntersectingColoring) -> float:
 
 
 def verify_barrier_sequence(coloring: IntersectingColoring,
-                            explore: SpanningTree,
-                            vertex_of=None):
+                            explore: SpanningTree):
     """Check the coloring's classes, by witness time, form a barrier sequence.
 
-    Classes must be antichains of the exploration tree, and no vertex of a
+    Interval i is vertex i's, as in ``DijkstraRun.intervals``.  Classes must be antichains of the exploration tree, and no vertex of a
     later class may be an ancestor of a vertex of an earlier (or the same)
     class.  Returns None when valid, otherwise the offending pair
     ((class_i, u), (class_j, v)) with v an ancestor of u and i <= j.
@@ -170,8 +169,6 @@ def verify_barrier_sequence(coloring: IntersectingColoring,
     to "some seen entry time lies strictly inside v's interval", answered
     with two bisections against the sorted entry times seen so far.
     """
-    if vertex_of is None:
-        vertex_of = lambda i: i
     tin, tout = explore.dfs_times()
     order = sorted(range(len(coloring.classes)),
                    key=lambda c: coloring.witnesses[c])
@@ -186,7 +183,7 @@ def verify_barrier_sequence(coloring: IntersectingColoring,
         return None
 
     for c in order:
-        vs = [vertex_of(i) for i in coloring.classes[c]]
+        vs = coloring.classes[c]
         class_tins = sorted(tin[v] for v in vs)
         back = {tin[v]: v for v in vs}
         for v in vs:

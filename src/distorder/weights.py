@@ -101,19 +101,7 @@ class WeightArena:
 
     def intern(self, value) -> int:
         """Load an original weight value (int or Fraction) into a new cell."""
-        if type(value) is not int:
-            return self.intern_many((value,))[0]
-        if value < 0:
-            raise ContractViolation("weights must be nonnegative")
-        # skip identity arithmetic, so the cell shares the caller's int
-        # object instead of holding a copy
-        if self._den != 1:
-            value *= self._den
-        if self._mask:
-            value ^= self._mask
-        val = self._val
-        val.append(value)
-        return self._base + len(val) - 1
+        return self.intern_many((value,))[0]
 
     def intern_many(self, values) -> list[int]:
         """Bulk :meth:`intern`; returns the handles in order.

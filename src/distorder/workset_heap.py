@@ -132,8 +132,8 @@ class WorkSetHeap:
             # fast path: room at rank 0, whose span already reaches t
             nid = H0.insert(key, t, vertex)
             if H0.min == nid:
-                # M[0] only drops: free when S[0] is the old M[0]
-                M._decrease_known_lower(0, key, vertex)
+                # M[0] only drops: free when S[0] already points at rank 0
+                M.decrease(0, key, vertex)
             self.size += 1
             return (nid, t)
 
@@ -149,7 +149,7 @@ class WorkSetHeap:
         self.size += 1
         if H0 is None:
             # M[0] was EMPTY, so S[0] is S[1]: one comparison settles it
-            M._decrease_known_lower(0, key, vertex)
+            M.decrease(0, key, vertex)
             return (nid, t)
 
         # H0 is full or a stale residue: carry it upward, never back into
@@ -186,7 +186,7 @@ class WorkSetHeap:
         """(key, vertex) of the minimum.  O(1), no comparisons."""
         if self.size == 0:
             raise EmptyHeapError("find_min on empty heap")
-        r = self._M.min_entry()[2]
+        r = self._M.find_min()
         pool = self._pool
         nid = self._heaps[r].min
         return pool.key[nid], pool.vertex[nid]
@@ -276,7 +276,7 @@ class WorkSetHeap:
         # M[r] can only change if nid became the heap's minimum, and then
         # the new entry is already known not to exceed the old M[r]
         if heap.min == nid:
-            self._M._decrease_known_lower(r, new_key, pool.vertex[nid])
+            self._M.decrease(r, new_key, pool.vertex[nid])
 
     def _rank_at(self, t: int) -> int:
         """The rank whose heap's span holds insertion time t of a live element."""

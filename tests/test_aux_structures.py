@@ -35,22 +35,21 @@ class TestIntervalMap:
         assert u.find(2) is None
         u.remove(2, 4)  # absent: no-op
         u.set(2, 4, "later")
-        assert u.get(2, 4) == "later"
+        assert u.find(3) == (2, 4, "later")
 
-    def test_locate_components(self):
+    def test_find_in_gap(self):
         u = IntervalMap()
         u.set(0, 5, "a")
         u.set(8, 9, "b")
-        loc = u.locate(6)
-        assert loc.find is None
-        assert loc.prev[:2] == (0, 5)
-        assert loc.next[:2] == (8, 9)
+        assert u.find(6) is None
+        assert u.find(4) == (0, 5, "a")
+        assert u.find(8) == (8, 9, "b")
 
-    def test_locate_boundaries(self):
+    def test_find_boundaries(self):
         u = IntervalMap()
         u.set(0, 5, "a")
-        assert u.locate(0).find[:2] == (0, 5)  # closed on the left
-        assert u.locate(5).find is None        # open on the right
+        assert u.find(0) == (0, 5, "a")  # closed on the left
+        assert u.find(5) is None         # open on the right
 
     def test_extend_right(self):
         u = IntervalMap()
@@ -71,6 +70,11 @@ class TestIntervalMap:
         def overlaps(a, b):
             return any(a < e and s < b for s, (e, _p) in model.items())
 
+        def agrees(t):
+            want = next(((s, e, p) for s, (e, p) in model.items()
+                         if s <= t < e), None)
+            return u.find(t) == want
+
         for k, (a, ln, do_set) in enumerate(ops):
             b = a + ln
             if do_set:
@@ -84,12 +88,9 @@ class TestIntervalMap:
                 u.remove(a, b)
                 if a in model and model[a][0] == b:
                     del model[a]
-            u.check()
-            for t in (a - 1, a, b - 1, b):
-                got = u.find(t)
-                want = next(((s, e, p) for s, (e, p) in model.items()
-                             if s <= t < e), None)
-                assert got == want
+            assert all(agrees(t) for t in (a - 1, a, b - 1, b))
+        # every point, stored intervals' edges and gaps alike
+        assert all(agrees(t) for t in range(-1, 70))
 
 
 def count_runs(mk):
@@ -120,8 +121,11 @@ class TestMinKeeper:
 
     def test_decrease_increase_rejected(self):
         mk = self.fill([4, 2])
-        with pytest.raises(ContractViolation):
-            mk.decrease(1, self.arena.intern(3))
+        m, s = list(mk.entries()), list(mk._s)
+        assert mk.decrease_if_lower(1, self.arena.intern(3)) is False
+        assert mk.entries() == m and mk._s == s
+        assert mk.decrease_if_lower(0, self.arena.intern(1)) is True
+        assert mk.find_min() == 0
 
     def test_change_prefix_examples(self):
         mk = self.fill([9, 7, 8])
@@ -188,7 +192,7 @@ class TestMinKeeper:
         assert mk.entries()[0] == EMPTY and mk.find_min() == 2
         mk.check()  # compares on the arena
         c0 = a.cmp_count
-        mk._decrease_known_lower(0, *m[0])
+        mk.decrease(0, *m[0])
         assert a.cmp_count == c0 + 1 and mk.find_min() == 0
         mk.check()
         # an EMPTY S[1] leaves M[0] itself the leftmost EMPTY; M of one too
@@ -197,7 +201,7 @@ class TestMinKeeper:
             mk.change_prefix(entries)
             c0 = a.cmp_count
             mk.clear_first()
-            mk._decrease_known_lower(0, *m[1])
+            mk.decrease(0, *m[1])
             assert a.cmp_count == c0 and mk.find_min() == 0
             mk.clear_first()
             mk.check()
@@ -280,7 +284,7 @@ class TestMinKeeper:
                 while e == EMPTY:
                     e, v = draw()
                 vals[0] = v
-                mk._decrease_known_lower(0, *e)
+                mk.decrease(0, *e)
                 assert arena.cmp_count - before <= 1
             elif op < 0.8:
                 # rank 0 emptied: S[0] becomes S[1], for free

@@ -203,6 +203,13 @@ class TestFamilies:
         with pytest.raises(UsageError):
             gen_family("torus", 5)
 
+    @pytest.mark.parametrize("kind", ["star", "path", "fan", "random_dag",
+                                      "random_digraph"])
+    def test_one_vertex_family(self, kind):
+        g = gen_family(kind, 1, seed=3)
+        assert (g.n, g.m) == (1, 0)
+        assert run_dijkstra(g).linearization == [0]
+
     @pytest.mark.parametrize("kind", ["random_dag", "random_digraph"])
     def test_random_families_reachable_and_positive(self, kind):
         g = gen_family(kind, 40, seed=6, audit=True)
