@@ -10,8 +10,9 @@ the same comparison discipline; they are not used by the working-set heap.
 
 Heap order is min by ``arena.compare`` with ties broken by vertex id, which
 makes every extraction sequence deterministic and lets independent oracles
-predict it exactly.  A key entering an empty queue is checked to be a handle
-of the queue's arena, since no comparison does it.
+predict it exactly.  Every key entering a queue is checked to be a handle of
+the queue's arena, by a free range test, so no later comparison can raise on
+it and no insert needs to undo a half-made change.
 """
 
 from __future__ import annotations
@@ -338,8 +339,7 @@ class FibonacciQueue:
     def insert(self, key: int, vertex: int) -> tuple[int, int]:
         """Insert (key, vertex); returns a (node id, insertion time) handle."""
         heap = self._heap
-        if not heap.size:
-            heap.arena.check_handle(key)
+        heap.arena.check_handle(key)
         t = self._time + 1
         self._time = t
         return heap.insert(key, t, vertex), t
@@ -380,23 +380,15 @@ class BinaryQueue:
         return self._vtx[a] < self._vtx[b]
 
     def insert(self, key: int, vertex: int) -> int:
+        self._arena.check_handle(key)
         heap = self._heap
         i = len(heap)
-        if not i:
-            self._arena.check_handle(key)
         eid = len(self._key)
         self._key.append(key)
         self._vtx.append(vertex)
         self._pos.append(i)
         heap.append(eid)
-        if i:
-            try:
-                self._bubble_up(i)
-            except ContractViolation:
-                # only the first comparison can raise, before anything moved
-                for lst in (self._key, self._vtx, self._pos, heap):
-                    lst.pop()
-                raise
+        self._bubble_up(i)
         return eid
 
     def decrease_key(self, eid: int, key: int) -> None:
@@ -495,26 +487,15 @@ class PairingQueue:
         return a
 
     def insert(self, key: int, vertex: int) -> int:
+        self._arena.check_handle(key)
         root = self._root
-        if root == _NIL:
-            self._arena.check_handle(key)
         eid = len(self._key)
         self._key.append(key)
         self._vtx.append(vertex)
         self._child.append(_NIL)
         self._sib.append(_NIL)
         self._prev.append(_NIL)
-        if root == _NIL:
-            self._root = eid
-        else:
-            try:
-                self._root = self._link(root, eid)
-            except ContractViolation:
-                # only _link's comparison can raise, before anything moved
-                for lst in (self._key, self._vtx, self._child, self._sib,
-                            self._prev):
-                    lst.pop()
-                raise
+        self._root = eid if root == _NIL else self._link(root, eid)
         self._size += 1
         return eid
 

@@ -168,10 +168,13 @@ class LazyMin:
 def deduplicate(g: Graph):
     """Collapse parallel arcs into lazy-minimum groups.
 
-    Returns (simple graph, groups).  A group's LazyMin is both the new arc's
-    weight and its origin; it names the winning member once resolved.  Costs
-    zero comparisons now.
+    Returns (simple graph, groups); a graph without parallel arcs is returned
+    as it is, with no groups.  A group's LazyMin is both the new arc's weight
+    and its origin; it names the winning member once resolved.  Costs zero
+    comparisons now.
     """
+    if not _has_parallel_arcs(g):
+        return g, []
     groups: dict[tuple[int, int], list[int]] = {}
     for i, key in enumerate(zip(g.tails, g.heads)):
         if key in groups:
@@ -231,7 +234,7 @@ def contract_chains(g: Graph, dom: DominatorTree):
     and that no edge skips from a chain vertex into the child's subtree.
     Chain heads and vertices in no chain become core vertices 0, 1, ... in
     id order.  Returns (graph, chains, the origins of the contracted chain
-    edges).
+    edges, rep), where rep[k] is the input vertex behind core vertex k.
     """
     n = g.n
     children_count = [0] * n
@@ -295,12 +298,12 @@ def contract_chains(g: Graph, dom: DominatorTree):
     # number heads and non-chain vertices first: an interior may have a
     # smaller id than its chain head
     phi = [-1] * n
-    nxt = 0
+    rep: list[int] = []
     for v in range(n):
         ci = in_chain[v]
         if ci < 0 or chains[ci][0] == v:
-            phi[v] = nxt
-            nxt += 1
+            phi[v] = len(rep)
+            rep.append(v)
     for chain in chains:
         for v in chain[1:]:
             phi[v] = phi[chain[0]]
@@ -322,8 +325,8 @@ def contract_chains(g: Graph, dom: DominatorTree):
         heads.append(phi[v])
         weights.append(w)
         origin.append(g.origin[i])
-    g2 = Graph(nxt, True, phi[g.s], arena, tails, heads, weights, origin)
-    return g2, chains, chain_origin
+    g2 = Graph(len(rep), True, phi[g.s], arena, tails, heads, weights, origin)
+    return g2, chains, chain_origin, rep
 
 
 # -- merging and tree DP -----------------------------------------------------
@@ -424,22 +427,18 @@ def tree_dp_linearize(tree: SpanningTree, dist: list[int],
     return lists[tree.root]
 
 
-def merge_chains(core_order: list[int], chains: list[list[int]],
-                 dist: list[int], arena: WeightArena) -> list[int]:
+def merge_chains(core_order: list[int], rep: list[int],
+                 chains: list[list[int]], dist: list[int],
+                 arena: WeightArena) -> list[int]:
     """Linearize the input graph from the core Dijkstra's extraction order.
 
-    Core id k stands for the k-th input vertex that is not a chain interior
-    (see ``contract_chains``).  Each chain's interiors are sorted already
-    and belong after their head: the last head goes first, so earlier heads
-    keep their positions.  One comparison splices the interiors in when they
-    all precede everything after the head; otherwise Hwang-Lin merges them
-    in, existing elements first on ties.
+    Core id k stands for input vertex rep[k], as ``contract_chains`` numbered
+    them.  Each chain's interiors are sorted already and belong after their
+    head: the last head goes first, so earlier heads keep their positions.
+    One comparison splices the interiors in when they all precede everything
+    after the head; otherwise Hwang-Lin merges them in, existing elements
+    first on ties.
     """
-    interior = [False] * len(dist)
-    for chain in chains:
-        for v in chain[1:]:
-            interior[v] = True
-    rep = [v for v, is_inner in enumerate(interior) if not is_inner]
     lin = [rep[c] for c in core_order]
     pos = {v: i for i, v in enumerate(lin)}
     compare = arena.compare
@@ -480,17 +479,11 @@ def run_pipeline(g: Graph) -> PipelineResult:
     arena = g.arena
     cmp0, add0 = arena.counters()
 
-    if _has_parallel_arcs(g):
-        g0, lazies0 = deduplicate(g)
-    else:
-        g0, lazies0 = g, []
+    g0, lazies0 = deduplicate(g)
     dom = dominator_tree(g0)
     g1 = drop_back_edges(g0, dom)
-    g2, chains, chain_origin = contract_chains(g1, dom)
-    if _has_parallel_arcs(g2):
-        g3, lazies3 = deduplicate(g2)
-    else:
-        g3, lazies3 = g2, []
+    g2, chains, chain_origin, rep = contract_chains(g1, dom)
+    g3, lazies3 = deduplicate(g2)
     run = run_dijkstra(g3, "workset")
 
     # uncontract: follow each tree arc's origin down to an input arc; every
@@ -510,7 +503,7 @@ def run_pipeline(g: Graph) -> PipelineResult:
     cmp_sssp = arena.cmp_count - cmp0
 
     dist = tree_distances(g, tree, parent_arc)
-    lin = merge_chains(run.linearization, chains, dist, arena)
+    lin = merge_chains(run.linearization, rep, chains, dist, arena)
     cmp1, add1 = arena.counters()
     return PipelineResult(
         tree=tree,

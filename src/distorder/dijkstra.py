@@ -25,19 +25,16 @@ from .graph_core import Graph, SpanningTree
 from .weights import INFINITY
 from .workset_heap import WorkSetHeap
 
-HEAP_KINDS = ("workset", "fibonacci", "binary", "pairing")
+QUEUES = {"workset": WorkSetHeap, "fibonacci": FibonacciQueue,
+          "binary": BinaryQueue, "pairing": PairingQueue}
+HEAP_KINDS = tuple(QUEUES)
 
 
 def make_queue(kind: str, arena):
-    if kind == "workset":
-        return WorkSetHeap(arena)
-    if kind == "fibonacci":
-        return FibonacciQueue(arena)
-    if kind == "binary":
-        return BinaryQueue(arena)
-    if kind == "pairing":
-        return PairingQueue(arena)
-    raise UsageError(f"unknown heap kind {kind!r}")
+    cls = QUEUES.get(kind)
+    if cls is None:
+        raise UsageError(f"unknown heap kind {kind!r}")
+    return cls(arena)
 
 
 class DijkstraRun:

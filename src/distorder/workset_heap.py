@@ -123,6 +123,7 @@ class WorkSetHeap:
 
         At most two comparisons: one in an inner heap, one for S[0].
         """
+        self.arena.check_handle(key)
         t = self._next_time
         self._next_time = t + 1
         heaps = self._heaps
@@ -137,9 +138,6 @@ class WorkSetHeap:
             self.size += 1
             return (nid, t)
 
-        # both paths below fill slot 0 before any comparison meets the new
-        # key, and an empty heap compares it with nothing
-        self.arena.check_handle(key)
         pool = self._pool
         spares = self._spares
         new = spares.pop() if spares else FibonacciHeap(pool, self.arena)

@@ -197,44 +197,30 @@ def _storage(q):
             if isinstance(lst, list)}
 
 
-@pytest.mark.parametrize("kind", HEAP_KINDS)
-def test_foreign_insert_raises_and_keeps_the_queue(kind):
-    arena = WeightArena()
-    q = make_queue(kind, arena)
-    oracle = SortedReplayOracle()
-    for ident, v in enumerate((5, 3, 8)):
-        q.insert(arena.intern(v), ident)
-        oracle.insert(v, ident)
-    slots = _storage(q)
-    with pytest.raises(ContractViolation):
-        q.insert(WeightArena().intern(1), 3)
-    assert _storage(q) == slots
-    for ident, v in ((4, 4), (5, 9), (6, 1)):
-        q.insert(arena.intern(v), ident)
-        oracle.insert(v, ident)
-    assert len(q) == len(oracle)
-    while len(oracle):
-        assert q.extract_min()[1] == oracle.extract_min()[1]
-    assert len(q) == 0
-
-
 def _drain(q, oracle):
     while len(oracle):
         assert q.extract_min()[1] == oracle.extract_min()[1]
     assert len(q) == 0
 
 
+@pytest.mark.parametrize("size", [0, 3])
+@pytest.mark.parametrize("bad", ["foreign", 2.5, None])
 @pytest.mark.parametrize("kind", HEAP_KINDS)
-def test_foreign_first_insert_raises_and_keeps_the_queue(kind):
-    # no comparison meets the first key of an empty queue, so the queue
-    # checks its arena itself
+def test_foreign_insert_raises_and_keeps_the_queue(kind, bad, size):
+    # a key the arena did not issue is refused before the queue changes,
+    # whether or not a comparison would have met it
     arena = WeightArena()
     q = make_queue(kind, arena)
     oracle = SortedReplayOracle()
-    with pytest.raises(ContractViolation):
-        q.insert(WeightArena().intern(1), 0)
-    assert len(q) == 0
-    for ident, v in ((1, 5), (2, 3), (3, 8)):
+    for ident, v in enumerate((5, 3, 8)[:size]):
+        q.insert(arena.intern(v), ident)
+        oracle.insert(v, ident)
+    slots = _storage(q)
+    key = WeightArena().intern(1) if bad == "foreign" else bad
+    with pytest.raises((ContractViolation, TypeError)):
+        q.insert(key, size)
+    assert len(q) == size and _storage(q) == slots
+    for ident, v in ((4, 4), (5, 9), (6, 1)):
         q.insert(arena.intern(v), ident)
         oracle.insert(v, ident)
     _drain(q, oracle)
