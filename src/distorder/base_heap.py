@@ -10,9 +10,11 @@ the same comparison discipline; they are not used by the working-set heap.
 
 Heap order is min by ``arena.compare`` with ties broken by vertex id, which
 makes every extraction sequence deterministic and lets independent oracles
-predict it exactly.  Every key entering a queue is checked to be a handle of
-the queue's arena, by a free range test, so no later comparison can raise on
-it and no insert needs to undo a half-made change.
+predict it exactly.  Every key entering a queue, by insert or decrease-key,
+is checked to be a handle of the queue's arena, by a free range test, so no
+later comparison can raise on it and no operation needs to undo a half-made
+change.  A decrease-key settles its "would increase" guard with the
+comparison that moves the element, when it moves.
 """
 
 from __future__ import annotations
@@ -249,20 +251,38 @@ class FibonacciHeap:
         self.min = mn
 
     def decrease_key(self, nid: int, new_key: int) -> None:
-        """Lower a node's key.  Raising it is a contract violation."""
+        """Lower a node's key.  Raising it is a contract violation.
+
+        The comparison that decides the move settles the increase guard too:
+        a child is compared with its parent first, a root that is not the
+        minimum with the minimum, and if the new key comes first it is at
+        most that key, which is at most the old one.  Only a node that stays
+        put, or already is the minimum, pays a comparison against its old
+        key.  The guard runs before any write.
+        """
         pool = self.pool
-        if self.arena.compare(new_key, pool.key[nid]) > 0:
-            raise ContractViolation("decrease_key would increase the key")
-        pool.key[nid] = new_key
+        key, vertex = pool.key, pool.vertex
+        compare = self.arena.compare
         p = pool.parent[nid]
         if p != _NIL:
-            if self._less(nid, p):
+            c = compare(new_key, key[p])
+            if c < 0 or (c == 0 and vertex[nid] < vertex[p]):
+                key[nid] = new_key
                 self._cut(nid, p)
                 self._cascading_cut(p)
                 if self._less(nid, self.min):
                     self.min = nid
-        elif nid != self.min and self._less(nid, self.min):
-            self.min = nid
+                return
+        elif nid != self.min:
+            m = self.min
+            c = compare(new_key, key[m])
+            if c < 0 or (c == 0 and vertex[nid] < vertex[m]):
+                key[nid] = new_key
+                self.min = nid
+                return
+        if compare(new_key, key[nid]) > 0:
+            raise ContractViolation("decrease_key would increase the key")
+        key[nid] = new_key
 
     def _cut(self, nid: int, p: int) -> None:
         pool = self.pool
@@ -345,6 +365,7 @@ class FibonacciQueue:
         return heap.insert(key, t, vertex), t
 
     def decrease_key(self, handle: tuple[int, int], key: int) -> None:
+        self._heap.arena.check_handle(key)
         nid, t = handle
         if self._heap.pool.time[nid] != t:
             raise ContractViolation("stale handle: element already extracted")
@@ -388,16 +409,35 @@ class BinaryQueue:
         self._vtx.append(vertex)
         self._pos.append(i)
         heap.append(eid)
-        self._bubble_up(i)
+        self._bubble_up(i, eid)
         return eid
 
     def decrease_key(self, eid: int, key: int) -> None:
-        if self._pos[eid] < 0:
+        """Lower an element's key.  Raising it is a contract violation.
+
+        The first bubble-up step settles the guard: a key that comes before
+        the parent's is at most the parent's, hence at most the old one.  Only
+        the root, or an element that stays put, pays a comparison against its
+        old key.  The guard runs before any write.
+        """
+        self._arena.check_handle(key)
+        i = self._pos[eid]
+        if i < 0:
             raise ContractViolation("stale handle: element already extracted")
+        if i:
+            heap = self._heap
+            par = (i - 1) >> 1
+            p = heap[par]
+            c = self._arena.compare(key, self._key[p])
+            if c < 0 or (c == 0 and self._vtx[eid] < self._vtx[p]):
+                self._key[eid] = key
+                heap[i] = p
+                self._pos[p] = i
+                self._bubble_up(par, eid)
+                return
         if self._arena.compare(key, self._key[eid]) > 0:
             raise ContractViolation("decrease_key would increase the key")
         self._key[eid] = key
-        self._bubble_up(self._pos[eid])
 
     def find_min(self) -> tuple[int, int]:
         if not self._heap:
@@ -418,9 +458,9 @@ class BinaryQueue:
             self._sift_down(0)
         return self._key[top], self._vtx[top]
 
-    def _bubble_up(self, i: int) -> None:
+    def _bubble_up(self, i: int, x: int) -> None:
+        """Move element x up from the hole at slot i and put it in place."""
         heap, pos = self._heap, self._pos
-        x = heap[i]
         while i > 0:
             par = (i - 1) >> 1
             p = heap[par]
@@ -478,7 +518,10 @@ class PairingQueue:
     def _link(self, a: int, b: int) -> int:
         if self._less(b, a):
             a, b = b, a
-        # b becomes a's first child
+        return self._adopt(a, b)
+
+    def _adopt(self, a: int, b: int) -> int:
+        """Make b a's first child; returns a.  No comparison."""
         self._sib[b] = self._child[a]
         if self._child[a] != _NIL:
             self._prev[self._child[a]] = b
@@ -500,12 +543,28 @@ class PairingQueue:
         return eid
 
     def decrease_key(self, eid: int, key: int) -> None:
-        if eid != self._root and self._prev[eid] == _NIL:
+        """Lower an element's key.  Raising it is a contract violation.
+
+        A non-root element is compared with the root first.  If it comes
+        first, its new key is at most the root's, hence at most its old one,
+        and it becomes the root; otherwise it pays the guard against its old
+        key and becomes the root's first child.  Either way the link's outcome
+        is known, so a decrease costs one comparison, or two when the element
+        stays below the root.  The guard runs before any write.
+        """
+        self._arena.check_handle(key)
+        root = self._root
+        if eid == root:
+            moves = False
+        elif self._prev[eid] == _NIL:
             raise ContractViolation("stale handle: element already extracted")
-        if self._arena.compare(key, self._key[eid]) > 0:
+        else:
+            c = self._arena.compare(key, self._key[root])
+            moves = c < 0 or (c == 0 and self._vtx[eid] < self._vtx[root])
+        if not moves and self._arena.compare(key, self._key[eid]) > 0:
             raise ContractViolation("decrease_key would increase the key")
         self._key[eid] = key
-        if eid == self._root:
+        if eid == root:
             return
         # detach eid from its parent's child list
         p, s = self._prev[eid], self._sib[eid]
@@ -517,7 +576,7 @@ class PairingQueue:
             self._prev[s] = p
         self._sib[eid] = _NIL
         self._prev[eid] = _NIL
-        self._root = self._link(self._root, eid)
+        self._root = self._adopt(eid, root) if moves else self._adopt(root, eid)
 
     def find_min(self) -> tuple[int, int]:
         if self._root == _NIL:

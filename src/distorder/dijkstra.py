@@ -1,9 +1,11 @@
 """Dijkstra's algorithm, generic over the priority queue.
 
 Vertices are inserted lazily: the first relaxation of v inserts it with its
-first tentative distance, so no queue is handed a +infinity key.  Every
-later relaxation of a non-finalized endpoint calls decrease-key, even when
-the key did not improve, and edges into finalized vertices are never touched.
+first tentative distance, so no queue is handed a +infinity key.  A later
+relaxation of a non-finalized endpoint costs one comparison against its
+tentative distance and calls decrease-key only when that strictly improves
+it, so a queue never sees a decrease that changes nothing.  Edges into
+finalized vertices are never touched.
 
 Each run records, besides the linearization, distances and both trees:
 
@@ -125,7 +127,7 @@ def run_dijkstra(g: Graph, heap_kind: str = "workset") -> DijkstraRun:
                     dist[v] = nd
                     sssp[v] = u
                     sssp_arc[v] = i
-                q_decrease(token[v], dist[v])
+                    q_decrease(token[v], nd)
 
     cmp1, add1 = arena.counters()
     run = DijkstraRun(

@@ -263,7 +263,13 @@ class WorkSetHeap:
         return key, vertex
 
     def decrease_key(self, handle: tuple[int, int], new_key: int) -> None:
-        """Lower an element's key.  Amortized O(1) comparisons."""
+        """Lower an element's key.  Amortized O(1) comparisons.
+
+        The inner heap's move comparison settles the increase guard (see
+        :meth:`FibonacciHeap.decrease_key`), and raising a key is refused
+        before anything is written.
+        """
+        self.arena.check_handle(new_key)
         nid, t = handle
         pool = self._pool
         if pool.time[nid] != t:

@@ -226,6 +226,88 @@ def test_foreign_insert_raises_and_keeps_the_queue(kind, bad, size):
     _drain(q, oracle)
 
 
+@pytest.mark.parametrize("bad", ["foreign", 2.5, None])
+@pytest.mark.parametrize("kind", HEAP_KINDS)
+def test_bad_decrease_key_raises_and_keeps_the_queue(kind, bad):
+    # the key is checked before the first comparison, which meets a parent
+    # or the root rather than the element's own key; None cannot be range
+    # tested and fails as a TypeError, before any write all the same
+    arena = WeightArena()
+    q = make_queue(kind, arena)
+    oracle = SortedReplayOracle()
+    token = {}
+    for ident, v in enumerate((5, 3, 8)):
+        token[ident] = q.insert(arena.intern(v), ident)
+        oracle.insert(v, ident)
+    key = WeightArena().intern(1) if bad == "foreign" else bad
+    for ident in token:
+        with pytest.raises(ContractViolation if bad is not None
+                           else (ContractViolation, TypeError)):
+            q.decrease_key(token[ident], key)
+        assert len(q) == 3
+    q.decrease_key(token[2], arena.intern(4))
+    oracle.decrease(2, 4)
+    _drain(q, oracle)
+
+
+def _guard_target(q, kind, path, tokens, live):
+    """A live vertex whose decrease-key takes the named path."""
+    for v in live:
+        if kind == "binary":
+            fits = (q._pos[tokens[v]] == 0) == (path == "root")
+        elif kind == "pairing":
+            fits = (q._root == tokens[v]) == (path == "root")
+        elif kind == "workset":
+            fits = (q._rank_at(tokens[v][1]) > 0) == (path == "higher-rank")
+        else:
+            heap = q._heap
+            nid = tokens[v][0]
+            on_root_ring = heap.pool.parent[nid] == -1
+            fits = {"child": not on_root_ring,
+                    "root": on_root_ring and nid != heap.min,
+                    "min": nid == heap.min}[path]
+        if fits:
+            return v
+    raise AssertionError(f"no {kind} element takes the {path} path")
+
+
+_GUARD_PATHS = [
+    ("fibonacci", "child"), ("fibonacci", "root"), ("fibonacci", "min"),
+    ("binary", "root"), ("binary", "non-root"),
+    ("pairing", "root"), ("pairing", "non-root"),
+    ("workset", "rank-0"), ("workset", "higher-rank"),
+]
+
+
+@pytest.mark.parametrize("kind, path", _GUARD_PATHS,
+                         ids=[f"{k}-{p}" for k, p in _GUARD_PATHS])
+def test_increase_is_refused_before_any_write_on_every_path(kind, path):
+    # 8 inserts and one extract leave every path reachable: Fibonacci trees
+    # of degree 2, 1 and 0, binary and pairing roots with descendants, and
+    # workset elements in rank 0 and above it.  An increase must raise
+    # whether or not the element would move, and must leave its key alone.
+    arena = WeightArena(audit=True, mask_seed=3)
+    q = make_queue(kind, arena)
+    oracle = SortedReplayOracle()
+    values = [6, 2, 9, 4, 7, 1, 8, 5]
+    tokens = []
+    for ident, v in enumerate(values):
+        tokens.append(q.insert(arena.intern(v), ident))
+        oracle.insert(v, ident)
+    gone = q.extract_min()[1]
+    assert gone == oracle.extract_min()[1]
+    live = [v for v in range(len(values)) if v != gone]
+    ident = _guard_target(q, kind, path, tokens, live)
+    with pytest.raises(ContractViolation, match="would increase"):
+        q.decrease_key(tokens[ident], arena.intern(values[ident] + 10))
+    assert len(q) == 7
+    while len(oracle):
+        key, got = q.extract_min()
+        v, want = oracle.extract_min()
+        assert (got, arena.audit_value(key)) == (want, v)
+    assert len(q) == 0
+
+
 @pytest.mark.parametrize("kind", HEAP_KINDS)
 def test_foreign_decrease_of_an_infinite_key_raises_and_keeps_the_queue(kind):
     arena = WeightArena()
@@ -337,9 +419,9 @@ def test_no_free_comparison_reaches_the_arena(monkeypatch):
 @pytest.mark.parametrize("make, pinned", [
     # every weight a fraction; the arena scales by one 23-bit denominator
     (lambda: gen_dense(16, seed=0),
-     {"workset": (13502, 4351), "fibonacci": (17877, 4351),
-      "binary": (19271, 4351), "pairing": (16382, 4351),
-      "pipeline": (4206, 4621)}),
+     {"workset": (12641, 4351), "fibonacci": (15435, 4351),
+      "binary": (16481, 4351), "pairing": (16380, 4351),
+      "pipeline": (4196, 4621)}),
     # integer spokes, rim arcs of 1/2
     (lambda: gen_family("fan", 200, seed=0),
      {"workset": (2871, 397), "fibonacci": (1508, 397),
@@ -347,14 +429,14 @@ def test_no_free_comparison_reaches_the_arena(monkeypatch):
       "pipeline": (2871, 596)}),
     # a common denominator past the arena's bound: unscaled cells
     (prime_denominator_graph,
-     {"workset": (38698, 3989), "fibonacci": (31866, 3989),
-      "binary": (41321, 3989), "pairing": (35645, 3989),
-      "pipeline": (38774, 6461)}),
+     {"workset": (36110, 3989), "fibonacci": (29279, 3989),
+      "binary": (38654, 3989), "pairing": (31467, 3989),
+      "pipeline": (35952, 6461)}),
     # integer weights: the baselines next to the working-set heap
     (lambda: gen_family("random_digraph", 2000, seed=0),
-     {"workset": (39575, 4214), "fibonacci": (32568, 4214),
-      "binary": (41834, 4214), "pairing": (36955, 4214),
-      "pipeline": (39316, 6637)}),
+     {"workset": (36227, 4214), "fibonacci": (29228, 4214),
+      "binary": (38424, 4214), "pairing": (31072, 4214),
+      "pipeline": (35804, 6637)}),
     (lambda: gen_broom(44, 44 * 44 - 44 - 1, seed=0),
      {"workset": (2209, 1935), "fibonacci": (5939, 1935),
       "binary": (26829, 1935), "pairing": (2162, 1935),
@@ -378,12 +460,14 @@ def test_pinned_counts_on_rational_weights(make, pinned):
 
 
 class _SpyQueue:
-    """Forwards to a real queue and records every key handed to it."""
+    """Forwards to a real queue and records every key handed to it: inserted
+    keys, and (previous key, new key) pairs for decreases."""
 
     def __init__(self, q, inserted, decreased):
         self._q = q
         self._inserted = inserted
         self._decreased = decreased
+        self._key = {}
 
     def __len__(self):
         return len(self._q)
@@ -393,11 +477,21 @@ class _SpyQueue:
 
     def insert(self, key, vertex):
         self._inserted.append(key)
-        return self._q.insert(key, vertex)
+        token = self._q.insert(key, vertex)
+        self._key[token] = key
+        return token
 
     def decrease_key(self, token, key):
-        self._decreased.append(key)
+        self._decreased.append((self._key[token], key))
+        self._key[token] = key
         self._q.decrease_key(token, key)
+
+
+def _spy_on_queues(monkeypatch, inserted, decreased):
+    real = dijkstra_module.make_queue
+    monkeypatch.setattr(
+        dijkstra_module, "make_queue",
+        lambda k, arena: _SpyQueue(real(k, arena), inserted, decreased))
 
 
 @pytest.mark.parametrize("kind", HEAP_KINDS)
@@ -406,15 +500,32 @@ def test_each_vertex_is_inserted_once_with_a_finite_key(kind, monkeypatch):
               lambda: gen_family("random_digraph", 200, seed=0)]
     plain = [run_dijkstra(make(), kind).comparisons for make in makers]
     inserted, decreased = [], []
-    real = dijkstra_module.make_queue
-    monkeypatch.setattr(
-        dijkstra_module, "make_queue",
-        lambda k, arena: _SpyQueue(real(k, arena), inserted, decreased))
+    _spy_on_queues(monkeypatch, inserted, decreased)
     for make, comparisons in zip(makers, plain):
         inserted.clear()
         decreased.clear()
         g = make()
         run = run_dijkstra(g, kind)
         assert len(inserted) == g.n
-        assert INFINITY not in inserted and INFINITY not in decreased
+        assert INFINITY not in inserted
+        assert all(new != INFINITY for _old, new in decreased)
+        assert run.comparisons == comparisons
+
+
+@pytest.mark.parametrize("kind", HEAP_KINDS)
+def test_every_decrease_key_strictly_lowers_the_key(kind, monkeypatch):
+    # the relaxation's own comparison decides; a queue never sees a decrease
+    # that leaves the key as it was, and spying costs no comparison
+    makers = [lambda: gen_family("random_digraph", 200, seed=0, audit=True),
+              lambda: gen_dense(4, seed=0, audit=True)]
+    plain = [run_dijkstra(make(), kind).comparisons for make in makers]
+    inserted, decreased = [], []
+    _spy_on_queues(monkeypatch, inserted, decreased)
+    for make, comparisons in zip(makers, plain):
+        decreased.clear()
+        g = make()
+        run = run_dijkstra(g, kind)
+        value = g.arena.audit_value
+        assert decreased
+        assert all(value(new) < value(old) for old, new in decreased)
         assert run.comparisons == comparisons
