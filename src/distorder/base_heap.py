@@ -518,10 +518,7 @@ class PairingQueue:
     def _link(self, a: int, b: int) -> int:
         if self._less(b, a):
             a, b = b, a
-        return self._adopt(a, b)
-
-    def _adopt(self, a: int, b: int) -> int:
-        """Make b a's first child; returns a.  No comparison."""
+        # b becomes a's first child
         self._sib[b] = self._child[a]
         if self._child[a] != _NIL:
             self._prev[self._child[a]] = b
@@ -576,7 +573,15 @@ class PairingQueue:
             self._prev[s] = p
         self._sib[eid] = _NIL
         self._prev[eid] = _NIL
-        self._root = self._adopt(eid, root) if moves else self._adopt(root, eid)
+        # the link's outcome is known: b becomes a's first child, as in _link
+        a, b = (eid, root) if moves else (root, eid)
+        c = self._child[a]
+        self._sib[b] = c
+        if c != _NIL:
+            self._prev[c] = b
+        self._child[a] = b
+        self._prev[b] = a
+        self._root = a
 
     def find_min(self) -> tuple[int, int]:
         if self._root == _NIL:
