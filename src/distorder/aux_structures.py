@@ -1,16 +1,19 @@
 """Auxiliary structures for the working-set heap.
 
 * :class:`MinKeeper` maintains an array M of keyed entries, one per heap
-  rank, plus the array S of suffix-minimum witnesses: S[i] is the index of
-  the leftmost minimum of M[i:], so the global minimum's index is S[0] and
-  each suffix minimum's value is read from M, never stored twice.  Both
-  are plain lists: they never hold more than a handful of entries, and a
-  run of equal suffix minima is a stretch of equal indices in S.  The
-  heap's carries and fuses move whole entries between ranks, so S is
-  shifted or collapsed along with M instead of recomputed: a carry costs
-  at most one comparison here and a fuse none, and S's witnesses settle
-  for free which of two adjacent ranks' minima comes first
-  (:meth:`MinKeeper.order`).
+  rank, and where their minima lie.  The top entry M[T], T = len(M) - 1,
+  is kept apart: L[i] is the index of the leftmost minimum of the lower
+  entries M[i:T], j is the first position whose L the top beats, and a
+  bitmask marks the positions of L that may be stale, all at or above j,
+  where nothing reads them.  The suffix-minimum witnesses S of all of M
+  (S[i] the index of the leftmost minimum of M[i:]) follow for free: S[i] =
+  L[i] below j and T from j on.  So the global minimum's index is S[0] and
+  each minimum's value is read from M, never stored twice.  L is a plain
+  list: it never holds more than a handful of entries, and a run of equal
+  suffix minima is a stretch of equal indices in it.  The heap's carries and
+  fuses move whole entries between ranks, so L is shifted or collapsed
+  along with M instead of recomputed, and S's witnesses settle for free
+  which of two adjacent ranks' minima comes first (:meth:`MinKeeper.order`).
 * :class:`IntervalMap` stores right-open, pairwise non-overlapping integer
   intervals with attached payloads and answers point queries by bisection.
   The working-set heap no longer uses it (each inner heap caches its own
@@ -23,6 +26,18 @@ id) get one without extra weight comparisons.  Empty ranks hold the EMPTY
 entry, above every live one, +inf keys included; the suffix-minimum loops
 test each side for +inf with an int comparison and settle those cases with
 ``arena.compare_inf``, never ``arena.compare``.
+
+Comparison costs.  A carry costs at most one comparison here and a fuse
+none, and emptying M[0] none.  A drop of a lower entry walks L leftward one
+run per comparison, or, where the top already comes first, compares with the
+top alone and marks L stale.  A change of a lower entry M[i] rebuilds L[0..i]
+at one comparison per position, as many as rebuilding S[0..i] would.  A
+change of the top, which is what an extract from the top rank makes,
+refreshes each stale position at one comparison and then compares the top
+with L's runs from position 0 until it beats one: on random graphs about 1.6
+comparisons in all, where rebuilding S[0..T] would pay T.  A change of
+M[T-1] rebuilds all of L, T - 1 comparisons, and then looks for j the same
+way, so it pays the T of a rebuild of S whenever the top beats L[0]'s run.
 """
 
 from __future__ import annotations
@@ -95,27 +110,46 @@ class IntervalMap:
 
 
 class MinKeeper:
-    """Array M of (handle, tiebreak) entries plus the suffix minima S of M.
+    """Array M of (handle, tiebreak) entries and where the minima of M lie.
 
     Entries are ordered by the arena comparison on handles, ties by the
-    integer tiebreak.  Both arrays are plain lists of equal length: M[i] is
-    a (handle, tiebreak) pair and S[i] is the index of the leftmost minimum
-    of M[i:], so ``find_min`` is a single O(1) read and S's witnesses never
-    decrease along S.  A maximal stretch of equal indices in S is a run;
-    ``decrease`` walks S leftward one run at a time, paying one comparison
-    per run, and is amortized O(1) by the usual distinct-run potential.
-    ``shift`` and ``collapse`` move entries between slots and remap S's
-    indices with them; ``shift`` pays at most one comparison and
-    ``collapse`` none.  ``clear_first`` empties M[0] for free, and
-    refilling an EMPTY M[0] with ``decrease`` pays at most one comparison.
+    integer tiebreak; on a full tie the leftmost entry comes first.  With
+    T = len(M) - 1 the top entry M[T] is kept apart from the lower ones:
+
+    * L[i], for i < T, is the index of the leftmost minimum of M[i:T], the
+      suffix minima of the lower entries alone, so L[T-1] = T-1;
+    * j is the least i < T at which the top beats M[L[i]], T if none; the
+      top beats L[i] exactly for i >= j, since L's minima only rise with i;
+    * a bitmask marks the positions of L that may be stale.  They all lie
+      in [j, T-1), where nothing reads L.
+
+    The suffix minima S of M (S[i] the index of the leftmost minimum of
+    M[i:]) follow for free: S[i] = L[i] for i < j and T from j on, so
+    ``find_min`` (S[0]) and ``order`` are O(1) reads and S's witnesses never
+    decrease.  A maximal stretch of equal witnesses is a run; a run ends at
+    its witness.
+
+    Costs, in comparisons.  ``decrease`` pays one per run it walks leftward
+    (amortized O(1) by the usual distinct-run potential); where the top
+    already comes first it compares with the top alone and marks L[j..i]
+    stale instead of walking.  ``set_entry`` below T - 1 rebuilds positions
+    i..0 at one each, the top standing in for L while it stays ahead.
+    ``shift`` pays one and ``collapse`` and ``clear_first`` none.
+    ``set_entry`` at the top refreshes each stale position at one, then
+    compares the top with L's runs from position 0 until it beats one; at
+    T - 1 it rebuilds all of L (T - 1) and then does the same.  Only those
+    two can pay more than a rebuild of S would: a top that loses to several
+    runs pays one per run.
     """
 
-    __slots__ = ("_arena", "_m", "_s")
+    __slots__ = ("_arena", "_m", "_l", "_j", "_stale")
 
     def __init__(self, arena):
         self._arena = arena
         self._m: list[tuple] = []  # (handle, tiebreak)
-        self._s: list[int] = []  # index of the leftmost minimum of M[i:]
+        self._l: list[int] = []  # index of the leftmost minimum of M[i:T]
+        self._j = 0  # the top is S[i] exactly for i >= j
+        self._stale = 0  # bit i: L[i] may be stale; only j <= i < T - 1
 
     def __len__(self):
         return len(self._m)
@@ -139,41 +173,115 @@ class MinKeeper:
         if k == 0:
             return
         m = self._m
-        if k >= len(m):
-            self._m = list(prefix)
-        else:
+        if k < len(m):
             m[:k] = prefix
-        self._recompute_prefix(k)
+            self.set_entry(k - 1, *prefix[-1])
+            return
+        self._m = m = list(prefix)
+        T = k - 1
+        self._l = list(range(T))
+        self._j = T
+        self._stale = 0
+        if T:
+            self.set_entry(T - 1, *m[T - 1])
 
     def set_entry(self, i: int, handle: int, tie: int = 0) -> None:
-        """Set M[i] := (handle, tie) with change-prefix semantics (O(i))."""
-        self._m[i] = (handle, tie)
-        self._recompute_prefix(i + 1)
+        """Set M[i] := (handle, tie) with change-prefix semantics.
 
-    def _recompute_prefix(self, k: int) -> None:
-        # Rebuild S[0..k-1] right to left, one comparison per position
-        # against the running minimum; ``<= 0`` keeps the leftmost tie.
+        Below T - 1, positions i..0 are rebuilt at one comparison each.  At
+        T - 1 all of L is rebuilt from L[T-1] = T-1, and at the top only the
+        stale positions are refreshed, at one comparison each; then j is
+        found by walking L's runs from position 0, one comparison per run
+        until the top beats one.
+        """
         m = self._m
-        s = self._s
-        compare = self._arena.compare
-        if k < len(s):
-            w = s[k]
+        m[i] = (handle, tie)
+        T = len(m) - 1
+        if i < T - 1:
+            self._rebuild(i)
+            return
+        if i < T:
+            stale = (1 << i) - 1  # refresh L[T-2..0] from L[T-1]
+            handle, tie = m[T]
         else:
-            s.extend([0] * (k - len(s)))  # M grew to length k
+            stale = self._stale
+        l = self._l
+        arena = self._arena
+        compare = arena.compare
+        if stale:
+            # right to left, so that L[b+1] is fresh when L[b] is refreshed
+            self._stale = 0
+            while stale:
+                b = stale.bit_length() - 1
+                stale ^= 1 << b
+                w = l[b + 1]
+                h, t = m[b]
+                bh, bt = m[w]
+                if h == INFINITY or bh == INFINITY:
+                    c = arena.compare_inf(h, bh)
+                else:
+                    c = compare(h, bh)
+                l[b] = b if c < 0 or (c == 0 and t <= bt) else w
+        k = 0
+        while k < T:
+            w = l[k]
+            h, t = m[w]
+            if h == INFINITY or handle == INFINITY:
+                c = arena.compare_inf(handle, h)
+            else:
+                c = compare(handle, h)
+            if c < 0 or (c == 0 and tie < t):
+                break  # the top beats the run of w, and every run after it
+            k = w + 1  # the run of w ends at w
+        self._j = k
+
+    def _rebuild(self, i: int) -> None:
+        # Rebuild L[0..i] (i < T) right to left, one comparison per position
+        # against the running minimum; ``<= 0`` keeps the leftmost tie.  The
+        # top is the running minimum from the start when it beats L[i+1],
+        # and the positions it keeps become the new top region, unread.
+        m = self._m
+        l = self._l
+        arena = self._arena
+        compare = arena.compare
+        k = i
+        if i + 1 < self._j:
+            w = l[i + 1]
+        else:
+            T = len(m) - 1
+            bh, bt = m[T]
+            while k >= 0:
+                h, t = m[k]
+                if h == INFINITY or bh == INFINITY:
+                    c = arena.compare_inf(h, bh)
+                else:
+                    c = compare(h, bh)
+                if c < 0 or (c == 0 and t <= bt):
+                    break
+                k -= 1
+            self._j = k + 1
+            stale = self._stale & -(2 << i)  # positions i+1 up are untouched
+            hi = i if i < T - 1 else T - 2
+            if hi > k:
+                stale |= (2 << hi) - (1 << (k + 1))
+            self._stale = stale
+            if k < 0:
+                return
+            l[k] = w = k
             k -= 1
-            s[k] = w = k
         bh, bt = m[w]
-        for i in range(k - 1, -1, -1):
-            h, t = m[i]
+        while k >= 0:
+            h, t = m[k]
             if h == INFINITY or bh == INFINITY:
-                c = self._arena.compare_inf(h, bh)
+                c = arena.compare_inf(h, bh)
             else:
                 c = compare(h, bh)
             if c < 0 or (c == 0 and t <= bt):
-                w = i
+                w = k
                 bh = h
                 bt = t
-            s[i] = w
+            l[k] = w
+            k -= 1
 
     def decrease_if_lower(self, i: int, x: int, tie: int = 0) -> bool:
         """One comparison; apply the decrease only if it lowers M[i].
@@ -191,38 +299,93 @@ class MinKeeper:
         """Set M[i] := (x, tie).  Unchecked: (x, tie) must not exceed M[i]."""
         m = self._m
         m[i] = (x, tie)
-        s = self._s
+        T = len(m) - 1
+        l = self._l
+        j = self._j
         arena = self._arena
         compare = arena.compare
-        w = s[i]
-        # M[i] already holds the new entry, so only a witness w != i is read
-        # from M; when w == i, S[i] was the old M[i], which the new entry
-        # does not exceed, and the comparison's outcome is known
-        if w != i:
-            h, t = m[w]
-            c = arena.compare_inf(x, h) if h == INFINITY else compare(x, h)
+        if i == T:
+            # the top only drops: it takes over each run left of j it beats
+            k = j - 1
+            while k >= 0:
+                w = l[k]
+                h, t = m[w]
+                if h == INFINITY or x == INFINITY:
+                    c = arena.compare_inf(h, x)
+                else:
+                    c = compare(h, x)
+                if c < 0 or (c == 0 and t <= tie):
+                    break
+                k -= 1
+                while k >= 0 and l[k] == w:
+                    k -= 1
+            self._j = k + 1
+            return
+        if i >= j:
+            # S[i] is the top, which the old M[i] lost to
+            h, t = m[T]
+            if h == INFINITY or x == INFINITY:
+                c = arena.compare_inf(x, h)
+            else:
+                c = compare(x, h)
             if c > 0 or (c == 0 and tie > t):
-                return  # a later entry is still smaller; S untouched
-        j = i
-        while True:
-            # overwrite the run ending at j, then compare with the run left
-            # of it, whose witness lies below i and so is an old entry
-            while j >= 0 and s[j] == w:
-                s[j] = i
-                j -= 1
-            if j < 0:
+                # the top still comes first: L[j..i] may now point at i,
+                # except where it already did, from a fresh run ending at i
+                stale = self._stale
+                k = i
+                while k >= j and l[k] == i and not stale >> k & 1:
+                    k -= 1
+                if k >= j:
+                    self._stale = stale | ((2 << k) - (1 << j))
                 return
-            w = s[j]
+            # M[i] now beats the top, and so every lower entry from j up
+            if i == j:
+                l[i] = i
+            else:
+                l[j : i + 1] = [i] * (i + 1 - j)
+            stale = self._stale
+            if stale:
+                self._stale = stale & -(2 << i)
+            self._j = i + 1
+            k = j - 1
+        else:
+            # M[i] already holds the new entry, so only a witness w != i is
+            # read from M; when w == i, S[i] was the old M[i], which the new
+            # entry does not exceed, and the comparison's outcome is known
+            w = l[i]
+            if w != i:
+                h, t = m[w]
+                if h == INFINITY or x == INFINITY:
+                    c = arena.compare_inf(x, h)
+                else:
+                    c = compare(x, h)
+                if c > 0 or (c == 0 and tie > t):
+                    return  # a later entry is still smaller; L untouched
+            k = i
+            while k >= 0 and l[k] == w:
+                l[k] = i
+                k -= 1
+        # k ends the run left of the stretch that now points at i; its
+        # witness is k itself, below i, so an old entry
+        while k >= 0:
+            w = l[k]
             h, t = m[w]
-            c = arena.compare_inf(h, x) if h == INFINITY else compare(h, x)
+            if h == INFINITY or x == INFINITY:
+                c = arena.compare_inf(h, x)
+            else:
+                c = compare(h, x)
             if c < 0 or (c == 0 and t <= tie):
                 return
+            while k >= 0 and l[k] == w:
+                l[k] = i
+                k -= 1
 
     def find_min(self) -> int:
         """Index of the minimum entry (leftmost on full ties)."""
-        if not self._m:
+        m = self._m
+        if not m:
             raise ContractViolation("find_min on empty MinKeeper")
-        return self._s[0]
+        return self._l[0] if self._j else len(m) - 1
 
     def order(self, i: int) -> int | None:
         """What S says of M[i] against M[i+1], at no cost.
@@ -231,9 +394,9 @@ class MinKeeper:
         open.  S[i] decides: i means M[i] <= M[i+1], strictly when their
         tiebreaks differ; i + 1 means M[i+1] < M[i].
         """
-        w = self._s[i]
+        m = self._m
+        w = self._l[i] if i < self._j else len(m) - 1
         if w == i:
-            m = self._m
             return -1 if m[i][1] != m[i + 1][1] else None
         return 1 if w == i + 1 else None
 
@@ -243,22 +406,65 @@ class MinKeeper:
         This is a carry landing at rank r: each old M[i] for i < r - 1 moves
         up one slot, and ``top`` must be the lesser of the old M[r-1] and
         M[r] (just the old M[r-1] when M[r] is absent, which extends M).
-        S[1 : r+1] is then the old S[0 : r] with its indices remapped (old
-        r - 1 and r now share slot r), and only S[0] = min(entry, S[1])
-        costs a comparison, free when either side is +inf.
+        L[1 : r+1] is then the old L[0 : r] with its indices remapped (old
+        r - 1 and r now share slot r); a carry into the top turns the
+        witnesses T - 1 into the top instead.  Only position 0, the entry
+        against S[1], costs a comparison, free when either side is +inf.
         """
         m = self._m
-        s = self._s
+        l = self._l
+        T = len(m) - 1
+        j = self._j
         m[: r + 1] = [entry, *m[: r - 1], top]
-        shifted = [w + 1 if w < r - 1 else max(w, r) for w in s[:r]]
+        if r < T:
+            l[1 : r + 1] = [w + 1 if w < r - 1 else max(w, r) for w in l[:r]]
+            stale = self._stale
+            if stale:
+                # bits below r move up one, bit r is overwritten by r - 1's;
+                # a stale L[T-2] moved to T-1, which is T-1 by definition
+                stale = (stale & ((1 << r) - 1)) << 1 | stale >> (r + 1) << (r + 1)
+                self._stale = stale & ((1 << (T - 1)) - 1)
+                l[T - 1] = T - 1
+            if j <= r:
+                j += 1
+        elif r == T:
+            # the old M[T-1] melds into the top, so S's witnesses T - 1 and
+            # T become the top: the top region grows down to b + 1
+            b = j
+            while b and l[b - 1] == T - 1:
+                b -= 1
+            stale = self._stale
+            for k in range(b, T - 1):
+                if l[k] == T - 1:
+                    stale |= 1 << k
+            l[1:] = [w + 1 for w in l[:-1]]
+            l[T - 1] = T - 1
+            self._stale = (stale << 1) & ((1 << (T - 1)) - 1)
+            j = b + 1
+        else:
+            # M grows by one slot and the top keeps its entry
+            self._l = l = [0, *[w + 1 for w in l]]
+            self._stale <<= 1
+            j += 1
+            T = r
+        # position 0: the new entry against S[1], the top when j is 1
         h, t = entry
-        bh, bt = m[shifted[0]]
+        w = T if j == 1 else l[1]
+        bh, bt = m[w]
         if h == INFINITY or bh == INFINITY:
             c = self._arena.compare_inf(h, bh)
         else:
             c = self._arena.compare(h, bh)
-        first = 0 if c < 0 or (c == 0 and t <= bt) else shifted[0]
-        s[: r + 1] = [first, *shifted]
+        if c < 0 or (c == 0 and t <= bt):
+            l[0] = 0
+        elif j == 1:
+            l[0] = 0
+            j = 0
+            if T > 1:
+                self._stale |= 1
+        else:
+            l[0] = w
+        self._j = j
 
     def clear_first(self) -> None:
         """M[0] := EMPTY.  Free: S[0] becomes a copy of S[1].
@@ -267,45 +473,85 @@ class MinKeeper:
         EMPTY too, and then the leftmost EMPTY is M[0] itself.  The
         working-set heap fills the slot again through ``decrease`` (EMPTY
         is above every entry), which then costs at most the one comparison
-        against M[S[0]] = M[S[1]].
+        against M[S[0]] = M[S[1]].  When S[1] is the top, L[0] copies L[1]
+        if that is fresh and goes stale with it otherwise.
         """
         m = self._m
-        s = self._s
         m[0] = EMPTY
-        s[0] = s[1] if len(s) > 1 and m[s[1]][1] != math.inf else 0
+        T = len(m) - 1
+        if T > 1:
+            l = self._l
+            if self._j <= 1:
+                # the top beat L[1], so it beats M[0:] now
+                self._j = 0
+                stale = self._stale
+                if stale:
+                    if stale & 2:
+                        self._stale = stale | 1
+                        return
+                    self._stale = stale & ~1
+            w = l[1]
+            l[0] = w if m[w][1] != math.inf else 0
+        elif T == 1:
+            # L[0] = 0; the top beats EMPTY unless it is EMPTY too
+            self._j = 0 if m[1][1] != math.inf else 1
 
-    def collapse(self, j: int, top: tuple) -> None:
-        """Fold M[j+1] into M[j]: M[j] := top, M[j+1] := EMPTY.  Free.
+    def collapse(self, i: int, top: tuple) -> None:
+        """Fold M[i+1] into M[i]: M[i] := top, M[i+1] := EMPTY.  Free.
 
-        ``top`` must be the lesser of the old M[j] and M[j+1], and every
-        entry above j + 1 must be EMPTY.  A last M[j+1] is dropped instead.
-        S keeps its values; its witnesses j and j + 1 become j.
+        ``top`` must be the lesser of the old M[i] and M[i+1], and every
+        entry above i + 1 must be EMPTY.  A last M[i+1] is dropped instead,
+        and M[i] becomes the top.  S keeps its values; its witnesses i and
+        i + 1 become i.
         """
         m = self._m
-        s = self._s
-        m[j] = top
-        i = j
-        # witnesses never decrease along S, so those >= j end S[0 : j+1]
-        while i >= 0 and s[i] >= j:
-            s[i] = j
-            i -= 1
-        if len(m) == j + 2:
-            m.pop()
-            s.pop()
+        l = self._l
+        m[i] = top
+        T = len(m) - 1
+        if i + 1 < T:
+            # the top is EMPTY and beats nothing, so L is S below T
+            m[i + 1] = EMPTY
+            k = i
+            # witnesses never decrease along L, so those >= i end L[0 : i+1]
+            while k >= 0 and l[k] >= i:
+                l[k] = i
+                k -= 1
+            l[i + 1] = i + 1
+            return
+        # the top pair: S's witnesses i and T become the new top i, and L
+        # positions pointing at i go stale
+        m.pop()
+        l.pop()
+        b = min(self._j, i)
+        while b and l[b - 1] == i:
+            b -= 1
+        self._j = b
+        if i:
+            stale = self._stale
+            for k in range(b, i - 1):
+                if l[k] == i:
+                    stale |= 1 << k
+            self._stale = stale & ((1 << (i - 1)) - 1)
+            l[i - 1] = i - 1
         else:
-            m[j + 1] = EMPTY
-            s[j + 1] = j + 1
+            self._stale = 0
 
     def check(self, value_of=None) -> None:
-        """Debug: S[i] is the brute-force leftmost minimum of M[i:], every i.
+        """Debug: L, j and the stale bits against a brute-force scan of M.
 
+        L[i] is the leftmost minimum of M[i:T] at every fresh position, the
+        stale bits lie in [j, T-1), the top beats M[L[i]] exactly for
+        i >= j, and so S[i] is the leftmost minimum of M[i:] for every i.
         ``value_of`` maps a handle, INFINITY included, to its exact value,
         and then the check spends no comparisons; without it the check
         compares on the arena, so call it only outside measured runs.
         """
         m = self._m
-        s = self._s
-        assert len(s) == len(m)
+        l = self._l
+        j = self._j
+        stale = self._stale
+        T = len(m) - 1
+        assert len(l) == max(T, 0)
         if value_of is None:
             cmp = self._cmp
         else:
@@ -313,9 +559,26 @@ class MinKeeper:
                 a = (value_of(ha), ta)
                 b = (value_of(hb), tb)
                 return (a > b) - (a < b)
-        for i in range(len(m)):
-            best = i  # leftmost minimum of M[i:]
-            for j in range(i + 1, len(m)):
-                if cmp(*m[j], *m[best]) < 0:
-                    best = j
-            assert s[i] == best, f"S[{i}] is not the leftmost minimum of M[{i}:]"
+
+        def leftmost_min(a, b):
+            best = a
+            for k in range(a + 1, b):
+                if cmp(*m[k], *m[best]) < 0:
+                    best = k
+            return best
+
+        if T < 0:
+            return
+        assert 0 <= j <= T, f"j = {j} outside [0, {T}]"
+        assert stale >> max(T - 1, 0) == 0, "L[T-1] or above marked stale"
+        assert stale & ((1 << j) - 1) == 0, "stale bit below j"
+        for i in range(T):
+            w = leftmost_min(i, T)
+            if not stale >> i & 1:
+                assert l[i] == w, f"L[{i}] is not the leftmost minimum of M[{i}:{T}]"
+            beats = cmp(*m[T], *m[w]) < 0
+            assert beats == (i >= j), f"j = {j} is wrong at position {i}"
+        for i in range(T + 1):
+            s = l[i] if i < j else T
+            assert s == leftmost_min(i, T + 1), (
+                f"S[{i}] is not the leftmost minimum of M[{i}:]")

@@ -435,9 +435,10 @@ def merge_chains(core_order: list[int], rep: list[int],
     Core id k stands for input vertex rep[k], as ``contract_chains`` numbered
     them.  Each chain's interiors are sorted already and belong after their
     head: the last head goes first, so earlier heads keep their positions.
-    One comparison splices the interiors in when they all precede everything
-    after the head; otherwise Hwang-Lin merges them in, existing elements
-    first on ties.
+    Existing elements come first on ties.  A lone interior is placed by
+    binary insertion over everything after its head.  Longer chains are
+    spliced in with one comparison when they all precede everything after
+    the head; otherwise Hwang-Lin merges them in.
     """
     lin = [rep[c] for c in core_order]
     pos = {v: i for i, v in enumerate(lin)}
@@ -445,7 +446,17 @@ def merge_chains(core_order: list[int], rep: list[int],
     for chain in sorted(chains, key=lambda c: pos[c[0]], reverse=True):
         p = pos[chain[0]] + 1
         inner = chain[1:]
-        if p == len(lin) or compare(dist[inner[-1]], dist[lin[p]]) < 0:
+        if len(inner) == 1:
+            x = dist[inner[0]]
+            lo, hi = p, len(lin)  # x goes after every element it ties
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                if compare(x, dist[lin[mid]]) < 0:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            lin.insert(lo, inner[0])
+        elif p == len(lin) or compare(dist[inner[-1]], dist[lin[p]]) < 0:
             lin[p:p] = inner
         else:
             lin[p:] = hwang_lin_merge(arena, lin[p:], inner, dist)

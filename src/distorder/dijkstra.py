@@ -44,7 +44,7 @@ class DijkstraRun:
 
     __slots__ = ("linearization", "dist", "sssp", "explore", "intervals",
                  "comparisons", "additions", "heap_kind", "sssp_arcs",
-                 "extract_comparisons")
+                 "extract_comparisons", "rank_extracts")
 
     def __init__(self, linearization, dist, sssp, explore, intervals,
                  comparisons, additions, heap_kind, sssp_arcs=None):
@@ -58,12 +58,17 @@ class DijkstraRun:
         self.heap_kind = heap_kind
         self.sssp_arcs = sssp_arcs  # arc index behind each sssp parent link
         self.extract_comparisons = 0  # workset runs: comparisons inside extracts
+        self.rank_extracts: list[int] = []  # workset runs: extracts per rank
 
     def report_lines(self) -> list[str]:
-        return [
+        lines = [
             f"heap {self.heap_kind}",
             f"comparisons {self.comparisons}",
             f"additions {self.additions}",
+        ]
+        if self.rank_extracts:
+            lines.append("rank_extracts " + " ".join(map(str, self.rank_extracts)))
+        return lines + [
             "sssp_edges " + " ".join(
                 f"{p}->{v}" for v, p in enumerate(self.sssp.parent) if p >= 0),
             "explore_edges " + " ".join(
@@ -143,6 +148,11 @@ def run_dijkstra(g: Graph, heap_kind: str = "workset") -> DijkstraRun:
     )
     if heap_kind == "workset":
         run.extract_comparisons = q.extract_comparisons
+        counts = q.rank_extracts
+        top = len(counts)
+        while top and not counts[top - 1]:
+            top -= 1
+        run.rank_extracts = counts[:top]
     if arena.audit:
         _verify_order(arena, run)
     return run

@@ -239,8 +239,12 @@ class WeightArena:
 
     def check_handle(self, h: int) -> None:
         """Raise :class:`ContractViolation` unless h is INFINITY or a handle
-        of this arena.  Free: a range test that reads no cell."""
-        if h != INFINITY and not 0 <= h - self._base < len(self._val):
+        of this arena.  Free: a range test that reads no cell.  A value that
+        is no number at all, such as None, fails the subtraction instead."""
+        try:
+            if h != INFINITY and not 0 <= h - self._base < len(self._val):
+                self._fault(h, h, "check_handle")
+        except TypeError:
             self._fault(h, h, "check_handle")
 
     def _fault(self, a, b, opname):

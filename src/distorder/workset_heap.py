@@ -28,7 +28,15 @@ empties rank 0 copies S[1] back into S[0] for free.
 Invariant 2's fuse is free: S says which of the top two minima wins.
 Decrease-key is amortized O(1); extract-min amortized O(1 + log |W_x|),
 where W_x is the working set of the extracted element (elements inserted
-after x and still present, maximized over x's lifetime).
+after x and still present, maximized over x's lifetime).  An extract from
+rank r < R - 1, R the top rank, rebuilds S[0..r] at r + 1 comparisons.  One
+from the top rank changes only M[R], and the ranks below keep their own
+suffix minima: M refreshes those that went stale since (an update below
+that M[R] still beat marks them instead of paying), then compares the new
+M[R] with them from rank 0 until it beats one, usually once, where
+rebuilding S[0..R] paid R.  One from rank R - 1 rebuilds the lower suffix
+minima at R - 1 and then places M[R] the same way.  On random graphs most
+extracts come from the top rank; ``rank_extracts`` counts them per rank.
 
 The stale residue.  An extract from rank 0 can leave one older element, the
 residue, alone there.  Each later insert then takes the fast path beside it
@@ -97,7 +105,7 @@ class WorkSetHeap:
 
     __slots__ = ("arena", "_pool", "_heaps", "_M", "_next_time", "size",
                  "_spares", "_residue", "_streak", "last_extract_rank",
-                 "extract_comparisons")
+                 "extract_comparisons", "rank_extracts")
 
     def __init__(self, arena):
         self.arena = arena
@@ -112,6 +120,7 @@ class WorkSetHeap:
         self._streak = 0  # rank-0 extracts in a row that left _residue alone
         self.last_extract_rank = -1
         self.extract_comparisons = 0  # total comparisons spent inside extract_min
+        self.rank_extracts = [0] * len(CAPS)  # extracts taken from each rank
 
     def __len__(self):
         return self.size
@@ -208,6 +217,7 @@ class WorkSetHeap:
         key, _, vertex = H.extract_min()
         self.size -= 1
         self.last_extract_rank = r_star
+        self.rank_extracts[r_star] += 1
         if H.size == 0:
             heaps[r_star] = None
             self._spares.append(H)

@@ -93,9 +93,15 @@ class TestIntervalMap:
         assert all(agrees(t) for t in range(-1, 70))
 
 
+def suffix_minima(mk):
+    """S, the leftmost suffix minima of M, as MinKeeper's L and j give it."""
+    top = len(mk) - 1
+    return [mk._l[i] if i < mk._j else top for i in range(top + 1)]
+
+
 def count_runs(mk):
     """Maximal stretches of equal entries in the suffix-minima list S."""
-    s = mk._s
+    s = suffix_minima(mk)
     return sum(1 for i in range(len(s)) if i == 0 or s[i] != s[i - 1])
 
 
@@ -121,9 +127,9 @@ class TestMinKeeper:
 
     def test_decrease_increase_rejected(self):
         mk = self.fill([4, 2])
-        m, s = list(mk.entries()), list(mk._s)
+        m, s = list(mk.entries()), suffix_minima(mk)
         assert mk.decrease_if_lower(1, self.arena.intern(3)) is False
-        assert mk.entries() == m and mk._s == s
+        assert mk.entries() == m and suffix_minima(mk) == s
         assert mk.decrease_if_lower(0, self.arena.intern(1)) is True
         assert mk.find_min() == 0
 
@@ -225,9 +231,153 @@ class TestMinKeeper:
         assert len(mk) == 5 and mk.find_min() == 3
         mk.check()
 
+    def pairs(self, vals):
+        return [(self.arena.intern(v), t) for v, t in vals]
+
+    def test_top_set_entry_refreshes_stale_positions_then_scans(self):
+        a = self.arena
+        mk = MinKeeper(a)
+        # L = [1, 1, 2]; the top beats every lower entry, so j = 0
+        mk.change_prefix(self.pairs([(6, 0), (4, 1), (5, 2), (1, 3)]))
+        assert (mk._j, mk._stale) == (0, 0)
+        c0 = a.cmp_count
+        # rank 0 drops below M[1] but not below the top: one comparison,
+        # and L[0] goes stale instead of being compared with L[1]
+        mk.decrease(0, a.intern(3), 0)
+        assert a.cmp_count == c0 + 1 and mk._stale == 0b1
+        assert mk.find_min() == 3
+        mk.check()
+        # the top rises but still comes first: one comparison refreshes
+        # L[0], one more finds the top ahead of M[L[0]]
+        c0 = a.cmp_count
+        mk.set_entry(3, a.intern(2), 3)
+        assert a.cmp_count == c0 + 2
+        assert (mk._l[0], mk._j, mk._stale) == (0, 0, 0)
+        assert mk.find_min() == 3
+        mk.check()
+        # the top loses to every run: one comparison per run, then j = T
+        c0 = a.cmp_count
+        mk.set_entry(3, a.intern(9), 3)
+        assert a.cmp_count == c0 + 3
+        assert mk._j == 3 and mk.find_min() == 0
+        mk.check()
+
+    def test_shift_into_the_top_hands_it_the_old_t_minus_1_witnesses(self):
+        a = self.arena
+        mk = MinKeeper(a)
+        # L = [2, 2, 2] and j = 0: M[2] is the least lower entry
+        m = self.pairs([(6, 0), (8, 1), (5, 2), (1, 3)])
+        mk.change_prefix(m)
+        c0 = a.cmp_count
+        # a carry lands at the top rank 3, where M[2] melds into the top:
+        # M[1]'s old L (the witness 2) is unknown now, M[2]'s is 2 itself
+        mk.shift(3, (a.intern(0), 9), m[3])
+        assert a.cmp_count == c0 + 1
+        assert mk.entries() == [mk.entries()[0], m[0], m[1], m[3]]
+        assert (mk._l[0], mk._l[2], mk._j, mk._stale) == (0, 2, 1, 0b10)
+        assert mk.find_min() == 0
+        mk.check()
+        # when the top lost below, the witnesses that were not T - 1 move
+        # up one slot and stay fresh
+        mk = MinKeeper(a)
+        m = self.pairs([(6, 0), (2, 1), (5, 2), (3, 3)])
+        mk.change_prefix(m)
+        assert mk._j == 2
+        c0 = a.cmp_count
+        mk.shift(3, (a.intern(9), 5), m[3])
+        assert a.cmp_count == c0 + 1
+        assert (mk._l, mk._j, mk._stale) == ([2, 2, 2], 3, 0)
+        assert mk.find_min() == 2
+        mk.check()
+
+    def test_top_pair_collapse_is_free_and_keeps_fresh_witnesses(self):
+        a = self.arena
+        mk = MinKeeper(a)
+        mk.change_prefix(self.pairs([(6, 0), (8, 1), (5, 2), (3, 3), (7, 4)]))
+        assert (mk._l, mk._j) == ([3, 3, 3, 3], 4)
+        mk.set_entry(4, a.intern(2), 4)  # the top now beats every L[i]
+        assert (mk._j, mk._stale) == (0, 0)
+        top = mk.entries()[4]
+        c0 = a.cmp_count
+        # the top pair fuses into slot 3, the new top; L[0] and L[1] pointed
+        # at slot 3 and go stale, and L[2] = 2 by definition
+        mk.collapse(3, top)
+        assert a.cmp_count == c0
+        assert len(mk) == 4 and mk.entries()[3] == top
+        assert (mk._j, mk._stale, mk._l[2]) == (0, 0b11, 2)
+        assert mk.find_min() == 3
+        mk.check()
+        # an old L[k] below T - 1 stays fresh through the fuse
+        mk = MinKeeper(a)
+        mk.change_prefix(self.pairs([(6, 0), (4, 1), (5, 2), (9, 3), (1, 4)]))
+        assert (mk._l, mk._j) == ([1, 1, 2, 3], 0)
+        mk.collapse(3, mk.entries()[4])
+        assert (mk._l, mk._j, mk._stale) == ([1, 1, 2], 0, 0)
+        mk.check()
+
+    def test_clear_first_with_a_stale_l1_marks_l0_stale(self):
+        a = self.arena
+        mk = MinKeeper(a)
+        mk.change_prefix(self.pairs([(6, 0), (8, 1), (5, 2), (7, 3), (1, 4)]))
+        mk.decrease(1, a.intern(6), 1)  # loses to the top: L[0..1] stale
+        assert (mk._j, mk._stale) == (0, 0b11)
+        c0 = a.cmp_count
+        mk.clear_first()
+        assert a.cmp_count == c0
+        assert (mk._j, mk._stale) == (0, 0b11) and mk.find_min() == 4
+        mk.check()
+        # the refresh settles L[0] against the EMPTY M[0] for free
+        c0 = a.cmp_count
+        mk.set_entry(4, a.intern(5), 5)
+        assert a.cmp_count == c0 + 3  # L[1], then the top against two runs
+        assert (mk._l[:2], mk._j, mk.find_min()) == ([2, 2], 3, 2)
+        mk.check()
+        # with L[1] fresh, L[0] copies it
+        mk = MinKeeper(a)
+        mk.change_prefix(self.pairs([(6, 0), (8, 1), (5, 2), (7, 3), (1, 4)]))
+        mk.clear_first()
+        assert (mk._l[0], mk._j, mk._stale) == (2, 0, 0)
+        mk.check()
+
+    def test_equal_pairs_keep_the_leftmost(self):
+        # a full tie goes to the left entry everywhere: the top, rightmost,
+        # beats a lower entry only when strictly below it
+        a = self.arena
+        h = a.intern(5)
+        low = a.intern(4)
+        mk = MinKeeper(a)
+        mk.change_prefix([(h, 7)] * 4)
+        assert (mk._l, mk._j, mk.find_min()) == ([0, 1, 2], 3, 0)
+        assert [mk.order(i) for i in range(3)] == [None] * 3
+        mk.set_entry(3, h, 7)  # the top against each run, losing each tie
+        assert mk._j == 3 and mk.find_min() == 0
+        mk.check()
+        mk.decrease(3, h, 7)  # no run left of j is beaten
+        assert mk._j == 3
+        mk.check()
+        mk.set_entry(3, low, 7)
+        assert mk._j == 0 and mk.find_min() == 3
+        mk.decrease(1, low, 7)  # ties the top from the left: M[1] wins
+        assert (mk._j, mk._l[1], mk.find_min()) == (2, 1, 1)
+        mk.check()
+        mk.decrease(2, low, 7)  # ties the top, but M[1] is further left
+        assert mk.find_min() == 1
+        mk.check()
+        mk.shift(3, (low, 7), (low, 7))  # the entry ties M[S[1]] and wins
+        assert mk.find_min() == 0
+        mk.check()
+        mk = MinKeeper(a)
+        mk.change_prefix([(h, 2), (h, 3), (low, 1)])
+        mk.decrease(0, h, 2)
+        mk.set_entry(1, low, 1)  # ties the top from the left
+        assert (mk._j, mk.find_min()) == (2, 1)
+        mk.check()
+
     def test_random_ops_match_suffix_min_recompute(self):
         # a model list of (value, tiebreak) pairs, value math.inf for +inf,
-        # checked after every update; EMPTY models as (math.inf, math.inf)
+        # checked after every update; EMPTY models as (math.inf, math.inf).
+        # check() also tests L at its fresh positions, j, and that the stale
+        # bits lie in [j, T-1)
         rng = random.Random(1)
         arena = self.arena
 
@@ -245,11 +395,12 @@ class TestMinKeeper:
         drawn = [draw() for _ in range(6)]
         mk.change_prefix([e for e, _ in drawn])
         vals = [v for _, v in drawn]
-        for _ in range(1500):
+        seen = {"stale": 0, "inner_j": 0, "top_refresh": 0}
+        for _ in range(3000):
             op = rng.random()
             n = len(vals)
             before = arena.cmp_count
-            if op < 0.25:
+            if op < 0.22:
                 i = rng.randrange(n)
                 v, t = vals[i]
                 if v == math.inf:
@@ -260,7 +411,7 @@ class TestMinKeeper:
                     v = max(0, v - rng.randrange(5))
                 vals[i] = (v, t)
                 mk.decrease(i, arena.intern(v), t)
-            elif op < 0.37:
+            elif op < 0.3:
                 k = rng.randrange(1, n + 2)
                 new = [draw() for _ in range(k)]
                 if k >= n:
@@ -268,6 +419,18 @@ class TestMinKeeper:
                 else:
                     vals[:k] = [v for _, v in new]
                 mk.change_prefix([e for e, _ in new])
+            elif op < 0.42:
+                # an extract's update; half of them at the top
+                i = n - 1 if rng.random() < 0.5 else rng.randrange(n)
+                e, v = draw()
+                if i == n - 1 and mk._stale:
+                    seen["top_refresh"] += 1
+                vals[i] = v
+                mk.set_entry(i, *e)
+                if i < n - 2:
+                    assert arena.cmp_count - before <= i + 1
+                else:
+                    assert arena.cmp_count - before <= max(2 * n - 3, 0)
             elif op < 0.62:
                 # a carry lands at rank r; r == n extends M
                 r = rng.randrange(1, n + 1)
@@ -307,6 +470,8 @@ class TestMinKeeper:
                 mk.collapse(j, top)
                 assert arena.cmp_count == before
             assert len(mk) == len(vals)
+            seen["stale"] += mk._stale != 0
+            seen["inner_j"] += 0 < mk._j < len(vals) - 1
             before = arena.cmp_count
             for i in range(len(vals) - 1):
                 o = mk.order(i)
@@ -317,6 +482,8 @@ class TestMinKeeper:
             mk.check()
             want = min(range(len(vals)), key=lambda i: (vals[i], i))
             assert mk.find_min() == want
+        # the run reaches the states the checks are about
+        assert min(seen.values()) >= 20, seen
 
     def test_amortized_run_potential(self):
         # every operation adds at most two runs to S; over a long random
