@@ -188,40 +188,67 @@ class MinKeeper:
     def set_entry(self, i: int, handle: int, tie: int = 0) -> None:
         """Set M[i] := (handle, tie) with change-prefix semantics.
 
-        Below T - 1, positions i..0 are rebuilt at one comparison each.  At
-        T - 1 all of L is rebuilt from L[T-1] = T-1, and at the top only the
-        stale positions are refreshed, at one comparison each; then j is
-        found by walking L's runs from position 0, one comparison per run
-        until the top beats one.
+        Below T - 1, positions i..0 are rebuilt at one comparison each, the
+        top standing in for L while it stays ahead.  At T - 1 all of L is
+        rebuilt from L[T-1] = T-1, and at the top only the stale positions
+        are refreshed, at one comparison each; then j is found by walking
+        L's runs from position 0, one comparison per run until the top
+        beats one.
         """
         m = self._m
         m[i] = (handle, tie)
         T = len(m) - 1
-        if i < T - 1:
-            self._rebuild(i)
-            return
-        if i < T:
-            stale = (1 << i) - 1  # refresh L[T-2..0] from L[T-1]
-            handle, tie = m[T]
-        else:
-            stale = self._stale
         l = self._l
         arena = self._arena
         compare = arena.compare
-        if stale:
-            # right to left, so that L[b+1] is fresh when L[b] is refreshed
+        if i == T:
+            todo = self._stale
+            if todo:
+                self._stale = 0
+        elif i == T - 1:
+            todo = (1 << i) - 1
             self._stale = 0
-            while stale:
-                b = stale.bit_length() - 1
-                stale ^= 1 << b
-                w = l[b + 1]
-                h, t = m[b]
-                bh, bt = m[w]
-                if h == INFINITY or bh == INFINITY:
-                    c = arena.compare_inf(h, bh)
+            handle, tie = m[T]
+        elif i + 1 < self._j:
+            todo = (2 << i) - 1  # L[i+1] is fresh: rebuild L[i..0] from it
+        else:
+            # the top beats L[i+1]; it stays the running minimum down to the
+            # first k whose entry beats it, and L[k+1..i] it keeps goes stale
+            th, tt = m[T]
+            k = i
+            while k >= 0:
+                h, t = m[k]
+                if h == INFINITY or th == INFINITY:
+                    c = arena.compare_inf(h, th)
                 else:
-                    c = compare(h, bh)
-                l[b] = b if c < 0 or (c == 0 and t <= bt) else w
+                    c = compare(h, th)
+                if c < 0 or (c == 0 and t <= tt):
+                    break
+                k -= 1
+            self._j = k + 1
+            stale = self._stale & -(2 << i)  # positions i+1 up are untouched
+            if k < i:
+                stale |= (2 << i) - (1 << (k + 1))
+            self._stale = stale
+            if k < 0:
+                return
+            l[k] = k
+            todo = (1 << k) - 1
+        # rebuild the positions in todo right to left, one comparison each,
+        # so that L[b+1] is fresh when L[b] is rebuilt from it
+        while todo:
+            b = todo.bit_length() - 1
+            todo ^= 1 << b
+            w = l[b + 1]
+            h, t = m[b]
+            bh, bt = m[w]
+            if h == INFINITY or bh == INFINITY:
+                c = arena.compare_inf(h, bh)
+            else:
+                c = compare(h, bh)
+            l[b] = b if c < 0 or (c == 0 and t <= bt) else w
+        if i < T - 1:
+            return
         k = 0
         while k < T:
             w = l[k]
@@ -234,54 +261,6 @@ class MinKeeper:
                 break  # the top beats the run of w, and every run after it
             k = w + 1  # the run of w ends at w
         self._j = k
-
-    def _rebuild(self, i: int) -> None:
-        # Rebuild L[0..i] (i < T) right to left, one comparison per position
-        # against the running minimum; ``<= 0`` keeps the leftmost tie.  The
-        # top is the running minimum from the start when it beats L[i+1],
-        # and the positions it keeps become the new top region, unread.
-        m = self._m
-        l = self._l
-        arena = self._arena
-        compare = arena.compare
-        k = i
-        if i + 1 < self._j:
-            w = l[i + 1]
-        else:
-            T = len(m) - 1
-            bh, bt = m[T]
-            while k >= 0:
-                h, t = m[k]
-                if h == INFINITY or bh == INFINITY:
-                    c = arena.compare_inf(h, bh)
-                else:
-                    c = compare(h, bh)
-                if c < 0 or (c == 0 and t <= bt):
-                    break
-                k -= 1
-            self._j = k + 1
-            stale = self._stale & -(2 << i)  # positions i+1 up are untouched
-            hi = i if i < T - 1 else T - 2
-            if hi > k:
-                stale |= (2 << hi) - (1 << (k + 1))
-            self._stale = stale
-            if k < 0:
-                return
-            l[k] = w = k
-            k -= 1
-        bh, bt = m[w]
-        while k >= 0:
-            h, t = m[k]
-            if h == INFINITY or bh == INFINITY:
-                c = arena.compare_inf(h, bh)
-            else:
-                c = compare(h, bh)
-            if c < 0 or (c == 0 and t <= bt):
-                w = k
-                bh = h
-                bt = t
-            l[k] = w
-            k -= 1
 
     def decrease_if_lower(self, i: int, x: int, tie: int = 0) -> bool:
         """One comparison; apply the decrease only if it lowers M[i].
