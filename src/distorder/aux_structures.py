@@ -197,58 +197,75 @@ class MinKeeper:
         """
         m = self._m
         m[i] = (handle, tie)
-        T = len(m) - 1
         l = self._l
+        T = len(l)
         arena = self._arena
         compare = arena.compare
         if i == T:
-            todo = self._stale
-            if todo:
+            stale = self._stale
+            if stale:
+                # right to left, so that L[b+1] is fresh when L[b] needs it
                 self._stale = 0
-        elif i == T - 1:
-            todo = (1 << i) - 1
-            self._stale = 0
-            handle, tie = m[T]
-        elif i + 1 < self._j:
-            todo = (2 << i) - 1  # L[i+1] is fresh: rebuild L[i..0] from it
+                while stale:
+                    b = stale.bit_length() - 1
+                    stale ^= 1 << b
+                    w = l[b + 1]
+                    h, t = m[b]
+                    bh, bt = m[w]
+                    if h == INFINITY or bh == INFINITY:
+                        c = arena.compare_inf(h, bh)
+                    else:
+                        c = compare(h, bh)
+                    l[b] = b if c < 0 or (c == 0 and t <= bt) else w
         else:
-            # the top beats L[i+1]; it stays the running minimum down to the
-            # first k whose entry beats it, and L[k+1..i] it keeps goes stale
-            th, tt = m[T]
-            k = i
-            while k >= 0:
-                h, t = m[k]
-                if h == INFINITY or th == INFINITY:
-                    c = arena.compare_inf(h, th)
-                else:
-                    c = compare(h, th)
-                if c < 0 or (c == 0 and t <= tt):
-                    break
-                k -= 1
-            self._j = k + 1
-            stale = self._stale & -(2 << i)  # positions i+1 up are untouched
-            if k < i:
-                stale |= (2 << i) - (1 << (k + 1))
-            self._stale = stale
-            if k < 0:
-                return
-            l[k] = k
-            todo = (1 << k) - 1
-        # rebuild the positions in todo right to left, one comparison each,
-        # so that L[b+1] is fresh when L[b] is rebuilt from it
-        while todo:
-            b = todo.bit_length() - 1
-            todo ^= 1 << b
-            w = l[b + 1]
-            h, t = m[b]
-            bh, bt = m[w]
-            if h == INFINITY or bh == INFINITY:
-                c = arena.compare_inf(h, bh)
+            if i == T - 1:
+                # all of L is rebuilt from L[T-1] = T-1
+                self._stale = 0
+                handle, tie = m[T]
+                w = i
+                k = i - 1
+            elif i + 1 < self._j:
+                w = l[i + 1]  # fresh: rebuild L[i..0] from it
+                k = i
             else:
-                c = compare(h, bh)
-            l[b] = b if c < 0 or (c == 0 and t <= bt) else w
-        if i < T - 1:
-            return
+                # the top beats L[i+1]; it stays the running minimum down to
+                # the first k whose entry beats it, and L[k+1..i] goes stale
+                th, tt = m[T]
+                k = i
+                while k >= 0:
+                    h, t = m[k]
+                    if h == INFINITY or th == INFINITY:
+                        c = arena.compare_inf(h, th)
+                    else:
+                        c = compare(h, th)
+                    if c < 0 or (c == 0 and t <= tt):
+                        break
+                    k -= 1
+                self._j = k + 1
+                stale = self._stale & -(2 << i)  # positions i+1 up are untouched
+                if k < i:
+                    stale |= (2 << i) - (1 << (k + 1))
+                self._stale = stale
+                if k < 0:
+                    return
+                l[k] = w = k
+                k -= 1
+            # right to left against the running minimum; ``<= 0`` keeps the
+            # leftmost tie
+            bh, bt = m[w]
+            for k in range(k, -1, -1):
+                h, t = m[k]
+                if h == INFINITY or bh == INFINITY:
+                    c = arena.compare_inf(h, bh)
+                else:
+                    c = compare(h, bh)
+                if c < 0 or (c == 0 and t <= bt):
+                    w = k
+                    bh = h
+                    bt = t
+                l[k] = w
+            if i < T - 1:
+                return
         k = 0
         while k < T:
             w = l[k]
@@ -278,8 +295,8 @@ class MinKeeper:
         """Set M[i] := (x, tie).  Unchecked: (x, tie) must not exceed M[i]."""
         m = self._m
         m[i] = (x, tie)
-        T = len(m) - 1
         l = self._l
+        T = len(l)
         j = self._j
         arena = self._arena
         compare = arena.compare
@@ -326,6 +343,8 @@ class MinKeeper:
             if stale:
                 self._stale = stale & -(2 << i)
             self._j = i + 1
+            if not j:
+                return
             k = j - 1
         else:
             # M[i] already holds the new entry, so only a witness w != i is
@@ -361,10 +380,11 @@ class MinKeeper:
 
     def find_min(self) -> int:
         """Index of the minimum entry (leftmost on full ties)."""
-        m = self._m
-        if not m:
+        if self._j:
+            return self._l[0]
+        if not self._m:
             raise ContractViolation("find_min on empty MinKeeper")
-        return self._l[0] if self._j else len(m) - 1
+        return len(self._l)
 
     def order(self, i: int) -> int | None:
         """What S says of M[i] against M[i+1], at no cost.
@@ -374,7 +394,8 @@ class MinKeeper:
         tiebreaks differ; i + 1 means M[i+1] < M[i].
         """
         m = self._m
-        w = self._l[i] if i < self._j else len(m) - 1
+        l = self._l
+        w = l[i] if i < self._j else len(l)
         if w == i:
             return -1 if m[i][1] != m[i + 1][1] else None
         return 1 if w == i + 1 else None
@@ -392,20 +413,25 @@ class MinKeeper:
         """
         m = self._m
         l = self._l
-        T = len(m) - 1
+        T = len(l)
         j = self._j
         m[: r + 1] = [entry, *m[: r - 1], top]
         if r < T:
-            l[1 : r + 1] = [w + 1 if w < r - 1 else max(w, r) for w in l[:r]]
-            stale = self._stale
-            if stale:
-                # bits below r move up one, bit r is overwritten by r - 1's;
-                # a stale L[T-2] moved to T-1, which is T-1 by definition
-                stale = (stale & ((1 << r) - 1)) << 1 | stale >> (r + 1) << (r + 1)
-                self._stale = stale & ((1 << (T - 1)) - 1)
-                l[T - 1] = T - 1
+            if r == 1:
+                l[1] = l[0] or 1
+            else:
+                l[1 : r + 1] = [w + 1 if w < r - 1 else max(w, r)
+                                for w in l[:r]]
             if j <= r:
+                # with the positions below r, the top region moves up one
                 j += 1
+                stale = self._stale
+                if stale:
+                    # bits below r move up one and bit r takes r - 1's; a
+                    # stale L[T-2] lands on L[T-1], which is T-1 anyway
+                    stale = (stale & ((1 << r) - 1)) << 1 | stale >> (r + 1) << (r + 1)
+                    self._stale = stale & ((1 << (T - 1)) - 1)
+                    l[T - 1] = T - 1
         elif r == T:
             # the old M[T-1] melds into the top, so S's witnesses T - 1 and
             # T become the top: the top region grows down to b + 1
@@ -457,9 +483,9 @@ class MinKeeper:
         """
         m = self._m
         m[0] = EMPTY
-        T = len(m) - 1
+        l = self._l
+        T = len(l)
         if T > 1:
-            l = self._l
             if self._j <= 1:
                 # the top beat L[1], so it beats M[0:] now
                 self._j = 0
