@@ -7,13 +7,16 @@ working-set Dijkstra on the remaining core, and rebuilds the answer:
 2. drop every edge that points from a vertex into one of its dominators,
 3. contract each maximal chain of outdegree-1 dominator-tree nodes into one
    vertex, rebuilding the weights of edges leaving chain interiors as
-   protected prefix sums (additions only, zero comparisons),
+   protected prefix sums (additions only, zero comparisons), built only as
+   deep as the last interior that such an edge leaves,
 4. lazily deduplicate parallel edges: a group's minimum is paid for with
    group-size - 1 comparisons the first time anything looks at it,
 5. Dijkstra with the working-set heap on the contracted core,
 6. uncontract: every arc carries its origin (an input arc id, or the lazy
    group whose resolved winner names one), so each core tree arc and each
-   contracted chain edge maps straight back to an input arc, and
+   contracted chain edge maps straight back to an input arc; a core vertex
+   keeps the distance handle the core Dijkstra paid for, and only chain
+   interiors are added up, one addition each down from their head, and
 7. linearize from the core Dijkstra's extraction order, which is sorted and
    already paid for: each chain's interiors, sorted by their prefix sums,
    go into the part of that order after their head, spliced in with one
@@ -230,6 +233,8 @@ def contract_chains(g: Graph, dom: DominatorTree):
 
     Requires back edges to be dropped already.  Edges leaving chain interiors
     get weights prefix + w built with protected additions; no comparisons.
+    A chain's prefix sums stop at its deepest member with an out-arc besides
+    its chain arc, since no deeper prefix is read.
     Verifies on every chain that the chain edge is its head's unique in-edge
     and that no edge skips from a chain vertex into the child's subtree.
     Chain heads and vertices in no chain become core vertices 0, 1, ... in
@@ -272,18 +277,26 @@ def contract_chains(g: Graph, dom: DominatorTree):
     arena = g.arena
     add = arena.add
     tin, tout = dom._tin, dom._tout
+    adj = g.adj
     chain_arcs: set[int] = set()
     chain_origin = []
     prefix_of = {}  # original vertex -> handle of chain-start -> vertex distance
     for chain in chains:
+        # only arcs leaving interiors read prefix sums: stop at the deepest
+        # member with an out-arc besides its own chain arc
+        depth = len(chain) - 1
+        if not adj[chain[depth]]:
+            depth -= 1
+            while depth and len(adj[chain[depth]]) == 1:
+                depth -= 1
         pref = None
-        for a, b in zip(chain, chain[1:]):
+        for k, (a, b) in enumerate(zip(chain, chain[1:]), 1):
             cand = in_arcs[b]
             if len(cand) != 1 or g.tails[cand[0]] != a:
                 raise ContractViolation(
                     f"chain edge {a}->{b} is not the unique in-edge of {b}")
             # no other arc may leave a into b's dominated subtree
-            for i in g.adj[a]:
+            for i in adj[a]:
                 z = g.heads[i]
                 if z != b and tin[b] <= tin[z] and tout[z] <= tout[b]:
                     raise ContractViolation(
@@ -291,9 +304,10 @@ def contract_chains(g: Graph, dom: DominatorTree):
             arc = cand[0]
             chain_arcs.add(arc)
             chain_origin.append(g.origin[arc])
-            w = g.arc_weight(arc)
-            pref = w if pref is None else add(pref, w)
-            prefix_of[b] = pref
+            if k <= depth:
+                w = g.arc_weight(arc)
+                pref = w if pref is None else add(pref, w)
+                prefix_of[b] = pref
 
     # number heads and non-chain vertices first: an interior may have a
     # smaller id than its chain head
@@ -393,19 +407,32 @@ def hwang_lin_merge(arena: WeightArena, a: list[int], b: list[int],
     return out
 
 
-def tree_distances(g: Graph, tree: SpanningTree, arc_of: list[int]) -> list[int]:
-    """Distance handles along tree paths, built with additions only."""
+def tree_distances(g: Graph, tree: SpanningTree, arc_of: list[int],
+                   known: list | None = None) -> list[int]:
+    """Distance handles along tree paths, built with additions only.
+
+    ``known`` holds handles already paid for, None elsewhere; each vertex
+    without one gets its parent's handle plus its tree arc's weight, one
+    addition.  Without ``known`` only the root's zero is given.
+    """
     arena = g.arena
     add = arena.add
-    d = [0] * tree.n
-    d[tree.root] = arena.zero()
-    ch = tree.children()
-    stack = [tree.root]
-    while stack:
-        u = stack.pop()
-        for v in ch[u]:
-            d[v] = add(d[u], g.arc_weight(arc_of[v]))
-            stack.append(v)
+    parent = tree.parent
+    if known is None:
+        d = [None] * tree.n
+        d[tree.root] = arena.zero()
+    else:
+        d = known[:]
+    for v in range(tree.n):
+        if d[v] is not None:
+            continue
+        path = []  # climb to the nearest vertex with a handle, then add down
+        while d[v] is None:
+            path.append(v)
+            v = parent[v]
+        h = d[v]
+        for v in reversed(path):
+            h = d[v] = add(h, g.arc_weight(arc_of[v]))
     return d
 
 
@@ -469,8 +496,11 @@ def merge_chains(core_order: list[int], rep: list[int],
 class PipelineResult:
     """Everything the contraction pipeline produced, for auditing.
 
-    ``sssp_comparisons`` covers everything up to the uncontracted tree;
-    ``dp_comparisons`` is the rest, the linearization's comparisons.
+    ``dist`` holds the core run's own handles at core vertices (every handle
+    of ``run.dist`` appears in it) and fresh sums at chain interiors, so
+    ``additions`` pays for each distance once.  ``sssp_comparisons`` covers
+    everything up to the uncontracted tree; ``dp_comparisons`` is the rest,
+    the linearization's comparisons.
     """
 
     __slots__ = ("tree", "tree_arc", "linearization", "dist", "run",
@@ -513,7 +543,12 @@ def run_pipeline(g: Graph) -> PipelineResult:
     tree = SpanningTree(parent, g.s, "sssp")
     cmp_sssp = arena.cmp_count - cmp0
 
-    dist = tree_distances(g, tree, parent_arc)
+    # a core vertex's distance is the core run's, already paid for; only
+    # chain interiors are added up, down from their head
+    known = [None] * g.n
+    for k, h in enumerate(run.dist):
+        known[rep[k]] = h
+    dist = tree_distances(g, tree, parent_arc, known)
     lin = merge_chains(run.linearization, rep, chains, dist, arena)
     cmp1, add1 = arena.counters()
     return PipelineResult(

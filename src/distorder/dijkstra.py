@@ -159,8 +159,12 @@ def run_dijkstra(g: Graph, heap_kind: str = "workset") -> DijkstraRun:
 
 
 def _verify_order(arena, run: DijkstraRun) -> None:
-    """n-1 comparisons on a side arena: the output is sorted by distance."""
+    """n-1 comparisons on a side arena: the output is sorted by distance.
+
+    Raises AssertionError explicitly, so the check also runs under ``-O``.
+    """
     handles = [run.dist[v] for v in run.linearization]
     side, side_handles = arena.fork_values(handles)
     for a, b in zip(side_handles, side_handles[1:]):
-        assert side.compare(a, b) <= 0, "linearization out of distance order"
+        if side.compare(a, b) > 0:
+            raise AssertionError("linearization out of distance order")

@@ -230,17 +230,16 @@ class SpanningTree:
         tin, tout = [0] * n, [0] * n
         ch = self.children()
         clock = 0
-        stack = [(self.root, False)]
+        stack = [self.root]  # ~v marks v's exit
         while stack:
-            v, done = stack.pop()
-            if done:
-                tout[v] = clock
-                clock += 1
-                continue
-            tin[v] = clock
+            v = stack.pop()
+            if v < 0:
+                tout[~v] = clock
+            else:
+                tin[v] = clock
+                stack.append(~v)
+                stack.extend(ch[v])
             clock += 1
-            stack.append((v, True))
-            stack.extend((c, False) for c in ch[v])
         return tin, tout
 
 

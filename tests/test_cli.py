@@ -57,6 +57,8 @@ def test_run_optimal_on_path_zero_comparisons(capsys):
     assert rc == 0
     stats = out.strip().splitlines()[-1].split()
     assert stats[1] == "comparisons" and stats[2] == "0"
+    # one addition per distance: the path is one chain below the source
+    assert stats[3] == "additions" and stats[4] == "199"
 
 
 def test_run_binary_on_broom_pays_log_t(capsys):

@@ -174,6 +174,24 @@ class TestContraction:
         assert chains == [list(range(1, r + 1))]
         assert rep == [0, 1] + list(range(r + 1, r + t + 1))
 
+    @pytest.mark.parametrize("leaver, adds", [(1, 0), (2, 1), (3, 2), (4, 3)])
+    def test_prefix_sums_stop_at_the_last_leaving_arc(self, leaver, adds):
+        # chain 1 -> 2 -> 3 -> 4 with one arc leaving member `leaver` for 5:
+        # prefixes reach only that member (the first is the arc weight
+        # itself), plus one addition for the leaving arc's new weight
+        g = parse_graph(f"6 6 0 directed\n0 1 1\n1 2 2\n2 3 3\n3 4 4\n"
+                        f"0 5 100\n{leaver} 5 1\n", audit=True)
+        dt = dominator_tree(g)
+        g1 = drop_back_edges(g, dt)
+        a0 = g.arena.add_count
+        g2, chains, _, _ = contract_chains(g1, dt)
+        assert chains == [[1, 2, 3, 4]]
+        assert g.arena.add_count - a0 == adds
+        w = {(g2.tails[i], g2.heads[i]): g.arena.audit_value(g2.arc_weight(i))
+             for i in range(g2.m)}
+        assert w[1, 2] == 1 + [0, 2, 5, 9][leaver - 1]
+        assert_matches_bellman_ford(g, run_pipeline(g))
+
     def test_contracted_domtree_matches_recomputation(self):
         rng = random.Random(4)
         for trial in range(40):
@@ -454,6 +472,32 @@ class TestPipeline:
             assert 0 <= a < g.m
             assert (g.tails[a], g.heads[a]) == (p, v)
             assert g.arena.audit_value(g.weights[a]) + d[p] == d[v]
+
+    @pytest.mark.parametrize("make", [
+        partial(gen_family, "path", 200),
+        partial(gen_family, "star", 300, seed=2),
+        partial(gen_broom, 44, 44 * 44 - 44 - 1, seed=0),
+        partial(gen_broom, 45, 45 * 45 - 45 - 1, seed=0),
+    ], ids=["path-200", "star-300", "broom-44", "broom-45"])
+    def test_each_distance_is_added_once(self, make):
+        # no arc leaves a chain interior, so no prefix sum is built, and the
+        # core vertices keep the core run's distances
+        g = make()
+        res = run_pipeline(g)
+        assert res.additions == g.n - 1
+
+    def test_core_run_handles_are_reused(self):
+        rng = random.Random(16)
+        for trial in range(30):
+            g = gen_family("random_digraph", rng.randrange(2, 80),
+                           seed=1900 + trial, audit=True)
+            res = run_pipeline(g)
+            assert set(res.run.dist) <= set(res.dist)
+            assert_matches_bellman_ford(g, res)
+        g = gen_dense(6, seed=0, audit=True)
+        res = run_pipeline(g)
+        assert set(res.run.dist) <= set(res.dist)
+        assert_matches_bellman_ford(g, res)
 
     def test_linearization_sorted_by_distance(self):
         g = gen_family("star", 12, seed=4, audit=True)

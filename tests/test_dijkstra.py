@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -446,30 +449,30 @@ def test_no_free_comparison_reaches_the_arena(monkeypatch):
     (lambda: gen_dense(16, seed=0),
      {"workset": (12641, 4351), "fibonacci": (15435, 4351),
       "binary": (16481, 4351), "pairing": (16380, 4351),
-      "pipeline": (4191, 4621)}),
+      "pipeline": (4191, 4604)}),
     # integer spokes, rim arcs of 1/2
     (lambda: gen_family("fan", 200, seed=0),
      {"workset": (2498, 397), "fibonacci": (1508, 397),
       "binary": (2655, 397), "pairing": (1211, 397),
-      "pipeline": (2498, 596)}),
+      "pipeline": (2498, 397)}),
     # a common denominator past the arena's bound: unscaled cells
     (prime_denominator_graph,
      {"workset": (32409, 3989), "fibonacci": (29279, 3989),
       "binary": (38654, 3989), "pairing": (31467, 3989),
-      "pipeline": (32377, 6461)}),
+      "pipeline": (32377, 4569)}),
     # integer weights: the baselines next to the working-set heap
     (lambda: gen_family("random_digraph", 2000, seed=0),
      {"workset": (32447, 4214), "fibonacci": (29228, 4214),
       "binary": (38424, 4214), "pairing": (31072, 4214),
-      "pipeline": (32027, 6637)}),
+      "pipeline": (32027, 4745)}),
     (lambda: gen_broom(44, 44 * 44 - 44 - 1, seed=0),
      {"workset": (2190, 1935), "fibonacci": (5939, 1935),
       "binary": (26829, 1935), "pairing": (2162, 1935),
-      "pipeline": (279, 3869)}),
+      "pipeline": (279, 1935)}),
     (lambda: gen_broom(45, 45 * 45 - 45 - 1, seed=0),
      {"workset": (2266, 2024), "fibonacci": (8182, 2024),
       "binary": (26100, 2024), "pairing": (2267, 2024),
-      "pipeline": (284, 4047)}),
+      "pipeline": (284, 2024)}),
 ], ids=["dense-16", "fan-200", "prime-denominators", "random-digraph-2000",
         "broom-44", "broom-45"])
 def test_pinned_counts_on_rational_weights(make, pinned):
@@ -554,3 +557,43 @@ def test_every_decrease_key_strictly_lowers_the_key(kind, monkeypatch):
         assert decreased
         assert all(value(new) < value(old) for old, new in decreased)
         assert run.comparisons == comparisons
+
+
+def _swap_first_strict_pair(g, run):
+    """Swap two neighbours of the linearization whose distances differ."""
+    d = bellman_ford(g)
+    lin = run.linearization
+    i = next(i for i in range(len(lin) - 1) if d[lin[i]] < d[lin[i + 1]])
+    lin[i], lin[i + 1] = lin[i + 1], lin[i]
+
+
+def test_audit_order_check_raises_on_a_swapped_linearization():
+    g = gen_family("random_digraph", 50, seed=0, audit=True)
+    run = run_dijkstra(g)
+    dijkstra_module._verify_order(g.arena, run)  # the real order passes
+    _swap_first_strict_pair(g, run)
+    with pytest.raises(AssertionError, match="out of distance order"):
+        dijkstra_module._verify_order(g.arena, run)
+
+
+def test_audit_order_check_survives_optimize_flag():
+    # python -O strips bare asserts; the check must still raise
+    code = (
+        "import sys\n"
+        "from distorder.dijkstra import _verify_order, run_dijkstra\n"
+        "from distorder.graph_core import gen_family\n"
+        "g = gen_family('star', 20, seed=1, audit=True)\n"
+        "run = run_dijkstra(g)\n"
+        "lin = run.linearization\n"
+        "lin[1], lin[2] = lin[2], lin[1]\n"
+        "try:\n"
+        "    _verify_order(g.arena, run)\n"
+        "except AssertionError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(3)\n"
+    )
+    src = os.path.dirname(os.path.dirname(dijkstra_module.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from distorder.errors import GraphParseError, UsageError
-from distorder.graph_core import (emit_graph, forward_edges, gen_broom,
-                                  gen_dense, gen_family, parse_graph)
+from distorder.graph_core import (SpanningTree, emit_graph, forward_edges,
+                                  gen_broom, gen_dense, gen_family,
+                                  parse_graph)
 from distorder.dijkstra import run_dijkstra
 
 from helpers import bellman_ford
@@ -242,3 +243,34 @@ class TestForwardEdges:
         g = parse_graph("3 2 0 undirected\n0 1 1\n1 2 2\n", audit=True)
         run = run_dijkstra(g)
         assert forward_edges(g, run.dist) == 2
+
+
+class TestDfsTimes:
+    def test_pinned_times_on_a_small_tree(self):
+        # children are entered last first: 0 (2 (5) 1 (4 3))
+        tree = SpanningTree([-1, 0, 0, 1, 1, 2], 0, "sssp")
+        tin, tout = tree.dfs_times()
+        assert tin == [0, 5, 1, 8, 6, 2]
+        assert tout == [11, 10, 4, 9, 7, 3]
+
+    def test_ancestry_matches_parent_walk(self):
+        rng = random.Random(21)
+        for trial in range(60):
+            n = rng.randrange(1, 60)
+            # random labels, so parents may carry larger ids than children
+            label = list(range(n))
+            rng.shuffle(label)
+            parent = [-1] * n
+            for k in range(1, n):
+                parent[label[k]] = label[rng.randrange(k)]
+            tree = SpanningTree(parent, label[0], "sssp")
+            tin, tout = tree.dfs_times()
+            assert sorted(tin + tout) == list(range(2 * n))
+            for v in range(n):
+                above = set()
+                x = v
+                while x >= 0:
+                    above.add(x)
+                    x = parent[x]
+                for u in range(n):
+                    assert (tin[u] <= tin[v] < tout[u]) == (u in above)

@@ -5,10 +5,10 @@ change's:
 
     python3 tools/count_delta.py parent.json change.json
 
-Exits 1 and names the offending cases if the two dumps hold different cases
-or fields, if any field other than a count differs, or if any count rose.
-Otherwise prints, for each queue kind and for the pipeline, the summed
-comparisons on both sides, the delta and how many cases fell.
+Prints, for each queue kind and for the pipeline, the summed comparisons and
+additions on both sides, the delta and how many cases fell.  Then exits 1
+and names the offending cases if the two dumps hold different cases or
+fields, if any field other than a count differs, or if any count rose.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import sys
 from collections import Counter
 
 COUNTS = ("comparisons", "additions", "extract_comparisons", "lazy_spend")
+TOTALS = ("comparisons", "additions")  # summed per kind and printed
 
 
 def main(argv: list[str]) -> int:
@@ -29,7 +30,7 @@ def main(argv: list[str]) -> int:
     with open(argv[2]) as f:
         new = json.load(f)
     faults = [f"{name}: only in one dump" for name in sorted(old.keys() ^ new.keys())]
-    before, after, fell = Counter(), Counter(), Counter()
+    before, after, fell = Counter(), Counter(), Counter()  # by (kind, count)
     for name in sorted(old.keys() & new.keys()):
         a, b = old[name], new[name]
         for field in sorted(a.keys() | b.keys()):
@@ -40,17 +41,19 @@ def main(argv: list[str]) -> int:
                     faults.append(f"{name}: {field} rose {a[field]} -> {b[field]}")
             elif a[field] != b[field]:
                 faults.append(f"{name}: {field} differs")
-        kind = name.split("/")[1]  # graph/kind/mode, graph/pipeline, replay-sN/kind
-        before[kind] += a.get("comparisons", 0)
-        after[kind] += b.get("comparisons", 0)
-        fell[kind] += b.get("comparisons", 0) < a.get("comparisons", 0)
+        kind = name.split("/")[1]  # graph/kind/mode, graph/pipeline/..., replay-sN/kind
+        for count in TOTALS:
+            x, y = a.get(count, 0), b.get(count, 0)
+            before[kind, count] += x
+            after[kind, count] += y
+            fell[kind, count] += y < x
+    for key in sorted(before):
+        print(f"{key[0]:<10} {key[1]:<11} {before[key]:>11,} -> {after[key]:>11,}"
+              f"  delta {after[key] - before[key]:>+9,}  fell in {fell[key]} cases")
     if faults:
         print("\n".join(faults), file=sys.stderr)
         print(f"{len(faults)} faults", file=sys.stderr)
         return 1
-    for kind in sorted(before):
-        print(f"{kind:<10} comparisons {before[kind]:>11,} -> {after[kind]:>11,}"
-              f"  delta {after[kind] - before[kind]:>+9,}  fell in {fell[kind]} cases")
     return 0
 
 

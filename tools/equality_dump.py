@@ -11,12 +11,13 @@ path at n in {50, 2000} and seeds {0, 424242}; brooms t in {44, 45, 64} with
 a path of t*t - t - 1 vertices; ``gen_dense`` k = 4, 8, ..., 32; fan-200;
 the prime-denominator graph; and perfbench's random-sparse, broom-dense and
 heap-churn star inputs at seeds 0 and 424242.  Each graph runs Dijkstra on
-all four queues in a plain and an audit-mode arena, plus the pipeline on the
-plain one.  The heap-churn trace is also replayed on all four queues at
-both seeds.  Every case records comparisons and additions; Dijkstra runs add
-``extract_comparisons``, the linearization, both trees' parents,
+all four queues and the pipeline in a plain and an audit-mode arena.  The
+heap-churn trace is also replayed on all four queues at both seeds, for 438
+cases in all.  Every case records comparisons and additions; Dijkstra runs
+add ``extract_comparisons``, the linearization, both trees' parents,
 ``sssp_arcs``, the intervals and (audit runs) the exact distances; pipeline
-runs add ``lazy_spend``, the linearization, the tree and ``tree_arc``.
+runs add ``lazy_spend``, the linearization, the tree, ``tree_arc`` and
+(audit runs) the exact distances.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def dijkstra_case(g, kind):
 
 def pipeline_case(g):
     p = run_pipeline(g)
-    return {
+    case = {
         "comparisons": p.comparisons,
         "additions": p.additions,
         "lazy_spend": p.lazy_spend,
@@ -87,6 +88,9 @@ def pipeline_case(g):
         "tree": p.tree.parent,
         "tree_arc": p.tree_arc,
     }
+    if g.arena.audit:
+        case["dist"] = [str(g.arena.audit_value(h)) for h in p.dist]
+    return case
 
 
 def main():
@@ -97,7 +101,9 @@ def main():
             mode = "audit" if audit else "plain"
             for kind in HEAP_KINDS:
                 cases[f"{name}/{kind}/{mode}"] = dijkstra_case(g, kind)
-            if not audit:
+            if audit:
+                cases[f"{name}/pipeline/audit"] = pipeline_case(g)
+            else:
                 cases[f"{name}/pipeline"] = pipeline_case(g)
     for seed in SEEDS:
         trace = make_inputs("heap-churn", seed)
