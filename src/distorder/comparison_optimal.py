@@ -408,32 +408,26 @@ def hwang_lin_merge(arena: WeightArena, a: list[int], b: list[int],
 
 
 def tree_distances(g: Graph, tree: SpanningTree, arc_of: list[int],
-                   known: list | None = None) -> list[int]:
+                   dist: list) -> list[int]:
     """Distance handles along tree paths, built with additions only.
 
-    ``known`` holds handles already paid for, None elsewhere; each vertex
-    without one gets its parent's handle plus its tree arc's weight, one
-    addition.  Without ``known`` only the root's zero is given.
+    ``dist`` holds the handles already paid for, the root's among them, and
+    None elsewhere.  Each None is filled in with its parent's handle plus its
+    tree arc's weight, one addition, and ``dist`` is returned.
     """
-    arena = g.arena
-    add = arena.add
+    add = g.arena.add
     parent = tree.parent
-    if known is None:
-        d = [None] * tree.n
-        d[tree.root] = arena.zero()
-    else:
-        d = known[:]
     for v in range(tree.n):
-        if d[v] is not None:
+        if dist[v] is not None:
             continue
         path = []  # climb to the nearest vertex with a handle, then add down
-        while d[v] is None:
+        while dist[v] is None:
             path.append(v)
             v = parent[v]
-        h = d[v]
+        h = dist[v]
         for v in reversed(path):
-            h = d[v] = add(h, g.arc_weight(arc_of[v]))
-    return d
+            h = dist[v] = add(h, g.arc_weight(arc_of[v]))
+    return dist
 
 
 def tree_dp_linearize(tree: SpanningTree, dist: list[int],
@@ -545,10 +539,10 @@ def run_pipeline(g: Graph) -> PipelineResult:
 
     # a core vertex's distance is the core run's, already paid for; only
     # chain interiors are added up, down from their head
-    known = [None] * g.n
+    dist = [None] * g.n
     for k, h in enumerate(run.dist):
-        known[rep[k]] = h
-    dist = tree_distances(g, tree, parent_arc, known)
+        dist[rep[k]] = h
+    dist = tree_distances(g, tree, parent_arc, dist)
     lin = merge_chains(run.linearization, rep, chains, dist, arena)
     cmp1, add1 = arena.counters()
     return PipelineResult(
