@@ -25,10 +25,15 @@ _NIL = -1
 
 
 class HeapNodePool:
-    """Parallel-array node storage shared by a family of meldable heaps."""
+    """Parallel-array node storage shared by a family of meldable heaps.
+
+    :meth:`FibonacciHeap.insert` takes a node id from ``free`` or appends
+    one, and :meth:`FibonacciHeap.extract_min` marks the extracted node
+    stale (time ``_NIL``) and hands its id back to ``free``.
+    """
 
     __slots__ = ("key", "time", "vertex", "parent", "child", "left", "right",
-                 "degm", "_free")
+                 "degm", "free")
 
     def __init__(self):
         self.key: list[int] = []
@@ -39,35 +44,7 @@ class HeapNodePool:
         self.left: list[int] = []
         self.right: list[int] = []
         self.degm: list[int] = []  # degree << 1 | mark
-        self._free: list[int] = []
-
-    def alloc(self, key: int, time: int, vertex: int) -> int:
-        free = self._free
-        if free:
-            nid = free.pop()
-            self.key[nid] = key
-            self.time[nid] = time
-            self.vertex[nid] = vertex
-            self.parent[nid] = _NIL
-            self.child[nid] = _NIL
-            self.left[nid] = nid
-            self.right[nid] = nid
-            self.degm[nid] = 0
-        else:
-            nid = len(self.key)
-            self.key.append(key)
-            self.time.append(time)
-            self.vertex.append(vertex)
-            self.parent.append(_NIL)
-            self.child.append(_NIL)
-            self.left.append(nid)
-            self.right.append(nid)
-            self.degm.append(0)
-        return nid
-
-    def release(self, nid: int) -> None:
-        self.time[nid] = _NIL  # stale-handle marker
-        self._free.append(nid)
+        self.free: list[int] = []  # ids of extracted nodes, for reuse
 
 
 class FibonacciHeap:
@@ -77,6 +54,13 @@ class FibonacciHeap:
     ownership is tracked externally (the working-set heap finds a node's heap
     from its insertion time and the cached span starts, standalone users keep
     their own bookkeeping).
+
+    Extract-min consolidates in the same pass.  It relinks the surviving
+    roots in the order they had in the ring, z's siblings from its right
+    and then its children, which is where unlinking each linked root would
+    have left them.  Which roots a later extract links, and which of two
+    equal-degree roots meets the other first, depends on that order, so
+    keeping it keeps every later comparison the same.
     """
 
     __slots__ = ("pool", "arena", "min", "size", "iv_start")
@@ -102,14 +86,34 @@ class FibonacciHeap:
         """Add an element; returns its node id.  Amortized O(1)."""
         pool = self.pool
         m = self.min
-        if m == _NIL:
-            nid = self.min = pool.alloc(key, time, vertex)
-        else:
+        if m != _NIL:
             # compare first, so a rejected key leaves the heap untouched
             c = self.arena.compare(key, pool.key[m])
-            nid = pool.alloc(key, time, vertex)
+        free = pool.free
+        if free:
+            # an extracted node was a root, so its parent is already _NIL
+            nid = free.pop()
+            pool.key[nid] = key
+            pool.time[nid] = time
+            pool.vertex[nid] = vertex
+            pool.child[nid] = _NIL
+            pool.degm[nid] = 0
+        else:
+            nid = len(pool.key)
+            pool.key.append(key)
+            pool.time.append(time)
+            pool.vertex.append(vertex)
+            pool.parent.append(_NIL)
+            pool.child.append(_NIL)
+            pool.left.append(nid)
+            pool.right.append(nid)
+            pool.degm.append(0)
+        left, right = pool.left, pool.right
+        if m == _NIL:
+            left[nid] = right[nid] = nid
+            self.min = nid
+        else:
             # splice nid into the root ring, left of m
-            left, right = pool.left, pool.right
             lm = left[m]
             right[lm] = nid
             left[nid] = lm
@@ -159,96 +163,91 @@ class FibonacciHeap:
         return self
 
     def extract_min(self) -> tuple[int, int, int]:
-        """Remove and return (key, time, vertex) of the minimum."""
+        """Remove and return (key, time, vertex) of the minimum.
+
+        One pass: collect the remaining roots, link them by degree, then
+        relink the survivors in their collected order while finding the new
+        minimum.
+        """
         z = self.min
         if z == _NIL:
             raise EmptyHeapError("extract_min on empty heap")
         pool = self.pool
         left, right, parent, child, degm = (
             pool.left, pool.right, pool.parent, pool.child, pool.degm)
+        key, vertex = pool.key, pool.vertex
+        # the roots besides z rightwards from z, then z's children, promoted
+        roots = []
+        x = right[z]
+        while x != z:
+            roots.append(x)
+            x = right[x]
         c = child[z]
         if c != _NIL:
-            # promote z's children to roots
             x = c
             while True:
+                roots.append(x)
                 parent[x] = _NIL
                 x = right[x]
                 if x == c:
                     break
-            lz, lc = left[z], left[c]
-            right[lz] = c
-            left[c] = lz
-            right[lc] = z
-            left[z] = lc
-            child[z] = _NIL
-        rz = right[z]
-        # unlink z
-        lz = left[z]
-        right[lz] = rz
-        left[rz] = lz
-        out = (pool.key[z], pool.time[z], pool.vertex[z])
-        pool.release(z)
+        out = (key[z], pool.time[z], vertex[z])
+        pool.time[z] = _NIL  # stale-handle marker
+        pool.free.append(z)
         self.size -= 1
-        if z == rz:
+        if not roots:
             self.min = _NIL
-        else:
-            self.min = rz
-            self._consolidate()
-        return out
-
-    def _consolidate(self) -> None:
-        pool = self.pool
-        left, right, parent, child, degm = (
-            pool.left, pool.right, pool.parent, pool.child, pool.degm)
-        key, vertex = pool.key, pool.vertex
+            return out
         compare = self.arena.compare
-        roots = []
-        stop = self.min
-        x = stop
-        while True:
-            roots.append(x)
-            x = right[x]
-            if x == stop:
-                break
+        # link roots of equal degree; a linked root y stays in the old ring
+        # until it joins x's child ring, and only a settled root's degree
+        # is written
         buckets: list[int] = [_NIL] * (self.size.bit_length() * 2 + 4)
         for x in roots:
             d = degm[x] >> 1
-            while buckets[d] != _NIL:
-                y = buckets[d]
-                c = compare(key[y], key[x])
-                if c < 0 or (c == 0 and vertex[y] < vertex[x]):
-                    x, y = y, x
-                # link y under x
-                ly, ry = left[y], right[y]
-                right[ly] = ry
-                left[ry] = ly
-                cx = child[x]
-                if cx == _NIL:
-                    child[x] = y
-                    left[y] = y
-                    right[y] = y
-                else:
-                    lc = left[cx]
-                    right[lc] = y
-                    left[y] = lc
-                    right[y] = cx
-                    left[cx] = y
-                parent[y] = x
-                degm[y] &= ~1  # clear mark
-                buckets[d] = _NIL
-                d += 1
+            y = buckets[d]
+            if y != _NIL:
+                while True:
+                    c = compare(key[y], key[x])
+                    if c < 0 or (c == 0 and vertex[y] < vertex[x]):
+                        x, y = y, x
+                    # link y under x; y's degree is d, its mark cleared
+                    cx = child[x]
+                    if cx == _NIL:
+                        child[x] = y
+                        left[y] = right[y] = y
+                    else:
+                        lc = left[cx]
+                        right[lc] = y
+                        left[y] = lc
+                        right[y] = cx
+                        left[cx] = y
+                    parent[y] = x
+                    degm[y] = d << 1
+                    buckets[d] = _NIL
+                    d += 1
+                    y = buckets[d]
+                    if y == _NIL:
+                        break
                 degm[x] = (d << 1) | (degm[x] & 1)
             buckets[d] = x
-        mn = _NIL
-        for x in buckets:
-            if x != _NIL:
+        # the survivors form the new root ring in their old order
+        mn = prev = _NIL
+        for x in roots:
+            if parent[x] == _NIL:
                 if mn == _NIL:
-                    mn = x
+                    mn = first = x
                 else:
+                    right[prev] = x
+                    left[x] = prev
                     c = compare(key[x], key[mn])
                     if c < 0 or (c == 0 and vertex[x] < vertex[mn]):
                         mn = x
+                prev = x
+        right[prev] = first
+        left[first] = prev
         self.min = mn
+        return out
 
     def decrease_key(self, nid: int, new_key: int) -> None:
         """Lower a node's key.  Raising it is a contract violation.
@@ -365,11 +364,14 @@ class FibonacciQueue:
         return heap.insert(key, t, vertex), t
 
     def decrease_key(self, handle: tuple[int, int], key: int) -> None:
-        self._heap.arena.check_handle(key)
+        heap = self._heap
+        heap.arena.check_handle(key)
         nid, t = handle
-        if self._heap.pool.time[nid] != t:
+        time = heap.pool.time
+        # a live node's time is positive; _NIL marks an extracted one
+        if not 0 <= nid < len(time) or t < 0 or time[nid] != t:
             raise ContractViolation("stale handle: element already extracted")
-        self._heap.decrease_key(nid, key)
+        heap.decrease_key(nid, key)
 
     def extract_min(self) -> tuple[int, int]:
         key, _t, vertex = self._heap.extract_min()
@@ -421,7 +423,10 @@ class BinaryQueue:
         old key.  The guard runs before any write.
         """
         self._arena.check_handle(key)
-        i = self._pos[eid]
+        pos = self._pos
+        if not 0 <= eid < len(pos):
+            raise ContractViolation("foreign handle: no such element")
+        i = pos[eid]
         if i < 0:
             raise ContractViolation("stale handle: element already extracted")
         if i:
@@ -550,6 +555,8 @@ class PairingQueue:
         stays below the root.  The guard runs before any write.
         """
         self._arena.check_handle(key)
+        if not 0 <= eid < len(self._key):
+            raise ContractViolation("foreign handle: no such element")
         root = self._root
         if eid == root:
             moves = False

@@ -15,8 +15,11 @@ rank's.  By invariant 3 the spans of the nonempty heaps are disjoint and
 ordered oldest-first by rank, so decrease-key finds an element's heap from
 its timestamp alone: the lowest nonempty rank whose span starts at or before
 it, found by scanning the at most 8 rank slots.  A minimum keeper M holds
-each rank's current minimum and the suffix minima S of M (so find-min and
-the extraction rank are a single O(1) read).
+each rank's current minimum, the suffix minima L of the ranks below the
+top, and the first position j whose L the top rank's minimum beats.  The
+suffix minima S of all of M are not stored but derived from L and j: S[i]
+is L[i] below j and the top rank from j on (see :mod:`.aux_structures`), so
+find-min and the extraction rank are a single O(1) read.
 
 Comparison costs: an insert spends at most two, one in an inner heap (rank
 0's insert, or the carry's meld) and one for S[0].  A carry that lands at
@@ -282,7 +285,9 @@ class WorkSetHeap:
         self.arena.check_handle(new_key)
         nid, t = handle
         pool = self._pool
-        if pool.time[nid] != t:
+        time = pool.time
+        # a live node's time is at least 0; _NIL marks an extracted one
+        if not 0 <= nid < len(time) or t < 0 or time[nid] != t:
             raise ContractViolation("stale handle: element already extracted")
         r = self._rank_at(t)
         heap = self._heaps[r]
