@@ -46,6 +46,57 @@ class SortedReplayOracle:
                 return value, ident
 
 
+def fibonacci_rings(heap, value_of=None) -> list[int]:
+    """Check a FibonacciHeap's node rings; returns its root ring from min.
+
+    Walks every ring from ``heap.min`` and asserts that ``left`` and
+    ``right`` are mutual inverses, that every root's parent is -1 and every
+    child points at its parent, that each degree (``degm >> 1``) equals the
+    child count, that no child comes before its parent in (key, vertex)
+    order, that ``min`` is a root with no root before it, that only live
+    (non-stale) nodes are reachable, and that there are ``heap.size`` of
+    them.  ``value_of`` maps a key handle to its value; if omitted the arena
+    must be in audit mode.  Spends no arena comparisons.
+    """
+    pool = heap.pool
+    value_of = value_of or heap.arena.audit_value
+
+    def order(x):
+        return value_of(pool.key[x]), pool.vertex[x]
+
+    def ring(first, parent):
+        out, x = [], first
+        while True:
+            assert len(out) < len(pool.key), "ring does not close"
+            assert pool.right[pool.left[x]] == x == pool.left[pool.right[x]], (
+                f"node {x}: left and right are not inverses")
+            assert pool.parent[x] == parent, f"node {x}: parent is not {parent}"
+            assert pool.time[x] != -1, f"node {x}: stale node reachable"
+            out.append(x)
+            x = pool.right[x]
+            if x == first:
+                return out
+
+    if heap.min == -1:
+        assert heap.size == 0, "empty heap with a nonzero size"
+        return []
+    roots = ring(heap.min, -1)
+    best = min(roots, key=order)
+    assert order(best) == order(heap.min), "a root comes before min"
+    seen = 0
+    stack = list(roots)
+    while stack:
+        x = stack.pop()
+        seen += 1
+        c = pool.child[x]
+        kids = ring(c, x) if c != -1 else []
+        assert pool.degm[x] >> 1 == len(kids), f"node {x}: degree drifted"
+        assert all(order(x) < order(y) for y in kids), f"node {x}: heap order"
+        stack.extend(kids)
+    assert seen == heap.size, f"{seen} reachable nodes, size {heap.size}"
+    return roots
+
+
 def bellman_ford(g: Graph) -> list:
     """Raw-value shortest distances; needs an audit-mode arena."""
     w = [g.arena.audit_value(g.arc_weight(i)) for i in range(g.m)]

@@ -8,7 +8,7 @@ from distorder.base_heap import (BinaryQueue, FibonacciHeap, FibonacciQueue,
 from distorder.errors import ContractViolation, EmptyHeapError
 from distorder.weights import WeightArena
 
-from helpers import SortedReplayOracle
+from helpers import SortedReplayOracle, fibonacci_rings
 
 
 def fresh_heap(arena=None):
@@ -170,3 +170,65 @@ def test_drain_comparison_bound():
             h.extract_min()
         cmp, _ = a.counters()
         assert cmp <= 6 * (n * math.log2(n) + n), (n, cmp)
+
+
+def test_root_ring_after_an_extract_keeps_the_old_ring_order():
+    # keys 5 3 8 1 9 2 7 4 at vertices 0..7: the extract of vertex 3 links
+    # the seven other roots into trees of degree 1, 0 and 2, rooted at 5, 7
+    # and 1; the ring keeps their old order, which a relink in degree order
+    # (5, 1, 7) would not
+    h, a = fresh_heap(WeightArena(audit=True))
+    for v, k in enumerate((5, 3, 8, 1, 9, 2, 7, 4)):
+        h.insert(a.intern(k), v, v)
+    assert h.extract_min()[2] == 3
+    roots = fibonacci_rings(h)
+    assert [(h.pool.vertex[x], h.pool.degm[x] >> 1) for x in roots] == [
+        (5, 1), (7, 0), (1, 2)]
+    assert a.cmp_count == 13
+
+
+def test_rings_hold_after_every_operation():
+    # three heaps on one pool, driven by inserts, extracts, decreases and
+    # melds; small keys make ties, which the vertex id breaks
+    rng = random.Random(18)
+    arena = WeightArena(audit=True)
+    pool = HeapNodePool()
+    heaps = [FibonacciHeap(pool, arena) for _ in range(3)]
+    oracles = [SortedReplayOracle() for _ in heaps]
+    live = [{} for _ in heaps]  # per heap: vertex -> (node id, value)
+    ident = 0
+    for _step in range(3000):
+        i = rng.randrange(len(heaps))
+        h, oracle, own = heaps[i], oracles[i], live[i]
+        roll = rng.random()
+        if roll < 0.45 or not own:
+            v = rng.randrange(64)
+            own[ident] = (h.insert(arena.intern(v), ident, ident), v)
+            oracle.insert(v, ident)
+            ident += 1
+        elif roll < 0.75:
+            _k, _t, got = h.extract_min()
+            assert got == oracle.extract_min()[1]
+            del own[got]
+        elif roll < 0.95:
+            vid = rng.choice(list(own))
+            nid, v = own[vid]
+            nv = v - rng.randrange(v + 1)
+            h.decrease_key(nid, arena.intern(nv))
+            oracle.decrease(vid, nv)
+            own[vid] = (nid, nv)
+        else:
+            j = (i + 1) % len(heaps)
+            h.meld(heaps[j])
+            for vid, (_nid, v) in live[j].items():
+                oracle.insert(v, vid)
+            own.update(live[j])
+            live[j].clear()
+            oracles[j] = SortedReplayOracle()
+        for heap, own_j in zip(heaps, live):
+            fibonacci_rings(heap)
+            assert heap.size == len(own_j)
+    for h, oracle in zip(heaps, oracles):
+        while len(oracle):
+            assert h.extract_min()[2] == oracle.extract_min()[1]
+            fibonacci_rings(h)

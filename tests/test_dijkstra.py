@@ -197,16 +197,34 @@ def test_stale_and_foreign_handles_raise_and_keep_the_queue(kind):
         assert got == oracle.extract_min()[1]
         return got
 
+    def forged():
+        """Handles no insert returned: ids out of range, negative times."""
+        if kind in ("binary", "pairing"):
+            return [-1, -len(token), len(token) + 7, 10**6]
+        out = [(-1, t) for _nid, t in token.values()]  # -1 is the last node
+        out += [(nid, -1) for nid, _t in token.values()]  # -1 marks released
+        return out + [(-1, -1), (10**6, 1), (-10**6, 1)]
+
+    def refuse_forged():
+        n = len(q)
+        for handle in forged():
+            with pytest.raises(ContractViolation):
+                q.decrease_key(handle, arena.zero())
+            assert len(q) == n
+
     for ident in range(6):
         insert(ident)
+    refuse_forged()
     gone = [extract(), extract()]
     with pytest.raises(ContractViolation):
         q.decrease_key(token[gone[0]], arena.zero())
+    refuse_forged()
     for ident in range(6, 12):  # may reuse the extracted elements' nodes
         insert(ident)
     for ident in gone:
         with pytest.raises(ContractViolation):
             q.decrease_key(token[ident], arena.zero())
+    refuse_forged()
     live = max(token, key=values.__getitem__)
     with pytest.raises(ContractViolation):
         q.decrease_key(token[live], WeightArena().intern(0))

@@ -18,8 +18,8 @@ Parsing and interning stay outside the count.  The output lists the total
 and the functions with the most instructions, or with ``--json`` one JSON
 object of ``total`` and per-function ``counts``.  Counts depend on the
 CPython version (these are for the interpreter that runs the script) but
-not on the machine or its load.  Tracing slows the pass by about two orders
-of magnitude.
+not on the machine or its load, so two checkouts are compared by running
+the script in each with the same interpreter.
 """
 
 from __future__ import annotations
