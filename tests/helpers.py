@@ -46,7 +46,7 @@ class SortedReplayOracle:
                 return value, ident
 
 
-def fibonacci_rings(heap, value_of=None) -> list[int]:
+def fibonacci_rings(heap) -> list[int]:
     """Check a FibonacciHeap's node rings; returns its root ring from min.
 
     Walks every ring from ``heap.min`` and asserts that ``left`` and
@@ -55,11 +55,11 @@ def fibonacci_rings(heap, value_of=None) -> list[int]:
     child count, that no child comes before its parent in (key, vertex)
     order, that ``min`` is a root with no root before it, that only live
     (non-stale) nodes are reachable, and that there are ``heap.size`` of
-    them.  ``value_of`` maps a key handle to its value; if omitted the arena
-    must be in audit mode.  Spends no arena comparisons.
+    them.  The heap's arena must be in audit mode, which lets the check read
+    key values without spending arena comparisons.
     """
     pool = heap.pool
-    value_of = value_of or heap.arena.audit_value
+    value_of = heap.arena.audit_value
 
     def order(x):
         return value_of(pool.key[x]), pool.vertex[x]
