@@ -60,7 +60,9 @@ class FibonacciHeap:
     and then its children, which is where unlinking each linked root would
     have left them.  Which roots a later extract links, and which of two
     equal-degree roots meets the other first, depends on that order, so
-    keeping it keeps every later comparison the same.
+    keeping it keeps every later comparison the same.  That holds while the
+    (key, vertex) pairs are distinct, as they are for every caller here;
+    among exact (key, vertex) ties the extraction order is not specified.
     """
 
     __slots__ = ("pool", "arena", "min", "size", "iv_start")

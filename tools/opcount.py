@@ -7,7 +7,7 @@ the pipeline over a perfbench input under ``sys.settrace`` with
 entered inside the pass (C functions execute none)::
 
     PYTHONPATH=src python3 tools/opcount.py --workload heap-churn --seed 0 --target fibonacci
-    PYTHONPATH=src python3 tools/opcount.py --workload random-sparse --seed 0 --target pipeline --json
+    PYTHONPATH=src python3 tools/opcount.py --workload random-sparse --seed 0 --target pipeline
 
 ``--target`` names a queue kind (``workset``, ``fibonacci``, ``binary``,
 ``pairing``) or ``pipeline``.  On random-sparse and broom-dense a queue
@@ -15,8 +15,7 @@ target runs ``run_dijkstra`` with that queue on each input graph and
 ``pipeline`` runs ``run_pipeline``; on heap-churn a queue target replays the
 churn trace on a fresh queue and ``pipeline`` runs on the trace's star.
 Parsing and interning stay outside the count.  The output lists the total
-and the functions with the most instructions, or with ``--json`` one JSON
-object of ``total`` and per-function ``counts``.  Counts depend on the
+and the functions with the most instructions.  Counts depend on the
 CPython version (these are for the interpreter that runs the script) but
 not on the machine or its load, so two checkouts are compared by running
 the script in each with the same interpreter.
@@ -25,7 +24,6 @@ the script in each with the same interpreter.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import Counter
@@ -38,6 +36,7 @@ from workloads import QUEUES, make_inputs, replay  # noqa: E402
 
 WORKLOADS = ("random-sparse", "broom-dense", "heap-churn")
 TARGETS = tuple(QUEUES) + ("pipeline",)
+TOP = 20  # functions listed under the total
 
 
 def parse_args(argv):
@@ -45,10 +44,6 @@ def parse_args(argv):
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--target", required=True, choices=TARGETS)
-    ap.add_argument("--top", type=int, default=20,
-                    help="functions to list (default 20)")
-    ap.add_argument("--json", action="store_true",
-                    help="print one JSON object instead of a table")
     return ap.parse_args(argv)
 
 
@@ -110,13 +105,8 @@ def main(argv) -> int:
     args = parse_args(argv)
     counts = count_opcodes(calls(args.workload, args.seed, args.target))
     total = sum(counts.values())
-    if args.json:
-        print(json.dumps({"workload": args.workload, "seed": args.seed,
-                          "target": args.target, "total": total,
-                          "counts": dict(counts.most_common())}))
-        return 0
     print(f"{args.workload} seed {args.seed} {args.target}: {total:,} instructions")
-    for name, n in counts.most_common(args.top):
+    for name, n in counts.most_common(TOP):
         print(f"{n:>12,}  {100 * n / total:5.1f}%  {name}")
     return 0
 
