@@ -154,10 +154,6 @@ class MinKeeper:
     def __len__(self):
         return len(self._m)
 
-    def entries(self) -> list[tuple]:
-        """The live (handle, tiebreak) pair list.  Treat as read-only."""
-        return self._m
-
     def _cmp(self, ha, ta, hb, tb) -> int:
         c = self._arena.compare(ha, hb)
         if c:
@@ -540,50 +536,3 @@ class MinKeeper:
             l[i - 1] = i - 1
         else:
             self._stale = 0
-
-    def check(self, value_of=None) -> None:
-        """Debug: L, j and the stale bits against a brute-force scan of M.
-
-        L[i] is the leftmost minimum of M[i:T] at every fresh position, the
-        stale bits lie in [j, T-1), the top beats M[L[i]] exactly for
-        i >= j, and so S[i] is the leftmost minimum of M[i:] for every i.
-        ``value_of`` maps a handle, INFINITY included, to its exact value,
-        and then the check spends no comparisons; without it the check
-        compares on the arena, so call it only outside measured runs.
-        """
-        m = self._m
-        l = self._l
-        j = self._j
-        stale = self._stale
-        T = len(m) - 1
-        assert len(l) == max(T, 0)
-        if value_of is None:
-            cmp = self._cmp
-        else:
-            def cmp(ha, ta, hb, tb):
-                a = (value_of(ha), ta)
-                b = (value_of(hb), tb)
-                return (a > b) - (a < b)
-
-        def leftmost_min(a, b):
-            best = a
-            for k in range(a + 1, b):
-                if cmp(*m[k], *m[best]) < 0:
-                    best = k
-            return best
-
-        if T < 0:
-            return
-        assert 0 <= j <= T, f"j = {j} outside [0, {T}]"
-        assert stale >> max(T - 1, 0) == 0, "L[T-1] or above marked stale"
-        assert stale & ((1 << j) - 1) == 0, "stale bit below j"
-        for i in range(T):
-            w = leftmost_min(i, T)
-            if not stale >> i & 1:
-                assert l[i] == w, f"L[{i}] is not the leftmost minimum of M[{i}:{T}]"
-            beats = cmp(*m[T], *m[w]) < 0
-            assert beats == (i >= j), f"j = {j} is wrong at position {i}"
-        for i in range(T + 1):
-            s = l[i] if i < j else T
-            assert s == leftmost_min(i, T + 1), (
-                f"S[{i}] is not the leftmost minimum of M[{i}:]")

@@ -320,32 +320,6 @@ class FibonacciHeap:
             self._cut(nid, p)
             nid = p
 
-    def iter_nodes(self):
-        """Yield node ids of all live nodes (debug walks)."""
-        if self.min == _NIL:
-            return
-        pool = self.pool
-        stack = []
-        stop = self.min
-        x = stop
-        while True:
-            stack.append(x)
-            x = pool.right[x]
-            if x == stop:
-                break
-        rings = stack
-        while rings:
-            x = rings.pop()
-            yield x
-            c = pool.child[x]
-            if c != _NIL:
-                y = c
-                while True:
-                    rings.append(y)
-                    y = pool.right[y]
-                    if y == c:
-                        break
-
 
 class FibonacciQueue:
     """Standalone priority-queue facade over a private pool and FibonacciHeap."""

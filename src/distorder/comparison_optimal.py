@@ -48,7 +48,7 @@ class DominatorTree:
 
     def __init__(self, idom: list[int], root: int):
         self.idom = idom
-        self.tree = SpanningTree(idom, root, "dominator")
+        self.tree = SpanningTree(idom, root)
         self._tin, self._tout = self.tree.dfs_times()
 
     def dominates(self, u: int, v: int) -> bool:
@@ -534,7 +534,7 @@ def run_pipeline(g: Graph) -> PipelineResult:
         v = heads[o]
         parent[v] = tails[o]
         parent_arc[v] = o
-    tree = SpanningTree(parent, g.s, "sssp")
+    tree = SpanningTree(parent, g.s)
     cmp_sssp = arena.cmp_count - cmp0
 
     # a core vertex's distance is the core run's, already paid for; only

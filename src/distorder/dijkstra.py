@@ -138,8 +138,8 @@ def run_dijkstra(g: Graph, heap_kind: str = "workset") -> DijkstraRun:
     run = DijkstraRun(
         linearization=order,
         dist=dist,
-        sssp=SpanningTree(sssp, s, "sssp"),
-        explore=SpanningTree(explore, s, "exploration"),
+        sssp=SpanningTree(sssp, s),
+        explore=SpanningTree(explore, s),
         intervals=[(lo[v], hi[v]) for v in range(n)],
         comparisons=cmp1 - cmp0,
         additions=add1 - add0,

@@ -167,15 +167,13 @@ def emit_graph(g: Graph) -> str:
 
 
 class SpanningTree:
-    """Rooted spanning tree as a parent array; role tags its origin."""
+    """Rooted spanning tree as a parent array."""
 
-    __slots__ = ("parent", "root", "role")
+    __slots__ = ("parent", "root")
 
-    def __init__(self, parent: list[int], root: int, role: str):
-        assert role in ("sssp", "exploration", "dominator", "bfs")
+    def __init__(self, parent: list[int], root: int):
         self.parent = parent
         self.root = root
-        self.role = role
 
     @property
     def n(self) -> int:
@@ -187,23 +185,6 @@ class SpanningTree:
             if v != self.root:
                 ch[p].append(v)
         return ch
-
-    def validate(self) -> None:
-        """Parent links must form a tree on all vertices rooted at root."""
-        n = len(self.parent)
-        assert self.parent[self.root] == -1
-        seen = [False] * n
-        order = [self.root]
-        seen[self.root] = True
-        ch = self.children()
-        k = 0
-        while k < len(order):
-            for c in ch[order[k]]:
-                assert not seen[c], "cycle in parent links"
-                seen[c] = True
-                order.append(c)
-            k += 1
-        assert all(seen), "parent links do not cover all vertices"
 
     def subtree_sizes(self) -> list[int]:
         n = len(self.parent)

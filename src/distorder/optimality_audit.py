@@ -160,10 +160,11 @@ def verify_barrier_sequence(coloring: IntersectingColoring,
                             explore: SpanningTree):
     """Check the coloring's classes, by witness time, form a barrier sequence.
 
-    Interval i is vertex i's, as in ``DijkstraRun.intervals``.  Classes must be antichains of the exploration tree, and no vertex of a
-    later class may be an ancestor of a vertex of an earlier (or the same)
-    class.  Returns None when valid, otherwise the offending pair
-    ((class_i, u), (class_j, v)) with v an ancestor of u and i <= j.
+    Interval i is vertex i's, as in ``DijkstraRun.intervals``.  Classes
+    must be antichains of the exploration tree, and no vertex of a later
+    class may be an ancestor of a vertex of an earlier (or the same) class.
+    Returns None when valid, otherwise the offending pair ((class_i, u),
+    (class_j, v)) with v an ancestor of u and i <= j.
 
     DFS intervals are laminar, so "v is an ancestor of some seen u" reduces
     to "some seen entry time lies strictly inside v's interval", answered

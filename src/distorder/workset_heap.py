@@ -88,12 +88,9 @@ deterministic; the +infinity sentinel never costs a comparison.
 
 from __future__ import annotations
 
-import math
-
 from .aux_structures import EMPTY, MinKeeper
-from .base_heap import FibonacciHeap, HeapNodePool, _NIL
+from .base_heap import FibonacciHeap, HeapNodePool
 from .errors import ContractViolation, EmptyHeapError
-from .weights import INFINITY
 
 #: Rank size caps 2**(2**r).  Rank 7 caps at 2**128; unreachable in practice.
 CAPS = [2 ** (2 ** r) for r in range(8)]
@@ -107,8 +104,8 @@ class WorkSetHeap:
     """Fibonacci-like priority queue with the working-set property."""
 
     __slots__ = ("arena", "_pool", "_heaps", "_M", "_next_time", "size",
-                 "_spares", "_residue", "_streak", "last_extract_rank",
-                 "extract_comparisons", "rank_extracts")
+                 "_spares", "_residue", "_streak", "extract_comparisons",
+                 "rank_extracts")
 
     def __init__(self, arena):
         self.arena = arena
@@ -121,7 +118,6 @@ class WorkSetHeap:
         self._spares: list[FibonacciHeap] = []  # emptied heap shells, reused as carries
         self._residue = -1  # insertion time of the last lone rank-0 element
         self._streak = 0  # rank-0 extracts in a row that left _residue alone
-        self.last_extract_rank = -1
         self.extract_comparisons = 0  # total comparisons spent inside extract_min
         self.rank_extracts = [0] * len(CAPS)  # extracts taken from each rank
 
@@ -219,7 +215,6 @@ class WorkSetHeap:
         H = heaps[r_star]
         key, _, vertex = H.extract_min()
         self.size -= 1
-        self.last_extract_rank = r_star
         self.rank_extracts[r_star] += 1
         if H.size == 0:
             heaps[r_star] = None
@@ -286,7 +281,7 @@ class WorkSetHeap:
         nid, t = handle
         pool = self._pool
         time = pool.time
-        # a live node's time is at least 0; _NIL marks an extracted one
+        # a live node's time is at least 0; an extracted one's is -1
         if not 0 <= nid < len(time) or t < 0 or time[nid] != t:
             raise ContractViolation("stale handle: element already extracted")
         r = self._rank_at(t)
@@ -306,93 +301,9 @@ class WorkSetHeap:
 
     # -- introspection -------------------------------------------------------
 
-    def rank_sizes(self) -> list[int]:
-        return [h.size if h is not None else 0 for h in self._heaps]
-
     def max_rank(self) -> int:
+        """The highest nonempty rank, -1 when empty; the benchmark reads it."""
         for r in range(len(self._heaps) - 1, -1, -1):
             if self._heaps[r] is not None:
                 return r
         return -1
-
-    def check_invariants(self, value_of=None) -> None:
-        """Full-scan debug check of invariants 1-3, the spans and M validity.
-
-        ``value_of`` maps a weight handle to its exact value; if omitted the
-        arena must be in audit mode.  INFINITY reads as ``math.inf``.  Raises
-        AssertionError on any violation.  Never spends arena comparisons.
-        """
-        cell_value = value_of or self.arena.audit_value
-
-        def value_of(h):
-            return math.inf if h == INFINITY else cell_value(h)
-
-        pool = self._pool
-        heaps = self._heaps
-        spans = {}
-        total = 0
-        for r, H in enumerate(heaps):
-            if H is None:
-                continue
-            assert H.size > 0, f"rank {r}: empty heap object kept in slot"
-            nodes = list(H.iter_nodes())
-            assert len(nodes) == H.size, f"rank {r}: size field drifted"
-            assert H.size <= CAPS[r], f"rank {r}: invariant 1 violated"
-            times = [pool.time[n] for n in nodes]
-            spans[r] = (min(times), max(times))
-            assert H.iv_start <= spans[r][0], (
-                f"rank {r}: live times precede the heap's span start"
-            )
-            total += H.size
-            # heap order within the inner heap
-            for n in nodes:
-                p = pool.parent[n]
-                if p != _NIL:
-                    kp, kn = value_of(pool.key[p]), value_of(pool.key[n])
-                    assert kp < kn or (
-                        kp == kn and pool.vertex[p] < pool.vertex[n]
-                    ), f"rank {r}: inner heap order violated"
-        assert total == self.size, "total size drifted"
-
-        occupied = sorted(spans)
-        if occupied:
-            R = occupied[-1]
-            if R >= 2:
-                lo = heaps[R - 1].size if heaps[R - 1] is not None else 0
-                assert heaps[R].size + lo >= CAPS[R - 1], "invariant 2 violated"
-            for a, b in zip(occupied, occupied[1:]):
-                # higher rank b holds strictly older elements than rank a
-                assert spans[b][1] < spans[a][0], "invariant 3 violated"
-            if self.size >= 4:
-                bound = math.ceil(math.log2(math.log2(self.size))) + 2
-                assert R <= bound, f"max rank {R} exceeds loglog bound {bound}"
-
-        # every live time of a rank precedes the cached span start of the
-        # next lower occupied rank, which is what decrease_key's rank-slot
-        # lookup relies on
-        for a, b in zip(occupied, occupied[1:]):
-            assert spans[b][1] < heaps[a].iv_start, (
-                f"ranks {a} and {b}: cached span starts out of order"
-            )
-
-        # a streak counts extracts that left the residue in rank 0, where it
-        # still is: a fuse must not hand the count to another element
-        if self._streak:
-            H0 = heaps[0]
-            assert H0 is not None and self._residue in [
-                pool.time[n] for n in H0.iter_nodes()], "stale residue streak"
-
-        M = self._M
-        assert len(M) >= (occupied[-1] + 1 if occupied else 0)
-        for r in range(len(M)):
-            h, tie = M.entries()[r]
-            H = heaps[r] if r < len(heaps) else None
-            if H is None:
-                assert (h, tie) == EMPTY, f"M[{r}] should be the +inf token"
-            else:
-                m = H.min
-                assert h == pool.key[m] and tie == pool.vertex[m], (
-                    f"M[{r}] is not the minimum of H_{r}"
-                )
-        # S holds the leftmost suffix minima of M (by value, tie by vertex)
-        M.check(value_of)

@@ -1,5 +1,13 @@
-"""Shared test utilities: independent oracles and trace generators.
+"""Shared test utilities: independent oracles, structure checkers and traces.
 
+The oracles (the sorted-replay queue, Bellman-Ford, vertex-deletion
+dominators, brute-force working sets and greedy coloring, exhaustive
+linearization counts) recompute an answer from its definition.  The
+structure checkers (``fibonacci_rings``, ``check_workset``,
+``check_min_keeper``, ``check_tree``) scan a data structure's fields and
+assert its invariants.  Those that read key values do so through
+``arena.audit_value``, so they need an audit-mode arena and spend no arena
+comparisons.
 Everything here is deliberately simple and separate from the library's own
 code paths, so tests compare two unrelated computations of the same answer.
 """
@@ -7,12 +15,16 @@ code paths, so tests compare two unrelated computations of the same answer.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from functools import lru_cache
 from itertools import permutations
 
+from distorder.aux_structures import EMPTY
 from distorder.graph_core import (Graph, SpanningTree, emit_graph, gen_family,
                                   parse_graph)
+from distorder.weights import INFINITY
+from distorder.workset_heap import CAPS
 
 
 class SortedReplayOracle:
@@ -46,8 +58,13 @@ class SortedReplayOracle:
                 return value, ident
 
 
-def fibonacci_rings(heap) -> list[int]:
-    """Check a FibonacciHeap's node rings; returns its root ring from min.
+def key_value(arena, h):
+    """Exact value of key handle ``h``, +inf as ``math.inf``; audit mode."""
+    return math.inf if h == INFINITY else arena.audit_value(h)
+
+
+def fibonacci_rings(heap) -> tuple[list[int], list[int]]:
+    """Check a FibonacciHeap's node rings; returns (root ring from min, nodes).
 
     Walks every ring from ``heap.min`` and asserts that ``left`` and
     ``right`` are mutual inverses, that every root's parent is -1 and every
@@ -55,14 +72,13 @@ def fibonacci_rings(heap) -> list[int]:
     child count, that no child comes before its parent in (key, vertex)
     order, that ``min`` is a root with no root before it, that only live
     (non-stale) nodes are reachable, and that there are ``heap.size`` of
-    them.  The heap's arena must be in audit mode, which lets the check read
-    key values without spending arena comparisons.
+    them.  ``nodes`` lists every node reached.
     """
     pool = heap.pool
-    value_of = heap.arena.audit_value
+    arena = heap.arena
 
     def order(x):
-        return value_of(pool.key[x]), pool.vertex[x]
+        return key_value(arena, pool.key[x]), pool.vertex[x]
 
     def ring(first, parent):
         out, x = [], first
@@ -79,22 +95,135 @@ def fibonacci_rings(heap) -> list[int]:
 
     if heap.min == -1:
         assert heap.size == 0, "empty heap with a nonzero size"
-        return []
+        return [], []
     roots = ring(heap.min, -1)
     best = min(roots, key=order)
     assert order(best) == order(heap.min), "a root comes before min"
-    seen = 0
-    stack = list(roots)
-    while stack:
-        x = stack.pop()
-        seen += 1
+    nodes = list(roots)
+    for x in nodes:  # grows as each node's children are appended
         c = pool.child[x]
         kids = ring(c, x) if c != -1 else []
         assert pool.degm[x] >> 1 == len(kids), f"node {x}: degree drifted"
         assert all(order(x) < order(y) for y in kids), f"node {x}: heap order"
-        stack.extend(kids)
-    assert seen == heap.size, f"{seen} reachable nodes, size {heap.size}"
-    return roots
+        nodes.extend(kids)
+    assert len(nodes) == heap.size, (
+        f"{len(nodes)} reachable nodes, size {heap.size}")
+    return roots, nodes
+
+
+def rank_sizes(heap) -> list[int]:
+    """A WorkSetHeap's inner heap sizes by rank, 0 for an empty rank."""
+    return [H.size if H is not None else 0 for H in heap._heaps]
+
+
+def check_workset(heap) -> None:
+    """Full scan of a WorkSetHeap: invariants 1-3, spans, streak and M.
+
+    Each rank's inner heap passes ``fibonacci_rings``.  Invariant 1 caps
+    its size, invariant 2 keeps the top pair at least CAPS[R-1] when
+    R >= 2, and invariant 3 orders the ranks' insertion times oldest-first.
+    The top rank stays within the log-log bound, every live time of a rank
+    precedes the cached span start of the next lower occupied rank (what
+    decrease-key's rank lookup relies on), a residue streak counts an
+    element that is still in rank 0, and M holds each rank's minimum with
+    a valid minimum keeper (``check_min_keeper``).
+    """
+    pool = heap._pool
+    heaps = heap._heaps
+    spans = {}
+    rank0_times = []
+    total = 0
+    for r, H in enumerate(heaps):
+        if H is None:
+            continue
+        assert H.size > 0, f"rank {r}: empty heap object kept in slot"
+        assert H.size <= CAPS[r], f"rank {r}: invariant 1 violated"
+        times = [pool.time[x] for x in fibonacci_rings(H)[1]]
+        if r == 0:
+            rank0_times = times
+        spans[r] = (min(times), max(times))
+        assert H.iv_start <= spans[r][0], (
+            f"rank {r}: live times precede the heap's span start")
+        total += H.size
+    assert total == heap.size, "total size drifted"
+
+    occupied = sorted(spans)
+    if occupied:
+        R = occupied[-1]
+        if R >= 2:
+            lo = heaps[R - 1].size if heaps[R - 1] is not None else 0
+            assert heaps[R].size + lo >= CAPS[R - 1], "invariant 2 violated"
+        if heap.size >= 4:
+            bound = math.ceil(math.log2(math.log2(heap.size))) + 2
+            assert R <= bound, f"max rank {R} exceeds loglog bound {bound}"
+    for a, b in zip(occupied, occupied[1:]):
+        # higher rank b holds strictly older elements than rank a
+        assert spans[b][1] < spans[a][0], "invariant 3 violated"
+        assert spans[b][1] < heaps[a].iv_start, (
+            f"ranks {a} and {b}: cached span starts out of order")
+
+    # a streak counts extracts that left the residue in rank 0, where it
+    # still is: a fuse must not hand the count to another element
+    if heap._streak:
+        assert heap._residue in rank0_times, "stale residue streak"
+
+    m = heap._M._m
+    assert len(m) >= (occupied[-1] + 1 if occupied else 0)
+    for r, entry in enumerate(m):
+        H = heaps[r] if r < len(heaps) else None
+        if H is None:
+            assert entry == EMPTY, f"M[{r}] should be the +inf token"
+        else:
+            assert entry == (pool.key[H.min], pool.vertex[H.min]), (
+                f"M[{r}] is not the minimum of H_{r}")
+    check_min_keeper(heap._M)
+
+
+def check_min_keeper(mk) -> None:
+    """A MinKeeper's L, j and stale bits against a brute-force scan of M.
+
+    L[i] is the leftmost minimum of M[i:T] at every fresh position, the
+    stale bits lie in [j, T-1), the top beats M[L[i]] exactly for i >= j,
+    and so S[i] is the leftmost minimum of M[i:] for every i.
+    """
+    arena = mk._arena
+    m = [(key_value(arena, h), t) for h, t in mk._m]
+    l, j, stale = mk._l, mk._j, mk._stale
+    T = len(m) - 1
+    assert len(l) == max(T, 0)
+    if T < 0:
+        return
+
+    def leftmost_min(a, b):
+        return min(range(a, b), key=m.__getitem__)
+
+    assert 0 <= j <= T, f"j = {j} outside [0, {T}]"
+    assert stale >> max(T - 1, 0) == 0, "L[T-1] or above marked stale"
+    assert stale & ((1 << j) - 1) == 0, "stale bit below j"
+    for i in range(T):
+        w = leftmost_min(i, T)
+        if not stale >> i & 1:
+            assert l[i] == w, f"L[{i}] is not the leftmost minimum of M[{i}:{T}]"
+        assert (m[T] < m[w]) == (i >= j), f"j = {j} is wrong at position {i}"
+    for i in range(T + 1):
+        s = l[i] if i < j else T
+        assert s == leftmost_min(i, T + 1), (
+            f"S[{i}] is not the leftmost minimum of M[{i}:]")
+
+
+def check_tree(tree: SpanningTree) -> None:
+    """Parent links must form a tree on all vertices rooted at ``tree.root``."""
+    assert tree.parent[tree.root] == -1
+    seen = [False] * tree.n
+    seen[tree.root] = True
+    order = [tree.root]
+    ch = tree.children()
+    for v in order:  # grows as each vertex's children are appended
+        for c in ch[v]:
+            assert not seen[c], "cycle in parent links"
+            seen[c] = True
+            order.append(c)
+    assert all(seen), "parent links do not cover all vertices"
 
 
 def bellman_ford(g: Graph) -> list:

@@ -30,7 +30,8 @@ from distorder.optimality_audit import (cost, energy, greedy_coloring,
 from distorder.weights import WeightArena
 from distorder.workset_heap import WorkSetHeap
 
-from helpers import count_linearizations_exhaustive, run_workset_trace
+from helpers import (check_workset, count_linearizations_exhaustive,
+                     run_workset_trace)
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -64,10 +65,11 @@ def drive_pattern(pattern: str, n_ops: int, seed: int):
 
     def ext():
         nonlocal events
+        r = heap._M.find_min()  # the rank the extract takes from
         _k, got = heap.extract_min()
         events += 1
         intervals[got] = (intervals[got][0], events)
-        extracted.append((got, heap.last_extract_rank))
+        extracted.append((got, r))
 
     if pattern == "random":
         live = {}
@@ -81,10 +83,11 @@ def drive_pattern(pattern: str, n_ops: int, seed: int):
                 intervals.append((events, None))
                 live[ident] = (tok, v)
             elif roll < 0.85:
+                r = heap._M.find_min()
                 _k, got = heap.extract_min()
                 events += 1
                 intervals[got] = (intervals[got][0], events)
-                extracted.append((got, heap.last_extract_rank))
+                extracted.append((got, r))
                 del live[got]
             else:
                 # decreases keep the extraction accounting honest but do not
@@ -160,26 +163,25 @@ def test_criterion_02_invariants_after_every_operation():
                 if pattern == "random":
                     rng = random.Random(seed)
                     out, expect = run_workset_trace(
-                        arena, h, rng, n_ops,
-                        per_op=lambda hp: hp.check_invariants())
+                        arena, h, rng, n_ops, per_op=check_workset)
                     assert out == expect
                 elif pattern in ("sorted", "reverse"):
                     keys = (range(1, half + 1) if pattern == "sorted"
                             else range(half, 0, -1))
                     for i, k in enumerate(keys):
                         h.insert(arena.intern(k), i)
-                        h.check_invariants()
+                        check_workset(h)
                     for _ in range(half):
                         h.extract_min()
-                        h.check_invariants()
+                        check_workset(h)
                 else:  # lifo
                     h.insert(arena.intern(1 << 40), 0)
-                    h.check_invariants()
+                    check_workset(h)
                     for i in range(1, half):
                         h.insert(arena.intern((1 << 40) - i), i)
-                        h.check_invariants()
+                        check_workset(h)
                         h.extract_min()
-                        h.check_invariants()
+                        check_workset(h)
             except AssertionError:
                 violations += 1
             traces += 1
@@ -449,7 +451,7 @@ def test_criterion_11_tree_dp_bound():
     checked = 0
     for n in range(1, 9):
         for parent in _all_increasing_trees(n):
-            tree = SpanningTree(parent, 0, "sssp")
+            tree = SpanningTree(parent, 0)
             hook = tree_log_linearizations(tree)
             dp = _count_linext_subset_dp(parent)
             assert abs(hook - math.log2(dp)) < 1e-9, (parent, hook, dp)
@@ -471,7 +473,7 @@ def test_criterion_11_tree_dp_bound():
             parent = [-1] + list(range(n - 1))  # path
         else:
             parent = [-1] + [max(0, v - 1 - rng.randrange(3)) for v in range(1, n)]
-        tree = SpanningTree(parent, 0, "sssp")
+        tree = SpanningTree(parent, 0)
         arena = WeightArena()
         d = [None] * n
         d[0] = arena.zero()

@@ -8,6 +8,8 @@ from distorder.aux_structures import EMPTY, IntervalMap, MinKeeper
 from distorder.errors import ContractViolation
 from distorder.weights import INFINITY, WeightArena
 
+from helpers import check_min_keeper
+
 
 class TestIntervalMap:
     def test_set_find(self):
@@ -106,8 +108,9 @@ def count_runs(mk):
 
 
 class TestMinKeeper:
+    # an audit arena lets check_min_keeper read values without comparing
     def setup_method(self):
-        self.arena = WeightArena()
+        self.arena = WeightArena(audit=True)
 
     def fill(self, values):
         mk = MinKeeper(self.arena)
@@ -127,9 +130,9 @@ class TestMinKeeper:
 
     def test_decrease_increase_rejected(self):
         mk = self.fill([4, 2])
-        m, s = list(mk.entries()), suffix_minima(mk)
+        m, s = list(mk._m), suffix_minima(mk)
         assert mk.decrease_if_lower(1, self.arena.intern(3)) is False
-        assert mk.entries() == m and suffix_minima(mk) == s
+        assert mk._m == m and suffix_minima(mk) == s
         assert mk.decrease_if_lower(0, self.arena.intern(1)) is True
         assert mk.find_min() == 0
 
@@ -154,9 +157,9 @@ class TestMinKeeper:
         c0 = a.cmp_count
         mk.collapse(1, two)  # the last pair: M[2] is dropped
         assert a.cmp_count == c0
-        assert mk.entries() == [(mk.entries()[0][0], 0), two]
+        assert mk._m == [(mk._m[0][0], 0), two]
         assert mk.find_min() == 1
-        mk.check()
+        check_min_keeper(mk)
         # a longer +inf tail stays in place; M[2] joins it
         three = (a.intern(3), 1)
         mk = MinKeeper(a)
@@ -164,9 +167,9 @@ class TestMinKeeper:
         c0 = a.cmp_count
         mk.collapse(1, three)
         assert a.cmp_count == c0
-        assert len(mk) == 5 and mk.entries()[2] == EMPTY
+        assert len(mk) == 5 and mk._m[2] == EMPTY
         assert mk.find_min() == 1
-        mk.check()
+        check_min_keeper(mk)
 
     def test_order_reads_s_witnesses(self):
         a = self.arena
@@ -195,12 +198,12 @@ class TestMinKeeper:
         c0 = a.cmp_count
         mk.clear_first()
         assert a.cmp_count == c0
-        assert mk.entries()[0] == EMPTY and mk.find_min() == 2
-        mk.check()  # compares on the arena
+        assert mk._m[0] == EMPTY and mk.find_min() == 2
+        check_min_keeper(mk)
         c0 = a.cmp_count
         mk.decrease(0, *m[0])
         assert a.cmp_count == c0 + 1 and mk.find_min() == 0
-        mk.check()
+        check_min_keeper(mk)
         # an EMPTY S[1] leaves M[0] itself the leftmost EMPTY; M of one too
         for entries in ([m[0], EMPTY], [m[0]]):
             mk = MinKeeper(a)
@@ -210,7 +213,7 @@ class TestMinKeeper:
             mk.decrease(0, *m[1])
             assert a.cmp_count == c0 and mk.find_min() == 0
             mk.clear_first()
-            mk.check()
+            check_min_keeper(mk)
 
     def test_shift_spends_one_comparison(self):
         a = self.arena
@@ -221,15 +224,15 @@ class TestMinKeeper:
         # a carry lands at rank 2: M[1] and M[2] meld, M[0] moves to slot 1
         mk.shift(2, (a.intern(5), 9), m[1])
         assert a.cmp_count == c0 + 1
-        assert mk.entries()[1:] == [m[0], m[1], m[3]]
+        assert mk._m[1:] == [m[0], m[1], m[3]]
         assert mk.find_min() == 2
-        mk.check()
+        check_min_keeper(mk)
         # landing past the end extends M; a +inf entry compares for free
         c0 = a.cmp_count
         mk.shift(4, (INFINITY, 3), m[3])
         assert a.cmp_count == c0
         assert len(mk) == 5 and mk.find_min() == 3
-        mk.check()
+        check_min_keeper(mk)
 
     def pairs(self, vals):
         return [(self.arena.intern(v), t) for v, t in vals]
@@ -246,7 +249,7 @@ class TestMinKeeper:
         mk.decrease(0, a.intern(3), 0)
         assert a.cmp_count == c0 + 1 and mk._stale == 0b1
         assert mk.find_min() == 3
-        mk.check()
+        check_min_keeper(mk)
         # the top rises but still comes first: one comparison refreshes
         # L[0], one more finds the top ahead of M[L[0]]
         c0 = a.cmp_count
@@ -254,13 +257,13 @@ class TestMinKeeper:
         assert a.cmp_count == c0 + 2
         assert (mk._l[0], mk._j, mk._stale) == (0, 0, 0)
         assert mk.find_min() == 3
-        mk.check()
+        check_min_keeper(mk)
         # the top loses to every run: one comparison per run, then j = T
         c0 = a.cmp_count
         mk.set_entry(3, a.intern(9), 3)
         assert a.cmp_count == c0 + 3
         assert mk._j == 3 and mk.find_min() == 0
-        mk.check()
+        check_min_keeper(mk)
 
     def test_shift_into_the_top_hands_it_the_old_t_minus_1_witnesses(self):
         a = self.arena
@@ -273,10 +276,10 @@ class TestMinKeeper:
         # M[1]'s old L (the witness 2) is unknown now, M[2]'s is 2 itself
         mk.shift(3, (a.intern(0), 9), m[3])
         assert a.cmp_count == c0 + 1
-        assert mk.entries() == [mk.entries()[0], m[0], m[1], m[3]]
+        assert mk._m == [mk._m[0], m[0], m[1], m[3]]
         assert (mk._l[0], mk._l[2], mk._j, mk._stale) == (0, 2, 1, 0b10)
         assert mk.find_min() == 0
-        mk.check()
+        check_min_keeper(mk)
         # when the top lost below, the witnesses that were not T - 1 move
         # up one slot and stay fresh
         mk = MinKeeper(a)
@@ -288,7 +291,7 @@ class TestMinKeeper:
         assert a.cmp_count == c0 + 1
         assert (mk._l, mk._j, mk._stale) == ([2, 2, 2], 3, 0)
         assert mk.find_min() == 2
-        mk.check()
+        check_min_keeper(mk)
 
     def test_top_pair_collapse_is_free_and_keeps_fresh_witnesses(self):
         a = self.arena
@@ -297,23 +300,23 @@ class TestMinKeeper:
         assert (mk._l, mk._j) == ([3, 3, 3, 3], 4)
         mk.set_entry(4, a.intern(2), 4)  # the top now beats every L[i]
         assert (mk._j, mk._stale) == (0, 0)
-        top = mk.entries()[4]
+        top = mk._m[4]
         c0 = a.cmp_count
         # the top pair fuses into slot 3, the new top; L[0] and L[1] pointed
         # at slot 3 and go stale, and L[2] = 2 by definition
         mk.collapse(3, top)
         assert a.cmp_count == c0
-        assert len(mk) == 4 and mk.entries()[3] == top
+        assert len(mk) == 4 and mk._m[3] == top
         assert (mk._j, mk._stale, mk._l[2]) == (0, 0b11, 2)
         assert mk.find_min() == 3
-        mk.check()
+        check_min_keeper(mk)
         # an old L[k] below T - 1 stays fresh through the fuse
         mk = MinKeeper(a)
         mk.change_prefix(self.pairs([(6, 0), (4, 1), (5, 2), (9, 3), (1, 4)]))
         assert (mk._l, mk._j) == ([1, 1, 2, 3], 0)
-        mk.collapse(3, mk.entries()[4])
+        mk.collapse(3, mk._m[4])
         assert (mk._l, mk._j, mk._stale) == ([1, 1, 2], 0, 0)
-        mk.check()
+        check_min_keeper(mk)
 
     def test_clear_first_with_a_stale_l1_marks_l0_stale(self):
         a = self.arena
@@ -325,19 +328,19 @@ class TestMinKeeper:
         mk.clear_first()
         assert a.cmp_count == c0
         assert (mk._j, mk._stale) == (0, 0b11) and mk.find_min() == 4
-        mk.check()
+        check_min_keeper(mk)
         # the refresh settles L[0] against the EMPTY M[0] for free
         c0 = a.cmp_count
         mk.set_entry(4, a.intern(5), 5)
         assert a.cmp_count == c0 + 3  # L[1], then the top against two runs
         assert (mk._l[:2], mk._j, mk.find_min()) == ([2, 2], 3, 2)
-        mk.check()
+        check_min_keeper(mk)
         # with L[1] fresh, L[0] copies it
         mk = MinKeeper(a)
         mk.change_prefix(self.pairs([(6, 0), (8, 1), (5, 2), (7, 3), (1, 4)]))
         mk.clear_first()
         assert (mk._l[0], mk._j, mk._stale) == (2, 0, 0)
-        mk.check()
+        check_min_keeper(mk)
 
     def test_equal_pairs_keep_the_leftmost(self):
         # a full tie goes to the left entry everywhere: the top, rightmost,
@@ -351,33 +354,33 @@ class TestMinKeeper:
         assert [mk.order(i) for i in range(3)] == [None] * 3
         mk.set_entry(3, h, 7)  # the top against each run, losing each tie
         assert mk._j == 3 and mk.find_min() == 0
-        mk.check()
+        check_min_keeper(mk)
         mk.decrease(3, h, 7)  # no run left of j is beaten
         assert mk._j == 3
-        mk.check()
+        check_min_keeper(mk)
         mk.set_entry(3, low, 7)
         assert mk._j == 0 and mk.find_min() == 3
         mk.decrease(1, low, 7)  # ties the top from the left: M[1] wins
         assert (mk._j, mk._l[1], mk.find_min()) == (2, 1, 1)
-        mk.check()
+        check_min_keeper(mk)
         mk.decrease(2, low, 7)  # ties the top, but M[1] is further left
         assert mk.find_min() == 1
-        mk.check()
+        check_min_keeper(mk)
         mk.shift(3, (low, 7), (low, 7))  # the entry ties M[S[1]] and wins
         assert mk.find_min() == 0
-        mk.check()
+        check_min_keeper(mk)
         mk = MinKeeper(a)
         mk.change_prefix([(h, 2), (h, 3), (low, 1)])
         mk.decrease(0, h, 2)
         mk.set_entry(1, low, 1)  # ties the top from the left
         assert (mk._j, mk.find_min()) == (2, 1)
-        mk.check()
+        check_min_keeper(mk)
 
     def test_random_ops_match_suffix_min_recompute(self):
         # a model list of (value, tiebreak) pairs, value math.inf for +inf,
         # checked after every update; EMPTY models as (math.inf, math.inf).
-        # check() also tests L at its fresh positions, j, and that the stale
-        # bits lie in [j, T-1)
+        # check_min_keeper also tests L at its fresh positions, j, and that
+        # the stale bits lie in [j, T-1)
         rng = random.Random(1)
         arena = self.arena
 
@@ -439,7 +442,7 @@ class TestMinKeeper:
                     e, v = draw()
                 top_at = r - 1 if r == n or vals[r - 1] <= vals[r] else r
                 vals[: r + 1] = [v, *vals[: r - 1], vals[top_at]]
-                mk.shift(r, e, mk.entries()[top_at])
+                mk.shift(r, e, mk._m[top_at])
                 assert arena.cmp_count - before <= 1
             elif op < 0.8 and vals[0] == (math.inf, math.inf):
                 # rank 0 refilled after it emptied: one comparison at most
@@ -461,7 +464,7 @@ class TestMinKeeper:
                     lo -= 1
                 j = rng.randrange(max(0, lo - 2), n - 1)
                 top_at = j if vals[j] <= vals[j + 1] else j + 1
-                top = mk.entries()[top_at]
+                top = mk._m[top_at]
                 vals[j] = vals[top_at]
                 if n == j + 2:
                     vals.pop()
@@ -479,7 +482,7 @@ class TestMinKeeper:
                     assert (vals[i] < vals[i + 1]) == (o < 0)
                     assert vals[i] != vals[i + 1]
             assert arena.cmp_count == before
-            mk.check()
+            check_min_keeper(mk)
             want = min(range(len(vals)), key=lambda i: (vals[i], i))
             assert mk.find_min() == want
         # the run reaches the states the checks are about

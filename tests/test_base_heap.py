@@ -6,7 +6,7 @@ import pytest
 from distorder.base_heap import (BinaryQueue, FibonacciHeap, FibonacciQueue,
                                  HeapNodePool, PairingQueue)
 from distorder.errors import ContractViolation, EmptyHeapError
-from distorder.weights import WeightArena
+from distorder.weights import INFINITY, WeightArena
 
 from helpers import SortedReplayOracle, fibonacci_rings
 
@@ -181,7 +181,7 @@ def test_root_ring_after_an_extract_keeps_the_old_ring_order():
     for v, k in enumerate((5, 3, 8, 1, 9, 2, 7, 4)):
         h.insert(a.intern(k), v, v)
     assert h.extract_min()[2] == 3
-    roots = fibonacci_rings(h)
+    roots, _nodes = fibonacci_rings(h)
     assert [(h.pool.vertex[x], h.pool.degm[x] >> 1) for x in roots] == [
         (5, 1), (7, 0), (1, 2)]
     assert a.cmp_count == 13
@@ -189,7 +189,8 @@ def test_root_ring_after_an_extract_keeps_the_old_ring_order():
 
 def test_rings_hold_after_every_operation():
     # three heaps on one pool, driven by inserts, extracts, decreases and
-    # melds; small keys make ties, which the vertex id breaks
+    # melds; small keys make ties, which the vertex id breaks, and +inf keys
+    # sit beside finite ones until a decrease makes them finite
     rng = random.Random(18)
     arena = WeightArena(audit=True)
     pool = HeapNodePool()
@@ -202,8 +203,9 @@ def test_rings_hold_after_every_operation():
         h, oracle, own = heaps[i], oracles[i], live[i]
         roll = rng.random()
         if roll < 0.45 or not own:
-            v = rng.randrange(64)
-            own[ident] = (h.insert(arena.intern(v), ident, ident), v)
+            v = math.inf if rng.random() < 0.15 else rng.randrange(64)
+            key = INFINITY if v == math.inf else arena.intern(v)
+            own[ident] = (h.insert(key, ident, ident), v)
             oracle.insert(v, ident)
             ident += 1
         elif roll < 0.75:
@@ -213,7 +215,7 @@ def test_rings_hold_after_every_operation():
         elif roll < 0.95:
             vid = rng.choice(list(own))
             nid, v = own[vid]
-            nv = v - rng.randrange(v + 1)
+            nv = rng.randrange(64) if v == math.inf else v - rng.randrange(v + 1)
             h.decrease_key(nid, arena.intern(nv))
             oracle.decrease(vid, nv)
             own[vid] = (nid, nv)

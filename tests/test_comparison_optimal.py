@@ -19,7 +19,7 @@ from distorder.optimality_audit import (energy, greedy_coloring,
 from distorder.weights import WeightArena
 from distorder.graph_core import forward_edges
 
-from helpers import bellman_ford, brute_idoms
+from helpers import bellman_ford, brute_idoms, check_tree
 
 BUDGET_C1 = 64  # documented constant for the end-to-end query budget
 
@@ -213,7 +213,7 @@ class TestContraction:
                     idom2[new_id[rep[v]]] = new_id[rep[p]]
             assert dominator_tree(g2).idom == idom2
             # no outdegree-1 nodes remain
-            ch = SpanningTree(idom2, new_id[g.s], "dominator").children()
+            ch = SpanningTree(idom2, new_id[g.s]).children()
             assert all(len(c) != 1 for c in ch)
             # vertex count drops by exactly the number of contracted edges
             contracted_edges = sum(len(c) - 1 for c in chains)
@@ -324,7 +324,7 @@ class TestTreeDP:
         for trial in range(60):
             n = rng.randrange(2, 300)
             parent = [-1] + [rng.randrange(v) for v in range(1, n)]
-            tree = SpanningTree(parent, 0, "sssp")
+            tree = SpanningTree(parent, 0)
             arena = WeightArena()
             arc_w = [None] + [arena.intern(rng.randrange(1, 1 << 30))
                               for _ in range(n - 1)]
@@ -383,7 +383,7 @@ class TestPipeline:
             d = bellman_ford(g)
             got = [g.arena.audit_value(h) for h in res.dist]
             assert got == d
-            res.tree.validate()
+            check_tree(res.tree)
             lv = [d[v] for v in res.linearization]
             assert lv == sorted(lv)
             assert sorted(res.linearization) == list(range(n))

@@ -248,7 +248,7 @@ class TestForwardEdges:
 class TestDfsTimes:
     def test_pinned_times_on_a_small_tree(self):
         # children are entered last first: 0 (2 (5) 1 (4 3))
-        tree = SpanningTree([-1, 0, 0, 1, 1, 2], 0, "sssp")
+        tree = SpanningTree([-1, 0, 0, 1, 1, 2], 0)
         tin, tout = tree.dfs_times()
         assert tin == [0, 5, 1, 8, 6, 2]
         assert tout == [11, 10, 4, 9, 7, 3]
@@ -263,7 +263,7 @@ class TestDfsTimes:
             parent = [-1] * n
             for k in range(1, n):
                 parent[label[k]] = label[rng.randrange(k)]
-            tree = SpanningTree(parent, label[0], "sssp")
+            tree = SpanningTree(parent, label[0])
             tin, tout = tree.dfs_times()
             assert sorted(tin + tout) == list(range(2 * n))
             for v in range(n):

@@ -129,7 +129,7 @@ class TestBarriers:
 
     def test_detects_fabricated_violation(self):
         # a path tree with both vertices in one "class" is not an antichain
-        tree = SpanningTree([-1, 0, 1], 0, "exploration")
+        tree = SpanningTree([-1, 0, 1], 0)
         from distorder.optimality_audit import IntersectingColoring
         col = IntersectingColoring([0, 0, 0], [[0, 1, 2]], [1])
         assert verify_barrier_sequence(col, tree) is not None
@@ -147,12 +147,12 @@ class TestBarriers:
 
 class TestTreeCounts:
     def test_path_tree(self):
-        t = SpanningTree([-1, 0, 1, 2], 0, "sssp")
+        t = SpanningTree([-1, 0, 1, 2], 0)
         assert tree_log_linearizations(t) == 0.0
 
     def test_star_tree(self):
         n = 9
-        t = SpanningTree([-1] + [0] * (n - 1), 0, "sssp")
+        t = SpanningTree([-1] + [0] * (n - 1), 0)
         want = math.log2(math.factorial(n - 1))
         assert abs(tree_log_linearizations(t) - want) < 1e-9
 
@@ -162,7 +162,7 @@ class TestTreeCounts:
         for n in range(1, 9):
             for _ in range(40):
                 parent = [-1] + [rng.randrange(v) for v in range(1, n)]
-                t = SpanningTree(parent, 0, "sssp")
+                t = SpanningTree(parent, 0)
                 hook = tree_log_linearizations(t)
                 exact = count_linearizations_exhaustive(t)
                 assert abs(hook - math.log2(exact)) < 1e-9

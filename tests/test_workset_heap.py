@@ -10,7 +10,8 @@ from distorder.optimality_audit import working_set_sizes
 from distorder.weights import INFINITY, WeightArena
 from distorder.workset_heap import CAPS, RESIDUE_STREAK, WorkSetHeap
 
-from helpers import SortedReplayOracle, run_workset_trace
+from helpers import (SortedReplayOracle, check_workset, fibonacci_rings,
+                     key_value, rank_sizes, run_workset_trace)
 
 
 def test_basic_insert_find_extract():
@@ -38,7 +39,7 @@ def test_seven_inserts_occupy_rank_two():
     h = WorkSetHeap(a)
     for i in range(7):
         h.insert(a.intern(100 + i), i)
-    sizes = h.rank_sizes()
+    sizes = rank_sizes(h)
     assert len(sizes) >= 3 and sizes[2] > 0
     assert all(s <= cap for s, cap in zip(sizes, CAPS))
 
@@ -96,8 +97,7 @@ def test_invariants_after_every_operation():
     rng = random.Random(3)
     a = WeightArena(audit=True)
     h = WorkSetHeap(a)
-    out, expect = run_workset_trace(
-        a, h, rng, 900, per_op=lambda heap: heap.check_invariants())
+    out, expect = run_workset_trace(a, h, rng, 900, per_op=check_workset)
     assert out == expect
 
 
@@ -135,11 +135,11 @@ def test_u_lookup_matches_shadow_rank_map():
     shadow = {}
     for r, H in enumerate(h._heaps):
         if H is not None:
-            for nid in H.iter_nodes():
+            for nid in fibonacci_rings(H)[1]:
                 shadow[h._pool.time[nid]] = r
     for i, (nid, t) in live.items():
         assert h._rank_at(t) == shadow[t]
-    h.check_invariants()
+    check_workset(h)
 
 
 def test_working_set_cost_bound_moderate_trace():
@@ -161,10 +161,11 @@ def test_working_set_cost_bound_moderate_trace():
             intervals.append((events, None))
             ident += 1
         else:
+            r = h._M.find_min()  # the rank the extract takes from
             _k, got = h.extract_min()
             events += 1
             intervals[got] = (intervals[got][0], events)
-            extracted.append((got, h.last_extract_rank))
+            extracted.append((got, r))
     for i, (l, r) in enumerate(intervals):
         if r is None:
             intervals[i] = (l, events + 1 + i)  # close leftovers after the end
@@ -185,7 +186,7 @@ def test_heavily_tied_keys_match_oracle():
     h = WorkSetHeap(a)
     out, expect = run_workset_trace(a, h, rng, 15_000, key_range=8)
     assert out == expect
-    h.check_invariants()
+    check_workset(h)
 
 
 def test_survives_interleaved_patterns():
@@ -247,7 +248,7 @@ def test_bursts_and_drains_keep_invariants_and_cheap_inserts(seed):
             assert a.cmp_count - before <= 2
             oracle.insert(v, vid)
             live[vid] = (tok, v)
-            h.check_invariants()
+            check_workset(h)
         top_ranks.append(h.max_rank())
         for vid in rng.sample(sorted(live), len(live) // 8):
             tok, v = live[vid]
@@ -255,18 +256,18 @@ def test_bursts_and_drains_keep_invariants_and_cheap_inserts(seed):
             h.decrease_key(tok, a.intern(nv))
             live[vid] = (tok, nv)
             oracle.decrease(vid, nv)
-            h.check_invariants()
+            check_workset(h)
         for _ in range(rng.randrange(len(h) + 1)):
             R = h.max_rank()
-            top_size = h.rank_sizes()[R]
+            top_size = rank_sizes(h)[R]
             key, vid = h.extract_min()
             want_v, want = oracle.extract_min()
             assert vid == want
-            assert (math.inf if key == INFINITY else a.audit_value(key)) == want_v
+            assert key_value(a, key) == want_v
             del live[vid]
             # one extraction cannot empty a rank of two: a fuse moved it
             fuses += h.max_rank() < R and top_size >= 2
-            h.check_invariants()
+            check_workset(h)
     assert max(top_ranks) >= 3 and fuses > 0
 
 
@@ -289,7 +290,7 @@ def test_foreign_insert_on_every_path_keeps_the_heap(case):
         for i, v in enumerate((30, 20, 10)):
             h.insert(a.intern(v), i)
         assert h.extract_min()[1] == 2
-        assert h.rank_sizes() == [0, 2]
+        assert rank_sizes(h) == [0, 2]
         order, sizes = [1, 0], [1, 2]
     else:
         for i in range(case):
@@ -297,12 +298,12 @@ def test_foreign_insert_on_every_path_keeps_the_heap(case):
         order, sizes = list(range(case)), None
     with pytest.raises(ContractViolation):
         h.insert(WeightArena().intern(1), 99)
-    h.check_invariants()
+    check_workset(h)
     assert len(h) == len(order)
     h.insert(a.intern(0), 99)
     if sizes is not None:
-        assert h.rank_sizes() == sizes
-    h.check_invariants()
+        assert rank_sizes(h) == sizes
+    check_workset(h)
     assert [h.extract_min()[1] for _ in range(len(h))] == [99, *order]
 
 
@@ -318,14 +319,14 @@ def test_a_streak_ends_with_its_residue():
     for i in range(3, 3 + RESIDUE_STREAK):
         h.insert(a.intern(i), i)
         assert h.extract_min()[1] == i
-    assert h.rank_sizes() == [1, 2]
+    assert rank_sizes(h) == [1, 2]
     h.decrease_key(residue, a.intern(0))
     assert h.extract_min()[1] == 2  # empties rank 0
     assert h.extract_min()[1] == 0  # fuses rank 1's last element down
-    assert h.rank_sizes() == [1, 0]
+    assert rank_sizes(h) == [1, 0]
     h.insert(a.intern(70), 99)
-    assert h.rank_sizes() == [2, 0]
-    h.check_invariants()
+    assert rank_sizes(h) == [2, 0]
+    check_workset(h)
     assert [h.extract_min()[1] for _ in range(2)] == [1, 99]
 
 
@@ -347,7 +348,7 @@ def test_stale_residue_stretches_keep_invariants_and_cheap_inserts(seed):
 
     def insert(v):
         nonlocal residue_carries, empty_inserts
-        r0 = h.rank_sizes()[0]
+        r0 = rank_sizes(h)[0]
         residue_carries += r0 == 1 and h._streak >= RESIDUE_STREAK
         empty_inserts += r0 == 0
         vid = next(ids)
@@ -355,14 +356,14 @@ def test_stale_residue_stretches_keep_invariants_and_cheap_inserts(seed):
         live[vid] = h.insert(a.intern(v), vid), v
         assert a.cmp_count - before <= 2
         oracle.insert(v, vid)
-        h.check_invariants()
+        check_workset(h)
 
     def extract():
         key, vid = h.extract_min()
         want_v, want = oracle.extract_min()
         assert vid == want and a.audit_value(key) == want_v
         del live[vid]
-        h.check_invariants()
+        check_workset(h)
 
     for _ in range(25):
         wide = rng.random() < 0.5
@@ -378,7 +379,7 @@ def test_stale_residue_stretches_keep_invariants_and_cheap_inserts(seed):
                 h.decrease_key(tok, a.intern(nv))
                 live[vid] = tok, nv
                 oracle.decrease(vid, nv)
-                h.check_invariants()
+                check_workset(h)
             insert(rng.randrange(10**6))
             extract()
     while len(h):
