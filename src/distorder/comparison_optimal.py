@@ -3,7 +3,8 @@
 The pipeline contracts away everything whose order is forced, runs the
 working-set Dijkstra on the remaining core, and rebuilds the answer:
 
-1. dominator tree of the input (iterative semi-NCA),
+1. dominator tree of the input (iterative semi-NCA), after its parallel
+   edges are lazily deduplicated as in step 4,
 2. drop every edge that points from a vertex into one of its dominators,
 3. contract each maximal chain of outdegree-1 dominator-tree nodes into one
    vertex, rebuilding the weights of edges leaving chain interiors as
@@ -21,6 +22,10 @@ working-set Dijkstra on the remaining core, and rebuilds the answer:
    already paid for: each chain's interiors, sorted by their prefix sums,
    go into the part of that order after their head, spliced in with one
    comparison when they all precede it, Hwang-Lin merged otherwise.
+
+Steps 2-4 run in one pass over the arcs, in ``contract_chains``, which
+builds the core graph alone; ``drop_back_edges`` and ``deduplicate`` do steps
+2 and 4 on their own.
 
 Ties among core vertices follow the working-set heap's extraction order, and
 a chain interior goes after every existing element of equal distance, so the
@@ -213,7 +218,11 @@ def drop_back_edges(g: Graph, dom: DominatorTree):
     """Remove arcs u->v where v dominates u (self-loops included).
 
     Such arcs can never lie on a path that first reaches their head, so
-    reachability from the source is untouched.
+    reachability from the source is untouched.  ``run_pipeline`` no longer
+    calls this: ``contract_chains`` drops the same arcs as it reads them.  It
+    stays as the tests' reference for that step, and perfbench's tracer still
+    wraps it and ``deduplicate`` by name; its ``drop_back_edges`` and
+    ``dedup_core`` spans now read 0.
     """
     tails, heads, weights, origin = [], [], [], []
     dominates = dom.dominates
@@ -229,17 +238,27 @@ def drop_back_edges(g: Graph, dom: DominatorTree):
 
 
 def contract_chains(g: Graph, dom: DominatorTree):
-    """Collapse every maximal outdegree-1 dominator-tree chain to one vertex.
+    """Drop back arcs, contract chains and group parallel core arcs in one pass.
 
-    Requires back edges to be dropped already.  Edges leaving chain interiors
-    get weights prefix + w built with protected additions; no comparisons.
-    A chain's prefix sums stop at its deepest member with an out-arc besides
-    its chain arc, since no deeper prefix is read.
-    Verifies on every chain that the chain edge is its head's unique in-edge
-    and that no edge skips from a chain vertex into the child's subtree.
-    Chain heads and vertices in no chain become core vertices 0, 1, ... in
-    id order.  Returns (graph, chains, the origins of the contracted chain
-    edges, rep), where rep[k] is the input vertex behind core vertex k.
+    An arc u->v whose head dominates its tail (a self-loop included) is
+    dropped: it never lies on a path that first reaches its head, so
+    reachability from the source is untouched.  Every maximal outdegree-1
+    dominator-tree chain then collapses to one vertex.  Kept edges leaving
+    chain interiors get weights prefix + w built with protected additions; no
+    comparisons.  A chain's prefix sums stop at its deepest member with a
+    kept out-arc besides its chain arc, since no deeper prefix is read.
+    Verifies on every chain that the chain edge is its head's unique kept
+    in-edge and that no edge skips from a chain vertex into the child's
+    subtree.  Chain heads and vertices in no chain become core vertices 0,
+    1, ... in id order.
+
+    Core arcs keep the order of their first input arc.  Kept arcs that land
+    on the same core tail and head become one core arc whose weight and origin
+    is a ``LazyMin`` of their weights and origins in input arc order, paid for
+    on first access as ``deduplicate``'s groups are.  Returns (core graph,
+    groups, chains, the origins of the contracted chain edges, rep), where
+    groups lists those LazyMins in core arc order and rep[k] is the input
+    vertex behind core vertex k.
     """
     n = g.n
     children_count = [0] * n
@@ -270,34 +289,43 @@ def contract_chains(g: Graph, dom: DominatorTree):
             in_chain[u] = ci
         chains.append(chain)
 
+    # drop u->v when v dominates u; in-arcs and out-degrees count kept arcs
+    tin, tout = dom._tin, dom._tout
+    gt, gh = g.tails, g.heads
+    kept: list[int] = []
     in_arcs: list[list[int]] = [[] for _ in range(n)]
-    for i, v in enumerate(g.heads):
+    out_deg = [0] * n
+    for i, (u, v) in enumerate(zip(gt, gh)):
+        if tin[v] <= tin[u] and tout[u] <= tout[v]:
+            continue
+        kept.append(i)
         in_arcs[v].append(i)
+        out_deg[u] += 1
 
     arena = g.arena
     add = arena.add
-    tin, tout = dom._tin, dom._tout
     adj = g.adj
     chain_arcs: set[int] = set()
     chain_origin = []
-    prefix_of = {}  # original vertex -> handle of chain-start -> vertex distance
+    prefix: list = [None] * n  # handle of chain-start -> vertex distance
     for chain in chains:
         # only arcs leaving interiors read prefix sums: stop at the deepest
-        # member with an out-arc besides its own chain arc
+        # member with a kept out-arc besides its own chain arc
         depth = len(chain) - 1
-        if not adj[chain[depth]]:
+        if not out_deg[chain[depth]]:
             depth -= 1
-            while depth and len(adj[chain[depth]]) == 1:
+            while depth and out_deg[chain[depth]] == 1:
                 depth -= 1
         pref = None
         for k, (a, b) in enumerate(zip(chain, chain[1:]), 1):
             cand = in_arcs[b]
-            if len(cand) != 1 or g.tails[cand[0]] != a:
+            if len(cand) != 1 or gt[cand[0]] != a:
                 raise ContractViolation(
                     f"chain edge {a}->{b} is not the unique in-edge of {b}")
-            # no other arc may leave a into b's dominated subtree
+            # no other arc may leave a into b's dominated subtree (a dropped
+            # arc points at a or above it, so it never does)
             for i in adj[a]:
-                z = g.heads[i]
+                z = gh[i]
                 if z != b and tin[b] <= tin[z] and tout[z] <= tout[b]:
                     raise ContractViolation(
                         f"arc {a}->{z} skips into the subtree of {b}")
@@ -307,7 +335,7 @@ def contract_chains(g: Graph, dom: DominatorTree):
             if k <= depth:
                 w = g.arc_weight(arc)
                 pref = w if pref is None else add(pref, w)
-                prefix_of[b] = pref
+                prefix[b] = pref
 
     # number heads and non-chain vertices first: an interior may have a
     # smaller id than its chain head
@@ -323,24 +351,41 @@ def contract_chains(g: Graph, dom: DominatorTree):
             phi[v] = phi[chain[0]]
 
     tails, heads, weights, origin = [], [], [], []
-    for i, (u, v) in enumerate(zip(g.tails, g.heads)):
-        ci, cj = in_chain[u], in_chain[v]
-        if ci >= 0 and ci == cj:
+    gw, go = g.weights, g.origin
+    slot: dict[tuple[int, int], int] = {}  # (core tail, core head) -> arc
+    grouped: dict[int, LazyMin] = {}  # arc -> its group, from its second member
+    for i in kept:
+        u = gt[i]
+        v = gh[i]
+        c = in_chain[u]
+        if c >= 0 and c == in_chain[v]:
             if i not in chain_arcs:
                 raise ContractViolation(
                     f"unexpected intra-chain arc {u}->{v}")
             continue
-        w = g.weights[i]
-        if ci >= 0 and u != chains[ci][0]:
+        w = gw[i]
+        pre = prefix[u]
+        if pre is not None:
             # interior tail: new weight is (chain prefix to u) + w
-            wh = w if type(w) is int else w.resolve()
-            w = add(prefix_of[u], wh)
-        tails.append(phi[u])
-        heads.append(phi[v])
-        weights.append(w)
-        origin.append(g.origin[i])
-    g2 = Graph(len(rep), True, phi[g.s], arena, tails, heads, weights, origin)
-    return g2, chains, chain_origin, rep
+            w = add(pre, w if type(w) is int else w.resolve())
+        key = (phi[u], phi[v])
+        m = len(tails)
+        k = slot.setdefault(key, m)
+        if k == m:
+            tails.append(key[0])
+            heads.append(key[1])
+            weights.append(w)
+            origin.append(go[i])
+        elif k in grouped:
+            lm = grouped[k]
+            lm.members.append(w)
+            lm.origins.append(go[i])
+        else:
+            grouped[k] = weights[k] = origin[k] = LazyMin(
+                arena, [weights[k], w], [origin[k], go[i]])
+    groups = [grouped[k] for k in sorted(grouped)]
+    core = Graph(len(rep), True, phi[g.s], arena, tails, heads, weights, origin)
+    return core, groups, chains, chain_origin, rep
 
 
 # -- merging and tree DP -----------------------------------------------------
@@ -494,17 +539,42 @@ class PipelineResult:
     of ``run.dist`` appears in it) and fresh sums at chain interiors, so
     ``additions`` pays for each distance once.  ``sssp_comparisons`` covers
     everything up to the uncontracted tree; ``dp_comparisons`` is the rest,
-    the linearization's comparisons.
+    the linearization's comparisons.  ``core_groups`` are the core graph's
+    parallel-arc groups, as ``contract_chains`` returns them.
     """
 
     __slots__ = ("tree", "tree_arc", "linearization", "dist", "run",
-                 "core_graph", "multi_graph",
+                 "core_graph", "core_groups",
                  "comparisons", "additions", "lazy_spend",
                  "sssp_comparisons", "dp_comparisons")
 
     def __init__(self, **kw):
         for k, v in kw.items():
             setattr(self, k, v)
+
+    @property
+    def multi_graph(self) -> Graph:
+        """The core graph with each of ``core_groups`` expanded again.
+
+        A group's members take its arc's place, in their input arc order, so
+        this is the contracted multigraph before its parallel arcs were
+        grouped: the same arcs, in another order.  Built on each access.
+        """
+        g = self.core_graph
+        grouped = set(self.core_groups)
+        tails, heads, weights, origin = [], [], [], []
+        for u, v, w, o in zip(g.tails, g.heads, g.weights, g.origin):
+            if type(w) is not int and w in grouped:
+                tails += [u] * len(w.members)
+                heads += [v] * len(w.members)
+                weights += w.members
+                origin += w.origins
+            else:
+                tails.append(u)
+                heads.append(v)
+                weights.append(w)
+                origin.append(o)
+        return Graph(g.n, True, g.s, g.arena, tails, heads, weights, origin)
 
 
 def run_pipeline(g: Graph) -> PipelineResult:
@@ -516,17 +586,15 @@ def run_pipeline(g: Graph) -> PipelineResult:
 
     g0, lazies0 = deduplicate(g)
     dom = dominator_tree(g0)
-    g1 = drop_back_edges(g0, dom)
-    g2, chains, chain_origin, rep = contract_chains(g1, dom)
-    g3, lazies3 = deduplicate(g2)
-    run = run_dijkstra(g3, "workset")
+    core, groups, chains, chain_origin, rep = contract_chains(g0, dom)
+    run = run_dijkstra(core, "workset")
 
     # uncontract: follow each tree arc's origin down to an input arc; every
     # group met here was resolved by the core Dijkstra or contract_chains
     tails, heads = g.tails, g.heads
     parent = [-1] * g.n
     parent_arc = [-1] * g.n
-    core_origin = g3.origin
+    core_origin = core.origin
     for o in [core_origin[a] for a in run.sssp_arcs if a >= 0] + chain_origin:
         while type(o) is not int:
             o.resolve()
@@ -551,11 +619,11 @@ def run_pipeline(g: Graph) -> PipelineResult:
         linearization=lin,
         dist=dist,
         run=run,
-        core_graph=g3,
-        multi_graph=g2,
+        core_graph=core,
+        core_groups=groups,
         comparisons=cmp1 - cmp0,
         additions=add1 - add0,
-        lazy_spend=sum(lm.spent for lm in lazies0) + sum(lm.spent for lm in lazies3),
+        lazy_spend=sum(lm.spent for lm in lazies0) + sum(lm.spent for lm in groups),
         sssp_comparisons=cmp_sssp,
         dp_comparisons=cmp1 - cmp0 - cmp_sssp,
     )

@@ -277,6 +277,75 @@ def brute_idoms(g: Graph) -> list[int]:
     return idom
 
 
+
+def two_pass_contraction(g0: Graph, dom):
+    """The pipeline's contraction as three passes, each building a graph.
+
+    ``drop_back_edges``, then chain contraction over the kept arcs alone,
+    then ``deduplicate`` of the contracted multigraph.  Returns (core graph,
+    groups, chains, chain origins, rep, multigraph) with the meanings of
+    ``contract_chains``' results; the multigraph is the contraction before
+    its parallel arcs were grouped.  Contraction spends its additions in the
+    same order as ``contract_chains``, and skips its checks.
+    """
+    from distorder.comparison_optimal import deduplicate, drop_back_edges
+
+    g = drop_back_edges(g0, dom)
+    n = g.n
+    children = SpanningTree(dom.idom, g.s).children()
+    chains = []
+    in_chain = [-1] * n
+    for v in range(n):
+        p = dom.idom[v]
+        if len(children[v]) != 1 or (p >= 0 and len(children[p]) == 1):
+            continue  # not a chain head
+        chain = [v]
+        while len(children[chain[-1]]) == 1:
+            chain.append(children[chain[-1]][0])
+        for u in chain:
+            in_chain[u] = len(chains)
+        chains.append(chain)
+
+    add = g.arena.add
+    arc_into = {v: i for i, v in enumerate(g.heads)}  # a chain arc's is unique
+    chain_origin, prefix_of = [], {}
+    for chain in chains:
+        depth = len(chain) - 1  # the deepest member read as a tail
+        if not g.adj[chain[depth]]:
+            depth -= 1
+            while depth and len(g.adj[chain[depth]]) == 1:
+                depth -= 1
+        pref = None
+        for k, b in enumerate(chain[1:], 1):
+            arc = arc_into[b]
+            chain_origin.append(g.origin[arc])
+            if k <= depth:
+                w = g.arc_weight(arc)
+                pref = w if pref is None else add(pref, w)
+                prefix_of[b] = pref
+
+    rep = [v for v in range(n)
+           if in_chain[v] < 0 or chains[in_chain[v]][0] == v]
+    phi = {v: k for k, v in enumerate(rep)}
+    for chain in chains:
+        for v in chain[1:]:
+            phi[v] = phi[chain[0]]
+    tails, heads, weights, origin = [], [], [], []
+    for i, (u, v) in enumerate(zip(g.tails, g.heads)):
+        if in_chain[u] >= 0 and in_chain[u] == in_chain[v]:
+            continue  # a chain arc
+        w = g.weights[i]
+        if in_chain[u] >= 0 and chains[in_chain[u]][0] != u:
+            w = add(prefix_of[u], g.arc_weight(i))
+        tails.append(phi[u])
+        heads.append(phi[v])
+        weights.append(w)
+        origin.append(g.origin[i])
+    multi = Graph(len(rep), True, phi[g.s], g.arena, tails, heads, weights,
+                  origin)
+    core, groups = deduplicate(multi)
+    return core, groups, chains, chain_origin, rep, multi
+
 def random_interval_set(rng: random.Random, n: int,
                         span: int = 10**6) -> list[tuple[int, int]]:
     """A valid interval trace: distinct endpoints, each l < r."""

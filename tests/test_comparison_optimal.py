@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -19,7 +20,8 @@ from distorder.optimality_audit import (energy, greedy_coloring,
 from distorder.weights import WeightArena
 from distorder.graph_core import forward_edges
 
-from helpers import bellman_ford, brute_idoms, check_tree
+from helpers import (bellman_ford, brute_idoms, check_tree,
+                     two_pass_contraction)
 
 BUDGET_C1 = 64  # documented constant for the end-to-end query budget
 
@@ -158,7 +160,7 @@ class TestContraction:
         g = gen_family("path", 9)
         dt = dominator_tree(g)
         g1 = drop_back_edges(g, dt)
-        g2, chains, chain_origin, rep = contract_chains(g1, dt)
+        g2, _, chains, chain_origin, rep = contract_chains(g1, dt)
         assert g2.n == 1 and g2.m == 0
         assert chains == [list(range(9))]
         assert chain_origin == list(range(8))
@@ -169,7 +171,7 @@ class TestContraction:
         g = gen_broom(t, r, seed=0)
         dt = dominator_tree(g)
         g1 = drop_back_edges(g, dt)
-        g2, chains, _, rep = contract_chains(g1, dt)
+        g2, _, chains, _, rep = contract_chains(g1, dt)
         assert g2.n == t + 2  # s, the path supernode, and the leaves
         assert chains == [list(range(1, r + 1))]
         assert rep == [0, 1] + list(range(r + 1, r + t + 1))
@@ -184,7 +186,7 @@ class TestContraction:
         dt = dominator_tree(g)
         g1 = drop_back_edges(g, dt)
         a0 = g.arena.add_count
-        g2, chains, _, _ = contract_chains(g1, dt)
+        g2, _, chains, _, _ = contract_chains(g1, dt)
         assert chains == [[1, 2, 3, 4]]
         assert g.arena.add_count - a0 == adds
         w = {(g2.tails[i], g2.heads[i]): g.arena.audit_value(g2.arc_weight(i))
@@ -198,7 +200,7 @@ class TestContraction:
             g = gen_family("random_digraph", rng.randrange(2, 80), seed=trial)
             dt = dominator_tree(g)  # simple input: no pre-deduplication needed
             g1 = drop_back_edges(g, dt)
-            g2, chains, _, core_rep = contract_chains(g1, dt)
+            g2, _, chains, _, core_rep = contract_chains(g1, dt)
             # collapse each chain onto its head; survivors keep id order
             rep = list(range(g.n))
             for chain in chains:
@@ -219,6 +221,129 @@ class TestContraction:
             contracted_edges = sum(len(c) - 1 for c in chains)
             assert g2.n == g1.n - contracted_edges
 
+
+def weight_data(arena, w):
+    """A weight as plain data: a handle as its cell index, so two arenas that
+    did the same work agree, and a LazyMin as its members' and origins' data
+    in order."""
+    if type(w) is int:
+        return w - arena.zero()
+    return (tuple(weight_data(arena, m) for m in w.members),
+            tuple(origin_data(arena, o) for o in w.origins))
+
+
+def origin_data(arena, o):
+    return o if type(o) is int else weight_data(arena, o)
+
+
+def contraction_data(g, core, groups, chains, chain_origin, rep):
+    """A contraction's results as plain data, with the arena's counters."""
+    a = g.arena
+    return (core.n, core.s, core.tails, core.heads,
+            [weight_data(a, w) for w in core.weights],
+            [origin_data(a, o) for o in core.origin],
+            [weight_data(a, lm) for lm in groups], chains,
+            [origin_data(a, o) for o in chain_origin], rep,
+            a.add_count, a.cmp_count)
+
+
+def arc_multiset(g):
+    return Counter((u, v, weight_data(g.arena, w), origin_data(g.arena, o))
+                   for u, v, w, o in zip(g.tails, g.heads, g.weights, g.origin))
+
+
+def contract_both_ways(text):
+    """``contract_chains`` and the three-pass reference on fresh parses."""
+    out = []
+    for contract in (contract_chains,
+                     lambda g0, dom: two_pass_contraction(g0, dom)[:5]):
+        g = parse_graph(text)
+        g0, _ = deduplicate(g)
+        out.append(contraction_data(g, *contract(g0, dominator_tree(g0))))
+    return out
+
+
+def random_contraction_input(rng):
+    """Edge-list text of a small reachable digraph built to form chains.
+
+    Most spanning-tree parents are the vertex placed just before, so
+    dominator chains form; extra arcs bring self-loops, back arcs and arcs
+    leaving chain interiors, and copies of drawn arcs bring input parallel
+    arcs.  Vertex ids are shuffled, so an interior may precede its head.
+    """
+    n = rng.randrange(2, 16)
+    order = list(range(1, n))
+    rng.shuffle(order)
+    placed = [0]
+    arcs = []
+    for v in order:
+        u = placed[-1] if rng.random() < 0.6 else rng.choice(placed)
+        arcs.append((u, v))
+        placed.append(v)
+    arcs += [(rng.randrange(n), rng.randrange(n))
+             for _ in range(rng.randrange(2 * n))]
+    arcs += rng.choices(arcs, k=rng.randrange(2 * n))
+    rng.shuffle(arcs)
+    return f"{n} {len(arcs)} 0 directed\n" + "".join(
+        f"{u} {v} {rng.choice(('1', '2', '3', '5', '1/2', '7/3'))}\n"
+        for u, v in arcs)
+
+
+class TestOnePassContraction:
+    """``contract_chains`` equals drop_back_edges, contraction, deduplicate."""
+
+    def test_matches_three_passes_on_random_digraphs(self):
+        rng = random.Random(20)
+        seen = {"back arcs": 0, "input groups": 0, "core groups": 0,
+                "nested groups": 0, "additions": 0}
+        for trial in range(200):
+            text = random_contraction_input(rng)
+            new, ref = contract_both_ways(text)
+            assert new == ref, (trial, text)
+            g = parse_graph(text)
+            g0, lazies0 = deduplicate(g)
+            dom = dominator_tree(g0)
+            core, groups = contract_chains(g0, dom)[:2]
+            seen["back arcs"] += drop_back_edges(g0, dom).m < g0.m
+            seen["input groups"] += bool(lazies0)
+            seen["core groups"] += bool(groups)
+            seen["nested groups"] += any(type(w) is not int for lm in groups
+                                         for w in lm.members)
+            seen["additions"] += new[-2] > 0
+        # the corpus reaches every case the one pass merges
+        assert min(seen.values()) >= 10, seen
+
+    def test_back_arcs_leaving_a_chain_are_not_out_arcs(self):
+        # chain 1 -> 2 -> 3 -> 4; 2 -> 5 is the only kept arc leaving an
+        # interior, so prefixes stop at 2 and only 2 -> 5 costs an addition.
+        # The back arcs 3 -> 1 and 4 -> 2 would each deepen the prefixes if
+        # they counted as out-arcs, and 3 -> 2 would break 2's unique in-arc
+        text = ("6 8 0 directed\n0 1 1\n1 2 2\n2 3 3\n3 4 4\n0 5 100\n"
+                "2 5 1\n3 1 5\n4 2 5\n")
+        new, ref = contract_both_ways(text)
+        assert new == ref
+        assert new[7] == [[1, 2, 3, 4]] and new[-2] == 1
+        text = text.replace("6 8", "6 9") + "3 2 1\n"
+        assert contract_both_ways(text)[0][-2] == 1
+        g = parse_graph(text, audit=True)
+        assert_matches_bellman_ford(g, run_pipeline(g))
+
+    def test_parallel_arcs_made_by_contraction_group_in_arc_order(self):
+        # 1 -> 5 and 2 -> 5 both become core arc (1 -> 5) once chain
+        # 1 -> 2 -> 3 collapses; the input pair 0 -> 5 is a nested group
+        text = ("6 8 0 directed\n0 5 9\n2 5 1\n0 1 1\n1 2 1\n2 3 1\n"
+                "1 5 4\n0 5 8\n0 4 1\n")
+        new, ref = contract_both_ways(text)
+        assert new == ref
+        g = parse_graph(text)
+        g0, _ = deduplicate(g)
+        core, groups, chains, _, rep = contract_chains(g0, dominator_tree(g0))
+        assert chains == [[1, 2, 3]] and rep == [0, 1, 4, 5]
+        assert list(zip(core.tails, core.heads)) == [(0, 3), (1, 3), (0, 1),
+                                                      (0, 2)]
+        assert [lm.origins for lm in groups] == [[1, 5]]
+        assert groups[0] is core.weights[1] is core.origin[1]
+        assert type(core.weights[0].members[0]) is int  # the input group
 
 class TestDedup:
     def test_parallel_pair_lazy_cost(self):
@@ -415,6 +540,31 @@ class TestPipeline:
             dist2 = res.run.dist  # same vertex ids as the multigraph
             fwd = forward_edges(g2, dist2)
             assert res.lazy_spend <= max(0, fwd - g2.n + 1)
+
+    def test_multi_graph_expands_the_core_groups(self):
+        # the acceptance suite's pipeline corpus and criterion 12's dense
+        # graphs, against the multigraph of the three-pass contraction
+        rng = random.Random(7)
+        graphs = [gen_family("random_digraph", rng.randrange(2, 301),
+                             seed=90_000 + trial, audit=True)
+                  for trial in range(500)]
+        graphs += [gen_dense(4, seed=1, audit=True),
+                   gen_dense(6, seed=2, audit=True)]
+        grouped = 0
+        for g in graphs:
+            ref = parse_graph(emit_graph(g), audit=True)
+            g0, _ = deduplicate(ref)
+            multi = two_pass_contraction(g0, dominator_tree(g0))[5]
+            res = run_pipeline(g)
+            g2 = res.multi_graph
+            assert (g2.n, g2.s) == (multi.n, multi.s)
+            assert arc_multiset(g2) == arc_multiset(multi)
+            dist, compare = res.run.dist, g.arena.compare
+            assert forward_edges(g2, dist) == sum(
+                compare(dist[u], dist[v]) < 0
+                for u, v in zip(multi.tails, multi.heads))
+            grouped += bool(res.core_groups)
+        assert grouped >= 200  # 236 of the 502 runs group core arcs
 
     def test_query_budget_for_sssp_phase(self):
         rng = random.Random(14)

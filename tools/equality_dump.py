@@ -16,8 +16,11 @@ heap-churn trace is also replayed on all four queues at both seeds, for 438
 cases in all.  Every case records comparisons and additions; Dijkstra runs
 add ``extract_comparisons``, the linearization, both trees' parents,
 ``sssp_arcs``, the intervals and (audit runs) the exact distances; pipeline
-runs add ``lazy_spend``, the linearization, the tree, ``tree_arc`` and
-(audit runs) the exact distances.
+runs add ``lazy_spend``, the linearization, the tree, ``tree_arc``, the
+core graph (n, s, tails and heads in arc order, and each core arc's group
+size: how many arcs of ``multi_graph`` it stands for), the count of
+``multi_graph``'s distance-forward arcs and (audit runs) the exact
+distances.
 """
 
 from __future__ import annotations
@@ -25,12 +28,14 @@ from __future__ import annotations
 import json
 import os
 import sys
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "perfbench")]
 
 from distorder import (WeightArena, gen_broom, gen_dense, gen_family,  # noqa: E402
                        parse_graph, run_dijkstra, run_pipeline)
+from distorder.graph_core import forward_edges  # noqa: E402
 from distorder.dijkstra import HEAP_KINDS  # noqa: E402
 from helpers import prime_denominator_graph  # noqa: E402
 from workloads import QUEUES, make_inputs, replay  # noqa: E402
@@ -90,6 +95,13 @@ def pipeline_case(g):
     }
     if g.arena.audit:
         case["dist"] = [str(g.arena.audit_value(h)) for h in p.dist]
+    # read after the counts: forward_edges spends comparisons
+    core, multi = p.core_graph, p.multi_graph
+    arcs = list(zip(core.tails, core.heads))
+    size = Counter(zip(multi.tails, multi.heads))
+    case["core"] = {"n": core.n, "s": core.s, "tails": core.tails,
+                    "heads": core.heads, "group_sizes": [size[a] for a in arcs]}
+    case["multi_forward"] = forward_edges(multi, p.run.dist)
     return case
 
 
