@@ -1,9 +1,9 @@
 """Shared test utilities: independent oracles, structure checkers and traces.
 
 The oracles (the sorted-replay queue, Bellman-Ford, vertex-deletion
-dominators, brute-force working sets and greedy coloring, exhaustive
-linearization counts) recompute an answer from its definition.  The
-structure checkers (``fibonacci_rings``, ``check_workset``,
+dominators, the three-pass contraction, brute-force working sets and greedy
+coloring, exhaustive linearization counts) recompute an answer from its
+definition.  The structure checkers (``fibonacci_rings``, ``check_workset``,
 ``check_min_keeper``, ``check_tree``) scan a data structure's fields and
 assert its invariants.  Those that read key values do so through
 ``arena.audit_value``, so they need an audit-mode arena and spend no arena
@@ -21,6 +21,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from distorder.aux_structures import EMPTY
+from distorder.comparison_optimal import deduplicate, drop_back_edges
 from distorder.graph_core import (Graph, SpanningTree, emit_graph, gen_family,
                                   parse_graph)
 from distorder.weights import INFINITY
@@ -277,8 +278,7 @@ def brute_idoms(g: Graph) -> list[int]:
     return idom
 
 
-
-def two_pass_contraction(g0: Graph, dom):
+def three_pass_contraction(g0: Graph, dom):
     """The pipeline's contraction as three passes, each building a graph.
 
     ``drop_back_edges``, then chain contraction over the kept arcs alone,
@@ -288,8 +288,6 @@ def two_pass_contraction(g0: Graph, dom):
     its parallel arcs were grouped.  Contraction spends its additions in the
     same order as ``contract_chains``, and skips its checks.
     """
-    from distorder.comparison_optimal import deduplicate, drop_back_edges
-
     g = drop_back_edges(g0, dom)
     n = g.n
     children = SpanningTree(dom.idom, g.s).children()
@@ -307,7 +305,7 @@ def two_pass_contraction(g0: Graph, dom):
         chains.append(chain)
 
     add = g.arena.add
-    arc_into = {v: i for i, v in enumerate(g.heads)}  # a chain arc's is unique
+    arc_into = {v: i for i, v in enumerate(g.heads)}  # unique for chain arcs
     chain_origin, prefix_of = [], {}
     for chain in chains:
         depth = len(chain) - 1  # the deepest member read as a tail
@@ -345,6 +343,7 @@ def two_pass_contraction(g0: Graph, dom):
                   origin)
     core, groups = deduplicate(multi)
     return core, groups, chains, chain_origin, rep, multi
+
 
 def random_interval_set(rng: random.Random, n: int,
                         span: int = 10**6) -> list[tuple[int, int]]:

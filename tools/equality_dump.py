@@ -35,8 +35,8 @@ sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "perfbench")]
 
 from distorder import (WeightArena, gen_broom, gen_dense, gen_family,  # noqa: E402
                        parse_graph, run_dijkstra, run_pipeline)
-from distorder.graph_core import forward_edges  # noqa: E402
 from distorder.dijkstra import HEAP_KINDS  # noqa: E402
+from distorder.graph_core import forward_edges  # noqa: E402
 from helpers import prime_denominator_graph  # noqa: E402
 from workloads import QUEUES, make_inputs, replay  # noqa: E402
 
@@ -97,10 +97,10 @@ def pipeline_case(g):
         case["dist"] = [str(g.arena.audit_value(h)) for h in p.dist]
     # read after the counts: forward_edges spends comparisons
     core, multi = p.core_graph, p.multi_graph
-    arcs = list(zip(core.tails, core.heads))
     size = Counter(zip(multi.tails, multi.heads))
     case["core"] = {"n": core.n, "s": core.s, "tails": core.tails,
-                    "heads": core.heads, "group_sizes": [size[a] for a in arcs]}
+                    "heads": core.heads,
+                    "group_sizes": [size[a] for a in zip(core.tails, core.heads)]}
     case["multi_forward"] = forward_edges(multi, p.run.dist)
     return case
 
