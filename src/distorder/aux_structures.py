@@ -23,9 +23,9 @@ Entries in :class:`MinKeeper` are (weight handle, tiebreak) pairs ordered by
 the arena comparison first and the integer tiebreak second, so callers that
 need a deterministic total order (the working-set heap breaks ties by vertex
 id) get one without extra weight comparisons.  Empty ranks hold the EMPTY
-entry, above every live one, +inf keys included; the suffix-minimum loops
-test each side for +inf with an int comparison and settle those cases with
-``arena.compare_inf``, never ``arena.compare``.
+entry, above every live one, +inf keys included.  A comparison with a +inf
+side goes through ``arena.compare`` like any other, which settles it for
+free.
 
 Comparison costs.  A carry costs at most one comparison here and a fuse
 none, and emptying M[0] none.  A drop of a lower entry walks L leftward one
@@ -154,12 +154,6 @@ class MinKeeper:
     def __len__(self):
         return len(self._m)
 
-    def _cmp(self, ha, ta, hb, tb) -> int:
-        c = self._arena.compare(ha, hb)
-        if c:
-            return c
-        return (ta > tb) - (ta < tb)
-
     def change_prefix(self, prefix: list) -> None:
         """Set M[0 : len(prefix)] = prefix; recompute the first suffix minima.
 
@@ -195,8 +189,7 @@ class MinKeeper:
         m[i] = (handle, tie)
         l = self._l
         T = len(l)
-        arena = self._arena
-        compare = arena.compare
+        compare = self._arena.compare
         if i == T:
             stale = self._stale
             if stale:
@@ -208,10 +201,7 @@ class MinKeeper:
                     w = l[b + 1]
                     h, t = m[b]
                     bh, bt = m[w]
-                    if h == INFINITY or bh == INFINITY:
-                        c = arena.compare_inf(h, bh)
-                    else:
-                        c = compare(h, bh)
+                    c = compare(h, bh)
                     l[b] = b if c < 0 or (c == 0 and t <= bt) else w
         else:
             if i == T - 1:
@@ -230,10 +220,7 @@ class MinKeeper:
                 k = i
                 while k >= 0:
                     h, t = m[k]
-                    if h == INFINITY or th == INFINITY:
-                        c = arena.compare_inf(h, th)
-                    else:
-                        c = compare(h, th)
+                    c = compare(h, th)
                     if c < 0 or (c == 0 and t <= tt):
                         break
                     k -= 1
@@ -251,10 +238,7 @@ class MinKeeper:
             bh, bt = m[w]
             for k in range(k, -1, -1):
                 h, t = m[k]
-                if h == INFINITY or bh == INFINITY:
-                    c = arena.compare_inf(h, bh)
-                else:
-                    c = compare(h, bh)
+                c = compare(h, bh)
                 if c < 0 or (c == 0 and t <= bt):
                     w = k
                     bh = h
@@ -266,10 +250,7 @@ class MinKeeper:
         while k < T:
             w = l[k]
             h, t = m[w]
-            if h == INFINITY or handle == INFINITY:
-                c = arena.compare_inf(handle, h)
-            else:
-                c = compare(handle, h)
+            c = compare(handle, h)
             if c < 0 or (c == 0 and tie < t):
                 break  # the top beats the run of w, and every run after it
             k = w + 1  # the run of w ends at w
@@ -282,7 +263,8 @@ class MinKeeper:
         drop); the benchmark's tracer still wraps it by name.
         """
         h, t = self._m[i]
-        if self._cmp(x, tie, h, t) > 0:
+        c = self._arena.compare(x, h)
+        if c > 0 or (c == 0 and tie > t):
             return False
         self.decrease(i, x, tie)
         return True
@@ -294,18 +276,14 @@ class MinKeeper:
         l = self._l
         T = len(l)
         j = self._j
-        arena = self._arena
-        compare = arena.compare
+        compare = self._arena.compare
         if i == T:
             # the top only drops: it takes over each run left of j it beats
             k = j - 1
             while k >= 0:
                 w = l[k]
                 h, t = m[w]
-                if h == INFINITY or x == INFINITY:
-                    c = arena.compare_inf(h, x)
-                else:
-                    c = compare(h, x)
+                c = compare(h, x)
                 if c < 0 or (c == 0 and t <= tie):
                     break
                 k -= 1
@@ -316,10 +294,7 @@ class MinKeeper:
         if i >= j:
             # S[i] is the top, which the old M[i] lost to
             h, t = m[T]
-            if h == INFINITY or x == INFINITY:
-                c = arena.compare_inf(x, h)
-            else:
-                c = compare(x, h)
+            c = compare(x, h)
             if c > 0 or (c == 0 and tie > t):
                 # the top still comes first: L[j..i] may now point at i,
                 # except where it already did, from a fresh run ending at i
@@ -349,10 +324,7 @@ class MinKeeper:
             w = l[i]
             if w != i:
                 h, t = m[w]
-                if h == INFINITY or x == INFINITY:
-                    c = arena.compare_inf(x, h)
-                else:
-                    c = compare(x, h)
+                c = compare(x, h)
                 if c > 0 or (c == 0 and tie > t):
                     return  # a later entry is still smaller; L untouched
             k = i
@@ -364,10 +336,7 @@ class MinKeeper:
         while k >= 0:
             w = l[k]
             h, t = m[w]
-            if h == INFINITY or x == INFINITY:
-                c = arena.compare_inf(h, x)
-            else:
-                c = compare(h, x)
+            c = compare(h, x)
             if c < 0 or (c == 0 and t <= tie):
                 return
             while k >= 0 and l[k] == w:
@@ -452,10 +421,7 @@ class MinKeeper:
         h, t = entry
         w = T if j == 1 else l[1]
         bh, bt = m[w]
-        if h == INFINITY or bh == INFINITY:
-            c = self._arena.compare_inf(h, bh)
-        else:
-            c = self._arena.compare(h, bh)
+        c = self._arena.compare(h, bh)
         if c < 0 or (c == 0 and t <= bt):
             l[0] = 0
         elif j == 1:

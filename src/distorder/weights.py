@@ -21,11 +21,11 @@ Handles encode the issuing arena in their high bits, so using a handle with a
 foreign arena raises :class:`ContractViolation` instead of reading garbage.
 ``INFINITY`` is a reserved sentinel handle that orders above every cell and is
 compared for free; it never occupies a cell.  A comparison against it carries
-no weight information, so it is not counted, but ``compare`` reaches it only
-by catching an ``IndexError``, which costs several counted comparisons in wall
-time.  Hot callers that may hold ``INFINITY`` therefore test for it with one
-int comparison and settle the case themselves, calling :meth:`compare_inf`
-(or :meth:`check_handle`, where the outcome is already known) instead.
+no weight information, so it is not counted.  ``compare`` settles it in one
+place, :meth:`compare_inf`, which it reaches by catching an ``IndexError``.
+That costs the wall time of several counted comparisons, but callers meet an
+``INFINITY`` side too rarely for a test of their own to pay, so none makes
+one.  :meth:`check_handle` checks a handle where no comparison is needed.
 
 Arenas created with ``audit=True`` additionally store cell payloads XOR-masked
 with a random key (an ``int`` cell as ``cell ^ key``, a fallback ``Fraction``

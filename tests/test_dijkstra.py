@@ -437,9 +437,10 @@ def test_infinite_keys_follow_the_sorted_replay_oracle(program):
 
 
 def test_no_free_comparison_reaches_the_arena(monkeypatch):
-    # Dijkstra hands its queues no +inf key, and MinKeeper settles its EMPTY
-    # entries' +inf comparisons itself, so the arena, which reaches one only
-    # through a caught IndexError, never sees one
+    # Dijkstra hands its queues no +inf key, so the baseline queues never
+    # reach the arena's free fallback; the working-set heap's EMPTY ranks do
+    # (through MinKeeper), and so does the pipeline's core Dijkstra, but only
+    # ever with +inf on one side
     calls = []
     special = WeightArena._compare_special
 
@@ -454,10 +455,14 @@ def test_no_free_comparison_reaches_the_arena(monkeypatch):
               lambda: gen_dense(8, seed=0),
               lambda: gen_family("star", 500, seed=0)]
     for make in makers:
-        for kind in HEAP_KINDS:
+        for kind in ("fibonacci", "binary", "pairing"):
             run_dijkstra(make(), kind)
-        run_pipeline(make())
     assert calls == []
+    for make in makers:
+        run_dijkstra(make(), "workset")
+        run_pipeline(make())
+    assert all(INFINITY in call for call in calls)
+    calls.clear()
     a = WeightArena()
     a.compare(a.zero(), INFINITY)  # the guard does see a free comparison
     assert len(calls) == 1
