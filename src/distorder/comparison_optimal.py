@@ -139,7 +139,9 @@ class LazyMin:
     """Minimum of a parallel-edge group, paid for on first access.
 
     ``resolve`` spends exactly (flat group size - 1) comparisons once, then
-    caches the winning handle and the index of the winning member.
+    caches the winning handle and the index of the winning member.  Nested
+    members are resolved first, so ``spent`` counts only the group's own
+    (size - 1) comparisons, never a nested group's.
     """
 
     __slots__ = ("arena", "members", "origins", "handle", "winner", "spent")
@@ -155,15 +157,13 @@ class LazyMin:
     def resolve(self) -> int:
         if self.handle is not None:
             return self.handle
+        hs = [w if type(w) is int else w.resolve() for w in self.members]
         cmp0 = self.arena.cmp_count
         compare = self.arena.compare
-        members = self.members
-        w = members[0]
-        best = w if type(w) is int else w.resolve()
+        best = hs[0]
         win = 0
-        for k in range(1, len(members)):
-            w = members[k]
-            h = w if type(w) is int else w.resolve()
+        for k in range(1, len(hs)):
+            h = hs[k]
             if compare(h, best) < 0:
                 best = h
                 win = k

@@ -345,6 +345,37 @@ def three_pass_contraction(g0: Graph, dom):
     return core, groups, chains, chain_origin, rep, multi
 
 
+# An input parallel pair 1 -> 4 that nests in a core group: once 2 folds into
+# 1, the core arc 1 -> 4 also stands for 2 -> 4 (weight 1 + 9)
+NESTED_GROUP_TEXT = ("5 7 0 directed\n0 1 1\n0 4 100\n1 2 1\n2 3 1\n"
+                     "1 4 7\n1 4 5\n2 4 9\n")
+
+
+def chain_multigraph_text(rng: random.Random, n: int) -> str:
+    """Edge-list text of a reachable n-vertex digraph built to form chains.
+
+    Most spanning-tree parents are the vertex placed just before, so
+    dominator chains form; extra arcs bring self-loops, back arcs and arcs
+    leaving chain interiors, and copies of drawn arcs bring input parallel
+    arcs.  Vertex ids are shuffled, so an interior may precede its head.
+    """
+    order = list(range(1, n))
+    rng.shuffle(order)
+    placed = [0]
+    arcs = []
+    for v in order:
+        u = placed[-1] if rng.random() < 0.6 else rng.choice(placed)
+        arcs.append((u, v))
+        placed.append(v)
+    arcs += [(rng.randrange(n), rng.randrange(n))
+             for _ in range(rng.randrange(2 * n))]
+    arcs += rng.choices(arcs, k=rng.randrange(2 * n))
+    rng.shuffle(arcs)
+    return f"{n} {len(arcs)} 0 directed\n" + "".join(
+        f"{u} {v} {rng.choice(('1', '2', '3', '5', '1/2', '7/3'))}\n"
+        for u, v in arcs)
+
+
 def random_interval_set(rng: random.Random, n: int,
                         span: int = 10**6) -> list[tuple[int, int]]:
     """A valid interval trace: distinct endpoints, each l < r."""

@@ -20,8 +20,8 @@ from distorder.optimality_audit import (energy, greedy_coloring,
 from distorder.weights import WeightArena
 from distorder.graph_core import forward_edges
 
-from helpers import (bellman_ford, brute_idoms, check_tree,
-                     three_pass_contraction)
+from helpers import (NESTED_GROUP_TEXT, bellman_ford, brute_idoms,
+                     chain_multigraph_text, check_tree, three_pass_contraction)
 
 BUDGET_C1 = 64  # documented constant for the end-to-end query budget
 
@@ -263,32 +263,6 @@ def contract_both_ways(text):
     return out
 
 
-def random_contraction_input(rng):
-    """Edge-list text of a small reachable digraph built to form chains.
-
-    Most spanning-tree parents are the vertex placed just before, so
-    dominator chains form; extra arcs bring self-loops, back arcs and arcs
-    leaving chain interiors, and copies of drawn arcs bring input parallel
-    arcs.  Vertex ids are shuffled, so an interior may precede its head.
-    """
-    n = rng.randrange(2, 16)
-    order = list(range(1, n))
-    rng.shuffle(order)
-    placed = [0]
-    arcs = []
-    for v in order:
-        u = placed[-1] if rng.random() < 0.6 else rng.choice(placed)
-        arcs.append((u, v))
-        placed.append(v)
-    arcs += [(rng.randrange(n), rng.randrange(n))
-             for _ in range(rng.randrange(2 * n))]
-    arcs += rng.choices(arcs, k=rng.randrange(2 * n))
-    rng.shuffle(arcs)
-    return f"{n} {len(arcs)} 0 directed\n" + "".join(
-        f"{u} {v} {rng.choice(('1', '2', '3', '5', '1/2', '7/3'))}\n"
-        for u, v in arcs)
-
-
 class TestOnePassContraction:
     """``contract_chains`` equals drop_back_edges, contraction, deduplicate."""
 
@@ -297,7 +271,7 @@ class TestOnePassContraction:
         seen = {"back arcs": 0, "input groups": 0, "core groups": 0,
                 "nested groups": 0, "additions": 0}
         for trial in range(200):
-            text = random_contraction_input(rng)
+            text = chain_multigraph_text(rng, rng.randrange(2, 16))
             new, ref = contract_both_ways(text)
             assert new == ref, (trial, text)
             g = parse_graph(text)
@@ -312,6 +286,41 @@ class TestOnePassContraction:
             seen["additions"] += new["additions"] > 0
         # the corpus reaches every case the one pass merges
         assert min(seen.values()) >= 10, seen
+
+    def test_lazy_spend_counts_a_nested_group_once(self):
+        # one comparison inside the input pair, one in the core group
+        res = run_pipeline(parse_graph(NESTED_GROUP_TEXT))
+        [group] = res.core_groups
+        assert type(group.members[0]) is comparison_optimal.LazyMin
+        assert [group.spent, group.members[0].spent] == [1, 1]
+        assert res.lazy_spend == 2
+
+    def test_lazy_spend_is_what_the_outermost_resolves_compare(
+            self, monkeypatch):
+        resolve = comparison_optimal.LazyMin.resolve
+        depth = [0]
+        inside = [0]
+
+        def outermost(lm):
+            cmp0 = lm.arena.cmp_count
+            depth[0] += 1
+            h = resolve(lm)
+            depth[0] -= 1
+            if not depth[0]:
+                inside[0] += lm.arena.cmp_count - cmp0
+            return h
+
+        monkeypatch.setattr(comparison_optimal.LazyMin, "resolve", outermost)
+        rng = random.Random(20)
+        nested = 0
+        for trial in range(200):
+            text = chain_multigraph_text(rng, rng.randrange(2, 16))
+            inside[0] = 0
+            res = run_pipeline(parse_graph(text))
+            assert res.lazy_spend == inside[0], (trial, text)
+            nested += any(type(w) is not int for lm in res.core_groups
+                          for w in lm.members)
+        assert nested >= 10
 
     def test_back_arcs_leaving_a_chain_are_not_out_arcs(self):
         # chain 1 -> 2 -> 3 -> 4; 2 -> 5 is the only kept arc leaving an
