@@ -5,10 +5,11 @@ change's:
 
     python3 tools/count_delta.py parent.json change.json
 
-Prints, for each queue kind and for the pipeline, the summed comparisons and
-additions on both sides, the delta and how many cases fell.  Then exits 1
-and names the offending cases if the two dumps hold different cases or
-fields, if any field other than a count differs, or if any count rose.
+Prints, for each queue kind and for the pipeline, the summed comparisons,
+additions and (pipeline only) ``lazy_spend`` on both sides, the delta and how
+many cases fell.  Then exits 1 and names the offending cases if the two dumps
+hold different cases or fields, if any field other than a count differs, or
+if any count rose.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from collections import Counter
 
 COUNTS = ("comparisons", "additions", "extract_comparisons", "lazy_spend")
-TOTALS = ("comparisons", "additions")  # summed per kind and printed
+TOTALS = ("comparisons", "additions", "lazy_spend")  # summed per kind, printed
 
 
 def main(argv: list[str]) -> int:
@@ -43,7 +44,9 @@ def main(argv: list[str]) -> int:
                 faults.append(f"{name}: {field} differs")
         kind = name.split("/")[1]  # graph/kind/mode, graph/pipeline/..., replay-sN/kind
         for count in TOTALS:
-            x, y = a.get(count, 0), b.get(count, 0)
+            if count not in a or count not in b:
+                continue
+            x, y = a[count], b[count]
             before[kind, count] += x
             after[kind, count] += y
             fell[kind, count] += y < x

@@ -6,18 +6,20 @@ running this script in each and comparing the outputs:
     PYTHONPATH=src python3 tools/equality_dump.py > out.json
     cmp parent.json out.json
 
-The corpus is 43 graphs: ``random_digraph``, ``random_dag``, star, fan and
+The corpus is 45 graphs: ``random_digraph``, ``random_dag``, star, fan and
 path at n in {50, 2000} and seeds {0, 424242}; brooms t in {44, 45, 64} with
 a path of t*t - t - 1 vertices; ``gen_dense`` k = 4, 8, ..., 32; fan-200;
-the prime-denominator graph; and perfbench's random-sparse, broom-dense and
-heap-churn star inputs at seeds 0 and 424242.  Each graph runs Dijkstra on
-all four queues and the pipeline in a plain and an audit-mode arena.  The
-heap-churn trace is also replayed on all four queues at both seeds, for 438
-cases in all.  Every case records comparisons and additions; Dijkstra runs
-add ``extract_comparisons``, the linearization, both trees' parents,
-``sssp_arcs``, the intervals and (audit runs) the exact distances; pipeline
-runs add ``lazy_spend``, the linearization, the tree, ``tree_arc``, the
-core graph (n, s, tails and heads in arc order, and each core arc's group
+the prime-denominator graph; perfbench's random-sparse, broom-dense and
+heap-churn star inputs at seeds 0 and 424242; and two graphs with input
+parallel arcs, ``NESTED_GROUP_TEXT`` and the n = 2000 chain multigraph of
+seed 1, each with an input group nested in a core group.  Each graph runs
+Dijkstra on all four queues and the pipeline in a plain and an audit-mode
+arena.  The heap-churn trace is also replayed on all four queues at both
+seeds, for 458 cases in all.  Every case records comparisons and additions;
+Dijkstra runs add ``extract_comparisons``, the linearization, both trees'
+parents, ``sssp_arcs``, the intervals and (audit runs) the exact distances;
+pipeline runs add ``lazy_spend``, the linearization, the tree, ``tree_arc``,
+the core graph (n, s, tails and heads in arc order, and each core arc's group
 size: how many arcs of ``multi_graph`` it stands for), the count of
 ``multi_graph``'s distance-forward arcs and (audit runs) the exact
 distances.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import sys
 from collections import Counter
 
@@ -37,7 +40,8 @@ from distorder import (WeightArena, gen_broom, gen_dense, gen_family,  # noqa: E
                        parse_graph, run_dijkstra, run_pipeline)
 from distorder.dijkstra import HEAP_KINDS  # noqa: E402
 from distorder.graph_core import forward_edges  # noqa: E402
-from helpers import prime_denominator_graph  # noqa: E402
+from helpers import (NESTED_GROUP_TEXT, chain_multigraph_text,  # noqa: E402
+                     prime_denominator_graph)
 from workloads import QUEUES, make_inputs, replay  # noqa: E402
 
 SEEDS = (0, 424242)
@@ -63,6 +67,10 @@ def corpus():
         for raw in raws:
             out.append((f"perfbench-{raw.name}-s{seed}",
                         lambda a, text=raw.text: parse_graph(text, audit=a)))
+    multi = chain_multigraph_text(random.Random(1), 2000)
+    for name, text in (("nested-group", NESTED_GROUP_TEXT),
+                       ("multigraph-2000-s1", multi)):
+        out.append((name, lambda a, text=text: parse_graph(text, audit=a)))
     return out
 
 
