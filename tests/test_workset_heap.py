@@ -1,8 +1,11 @@
 import math
 import random
+import sys
+from collections import Counter
 
 import pytest
 
+from distorder.aux_structures import EMPTY, MinKeeper
 from distorder.dijkstra import run_dijkstra
 from distorder.errors import ContractViolation, EmptyHeapError
 from distorder.graph_core import gen_broom, gen_family
@@ -269,6 +272,75 @@ def test_bursts_and_drains_keep_invariants_and_cheap_inserts(seed):
             fuses += h.max_rank() < R and top_size >= 2
             check_workset(h)
     assert max(top_ranks) >= 3 and fuses > 0
+
+
+def fallback_callers(monkeypatch):
+    """Count, by calling function, the comparisons the arena settles in its
+    free +inf fallback; the caller is two frames up, past ``compare``."""
+    callers = Counter()
+    special = WeightArena._compare_special
+
+    def traced(self, a, b):
+        callers[sys._getframe(2).f_code.co_name] += 1
+        return special(self, a, b)
+
+    monkeypatch.setattr(WeightArena, "_compare_special", traced)
+    return callers
+
+
+def test_infinite_keys_are_settled_by_the_arena_fallback(monkeypatch):
+    # 15% +inf inserts, decreases from +inf, drains that fuse the top pair
+    # and empty the heap: MinKeeper's +inf comparisons reach the arena's
+    # free fallback from all three of its comparing methods, and the count
+    # is pinned
+    callers = fallback_callers(monkeypatch)
+    rng = random.Random(21)
+    a = WeightArena()
+    h = WorkSetHeap(a)
+    oracle = SortedReplayOracle()
+    live = {}
+    vid = 0
+    fuses = empties = 0
+    for _ in range(60):
+        for _ in range(rng.randrange(1, 200)):
+            inf = rng.random() < 0.15
+            v = math.inf if inf else rng.randrange(1000)
+            live[vid] = (h.insert(INFINITY if inf else a.intern(v), vid), v)
+            oracle.insert(v, vid)
+            vid += 1
+        for u in sorted(live):
+            tok, v = live[u]
+            if v == math.inf and rng.random() < 0.5:
+                nv = rng.randrange(1000)
+                h.decrease_key(tok, a.intern(nv))
+                live[u] = (tok, nv)
+                oracle.decrease(u, nv)
+        drain = len(h) if rng.random() < 0.3 else rng.randrange(len(h) + 1)
+        for _ in range(drain):
+            R = h.max_rank()
+            top_size = rank_sizes(h)[R]
+            _key, got = h.extract_min()
+            assert got == oracle.extract_min()[1]
+            del live[got]
+            # one extraction cannot empty a rank of two: a fuse moved it
+            fuses += h.max_rank() < R and top_size >= 2
+        empties += not len(h)
+    assert fuses and empties
+    assert {"set_entry", "decrease", "shift"} <= callers.keys()
+    assert a.cmp_count == 59663
+
+
+def test_decrease_walk_left_of_the_new_run_meets_infinity(monkeypatch):
+    # the walk over the runs left of the decreased entry's compares a +inf
+    # witness with the new entry; the arena settles it for free
+    callers = fallback_callers(monkeypatch)
+    a = WeightArena()
+    mk = MinKeeper(a)
+    mk.change_prefix([(INFINITY, 5), (INFINITY, 7), EMPTY])
+    callers.clear()
+    mk.decrease(1, a.intern(3), 7)
+    assert callers == {"decrease": 1} and a.cmp_count == 0
+    assert mk.find_min() == 1
 
 
 @pytest.mark.parametrize("case", [*range(12), "residue", "emptied-rank-0"])
