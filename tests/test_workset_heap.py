@@ -331,8 +331,8 @@ def test_infinite_keys_are_settled_by_the_arena_fallback(monkeypatch):
 
 
 def test_decrease_walk_left_of_the_new_run_meets_infinity(monkeypatch):
-    # the walk over the runs left of the decreased entry's compares a +inf
-    # witness with the new entry; the arena settles it for free
+    # decrease's last loop, which walks the runs left of the decreased
+    # entry, compares a +inf witness with the new entry: free in the arena
     callers = fallback_callers(monkeypatch)
     a = WeightArena()
     mk = MinKeeper(a)
