@@ -77,13 +77,6 @@ class FibonacciHeap:
     def __len__(self):
         return self.size
 
-    def _less(self, i: int, j: int) -> bool:
-        pool = self.pool
-        c = self.arena.compare(pool.key[i], pool.key[j])
-        if c:
-            return c < 0
-        return pool.vertex[i] < pool.vertex[j]
-
     def insert(self, key: int, time: int, vertex: int) -> int:
         """Add an element; returns its node id.  Amortized O(1)."""
         pool = self.pool
@@ -156,7 +149,9 @@ class FibonacciHeap:
             right[lo] = m
             left[m] = lo
             if other_first is None:
-                other_first = self._less(om, m)
+                key, vertex = self.pool.key, self.pool.vertex
+                c = self.arena.compare(key[om], key[m])
+                other_first = c < 0 or (c == 0 and vertex[om] < vertex[m])
             if other_first:
                 self.min = om
         self.size += other.size
@@ -271,7 +266,9 @@ class FibonacciHeap:
                 key[nid] = new_key
                 self._cut(nid, p)
                 self._cascading_cut(p)
-                if self._less(nid, self.min):
+                m = self.min
+                c = compare(new_key, key[m])
+                if c < 0 or (c == 0 and vertex[nid] < vertex[m]):
                     self.min = nid
                 return
         elif nid != self.min:
@@ -372,12 +369,6 @@ class BinaryQueue:
     def __len__(self):
         return len(self._heap)
 
-    def _less(self, a: int, b: int) -> bool:
-        c = self._arena.compare(self._key[a], self._key[b])
-        if c:
-            return c < 0
-        return self._vtx[a] < self._vtx[b]
-
     def insert(self, key: int, vertex: int) -> int:
         self._arena.check_handle(key)
         heap = self._heap
@@ -398,27 +389,29 @@ class BinaryQueue:
         the root, or an element that stays put, pays a comparison against its
         old key.  The guard runs before any write.
         """
-        self._arena.check_handle(key)
+        arena = self._arena
+        arena.check_handle(key)
         pos = self._pos
         if not 0 <= eid < len(pos):
             raise ContractViolation("foreign handle: no such element")
         i = pos[eid]
         if i < 0:
             raise ContractViolation("stale handle: element already extracted")
+        keys = self._key
         if i:
-            heap = self._heap
+            heap, vtx = self._heap, self._vtx
             par = (i - 1) >> 1
             p = heap[par]
-            c = self._arena.compare(key, self._key[p])
-            if c < 0 or (c == 0 and self._vtx[eid] < self._vtx[p]):
-                self._key[eid] = key
+            c = arena.compare(key, keys[p])
+            if c < 0 or (c == 0 and vtx[eid] < vtx[p]):
+                keys[eid] = key
                 heap[i] = p
-                self._pos[p] = i
+                pos[p] = i
                 self._bubble_up(par, eid)
                 return
-        if self._arena.compare(key, self._key[eid]) > 0:
+        if arena.compare(key, keys[eid]) > 0:
             raise ContractViolation("decrease_key would increase the key")
-        self._key[eid] = key
+        keys[eid] = key
 
     def find_min(self) -> tuple[int, int]:
         if not self._heap:
@@ -441,11 +434,14 @@ class BinaryQueue:
 
     def _bubble_up(self, i: int, x: int) -> None:
         """Move element x up from the hole at slot i and put it in place."""
-        heap, pos = self._heap, self._pos
+        heap, pos, key, vtx = self._heap, self._pos, self._key, self._vtx
+        compare = self._arena.compare
+        kx, vx = key[x], vtx[x]
         while i > 0:
             par = (i - 1) >> 1
             p = heap[par]
-            if not self._less(x, p):
+            c = compare(kx, key[p])
+            if not (c < 0 or (c == 0 and vx < vtx[p])):
                 break
             heap[i] = p
             pos[p] = i
@@ -454,28 +450,40 @@ class BinaryQueue:
         pos[x] = i
 
     def _sift_down(self, i: int) -> None:
-        heap, pos = self._heap, self._pos
+        heap, pos, key, vtx = self._heap, self._pos, self._key, self._vtx
+        compare = self._arena.compare
         n = len(heap)
         x = heap[i]
+        kx, vx = key[x], vtx[x]
         while True:
             l = 2 * i + 1
             if l >= n:
                 break
+            # y: the lesser child, at slot l
+            y = heap[l]
             r = l + 1
-            c = l
-            if r < n and self._less(heap[r], heap[l]):
-                c = r
-            if not self._less(heap[c], x):
+            if r < n:
+                z = heap[r]
+                c = compare(key[z], key[y])
+                if c < 0 or (c == 0 and vtx[z] < vtx[y]):
+                    l, y = r, z
+            c = compare(key[y], kx)
+            if not (c < 0 or (c == 0 and vtx[y] < vx)):
                 break
-            heap[i] = heap[c]
-            pos[heap[c]] = i
-            i = c
+            heap[i] = y
+            pos[y] = i
+            i = l
         heap[i] = x
         pos[x] = i
 
 
 class PairingQueue:
-    """Two-pass pairing heap baseline."""
+    """Two-pass pairing heap baseline.
+
+    A link makes the loser the winner's first child.  ``_prev`` is _NIL
+    exactly for the root and for extracted elements, which is what makes a
+    stale decrease-key handle detectable.
+    """
 
     def __init__(self, arena):
         self._arena = arena
@@ -490,34 +498,36 @@ class PairingQueue:
     def __len__(self):
         return self._size
 
-    def _less(self, a: int, b: int) -> bool:
-        c = self._arena.compare(self._key[a], self._key[b])
-        if c:
-            return c < 0
-        return self._vtx[a] < self._vtx[b]
-
-    def _link(self, a: int, b: int) -> int:
-        if self._less(b, a):
-            a, b = b, a
-        # b becomes a's first child
-        self._sib[b] = self._child[a]
-        if self._child[a] != _NIL:
-            self._prev[self._child[a]] = b
-        self._child[a] = b
-        self._prev[b] = a
-        return a
-
     def insert(self, key: int, vertex: int) -> int:
         self._arena.check_handle(key)
         root = self._root
-        eid = len(self._key)
-        self._key.append(key)
-        self._vtx.append(vertex)
-        self._child.append(_NIL)
-        self._sib.append(_NIL)
-        self._prev.append(_NIL)
-        self._root = eid if root == _NIL else self._link(root, eid)
+        keys, vtx, child, sib, prev = (
+            self._key, self._vtx, self._child, self._sib, self._prev)
+        eid = len(keys)
+        keys.append(key)
+        vtx.append(vertex)
+        child.append(_NIL)
+        sib.append(_NIL)
+        prev.append(_NIL)
         self._size += 1
+        if root == _NIL:
+            self._root = eid
+            return eid
+        c = self._arena.compare(key, keys[root])
+        if c < 0 or (c == 0 and vertex < vtx[root]):
+            # the old root, whose sib is _NIL, becomes the new element's
+            # only child
+            child[eid] = root
+            prev[root] = eid
+            self._root = eid
+        else:
+            # the new element becomes the root's first child
+            s = child[root]
+            sib[eid] = s
+            if s != _NIL:
+                prev[s] = eid
+            child[root] = eid
+            prev[eid] = root
         return eid
 
     def decrease_key(self, eid: int, key: int) -> None:
@@ -530,40 +540,44 @@ class PairingQueue:
         is known, so a decrease costs one comparison, or two when the element
         stays below the root.  The guard runs before any write.
         """
-        self._arena.check_handle(key)
-        if not 0 <= eid < len(self._key):
+        arena = self._arena
+        arena.check_handle(key)
+        keys = self._key
+        if not 0 <= eid < len(keys):
             raise ContractViolation("foreign handle: no such element")
+        child, sib, prev = self._child, self._sib, self._prev
         root = self._root
         if eid == root:
             moves = False
-        elif self._prev[eid] == _NIL:
+        elif prev[eid] == _NIL:
             raise ContractViolation("stale handle: element already extracted")
         else:
-            c = self._arena.compare(key, self._key[root])
-            moves = c < 0 or (c == 0 and self._vtx[eid] < self._vtx[root])
-        if not moves and self._arena.compare(key, self._key[eid]) > 0:
+            vtx = self._vtx
+            c = arena.compare(key, keys[root])
+            moves = c < 0 or (c == 0 and vtx[eid] < vtx[root])
+        if not moves and arena.compare(key, keys[eid]) > 0:
             raise ContractViolation("decrease_key would increase the key")
-        self._key[eid] = key
+        keys[eid] = key
         if eid == root:
             return
         # detach eid from its parent's child list
-        p, s = self._prev[eid], self._sib[eid]
-        if self._child[p] == eid:
-            self._child[p] = s
+        p, s = prev[eid], sib[eid]
+        if child[p] == eid:
+            child[p] = s
         else:
-            self._sib[p] = s
+            sib[p] = s
         if s != _NIL:
-            self._prev[s] = p
-        self._sib[eid] = _NIL
-        self._prev[eid] = _NIL
-        # the link's outcome is known: b becomes a's first child, as in _link
+            prev[s] = p
+        sib[eid] = _NIL
+        prev[eid] = _NIL
+        # link eid and the root: b becomes a's first child
         a, b = (eid, root) if moves else (root, eid)
-        c = self._child[a]
-        self._sib[b] = c
+        c = child[a]
+        sib[b] = c
         if c != _NIL:
-            self._prev[c] = b
-        self._child[a] = b
-        self._prev[b] = a
+            prev[c] = b
+        child[a] = b
+        prev[b] = a
         self._root = a
 
     def find_min(self) -> tuple[int, int]:
@@ -575,28 +589,49 @@ class PairingQueue:
         root = self._root
         if root == _NIL:
             raise EmptyHeapError("extract_min on empty heap")
-        out = (self._key[root], self._vtx[root])
-        # two-pass combine of the children
-        first = self._child[root]
-        self._child[root] = _NIL
+        key, vtx, child, sib, prev = (
+            self._key, self._vtx, self._child, self._sib, self._prev)
+        compare = self._arena.compare
+        out = (key[root], vtx[root])
+        # first pass: link the children in pairs, left to right; a pair's
+        # winner x heads it with _NIL sib and prev, and the loser y becomes
+        # x's first child
+        x = child[root]
+        child[root] = _NIL
         pairs = []
-        x = first
         while x != _NIL:
-            y = self._sib[x]
-            self._sib[x] = _NIL
-            self._prev[x] = _NIL
-            if y != _NIL:
-                z = self._sib[y]
-                self._sib[y] = _NIL
-                self._prev[y] = _NIL
-                pairs.append(self._link(x, y))
-                x = z
-            else:
+            y = sib[x]
+            if y == _NIL:
+                prev[x] = _NIL
                 pairs.append(x)
                 break
-        new_root = _NIL
-        for t in reversed(pairs):
-            new_root = t if new_root == _NIL else self._link(new_root, t)
+            z = sib[y]
+            c = compare(key[y], key[x])
+            if c < 0 or (c == 0 and vtx[y] < vtx[x]):
+                x, y = y, x
+            s = child[x]
+            sib[y] = s
+            if s != _NIL:
+                prev[s] = y
+            child[x] = y
+            prev[y] = x
+            sib[x] = prev[x] = _NIL
+            pairs.append(x)
+            x = z
+        # second pass: link the pairs right to left into the last one, the
+        # loser of each link becoming the winner's first child
+        new_root = pairs.pop() if pairs else _NIL
+        while pairs:
+            t = pairs.pop()
+            c = compare(key[t], key[new_root])
+            if c < 0 or (c == 0 and vtx[t] < vtx[new_root]):
+                new_root, t = t, new_root
+            s = child[new_root]
+            sib[t] = s
+            if s != _NIL:
+                prev[s] = t
+            child[new_root] = t
+            prev[t] = new_root
         self._root = new_root
         self._size -= 1
         return out
