@@ -234,3 +234,68 @@ def test_rings_hold_after_every_operation():
         while len(oracle):
             assert h.extract_min()[2] == oracle.extract_min()[1]
             fibonacci_rings(h)
+
+
+def tied_churn(q, arena, rng, n_ops, after_extract=None):
+    """Drive a standalone queue through a seeded mixed trace, checked
+    against SortedReplayOracle: 45% inserts, 35% extracts and 20% decreases
+    of the oldest live element, with keys in range(64), so the vertex id
+    often breaks a tie.  ``after_extract(handle)`` runs after each extract
+    with the extracted element's handle.  Drains the queue at the end."""
+    oracle = SortedReplayOracle()
+    live = {}  # vertex -> (handle, value), in insertion order
+    ident = 0
+    for _step in range(n_ops):
+        roll = rng.random()
+        if roll < 0.45 or not live:
+            v = rng.randrange(64)
+            live[ident] = (q.insert(arena.intern(v), ident), v)
+            oracle.insert(v, ident)
+            ident += 1
+        elif roll < 0.8:
+            _k, got = q.extract_min()
+            assert got == oracle.extract_min()[1]
+            handle, _v = live.pop(got)
+            if after_extract is not None:
+                after_extract(handle)
+        else:
+            vid = next(iter(live))
+            handle, v = live[vid]
+            nv = v - rng.randrange(v + 1)
+            q.decrease_key(handle, arena.intern(nv))
+            oracle.decrease(vid, nv)
+            live[vid] = (handle, nv)
+    while len(oracle):
+        assert q.extract_min()[1] == oracle.extract_min()[1]
+    assert len(q) == 0
+
+
+@pytest.mark.parametrize("queue_cls", [FibonacciQueue, BinaryQueue, PairingQueue])
+def test_extracted_handles_stay_stale_over_a_long_trace(queue_cls):
+    # every extracted element's handle, the one just extracted and one
+    # drawn from all the earlier ones, is refused without a change; the
+    # pairing heap tells an extracted element by its _NIL prev link, which
+    # every pair winner of an extract must get back
+    rng = random.Random(21)
+    arena = WeightArena()
+    q = queue_cls(arena)
+    gone = []
+
+    def refuse(handle):
+        gone.append(handle)
+        n = len(q)
+        for h in (handle, rng.choice(gone)):
+            with pytest.raises(ContractViolation):
+                q.decrease_key(h, arena.zero())
+            assert len(q) == n
+
+    tied_churn(q, arena, rng, 3000, refuse)
+    assert len(gone) > 900
+
+
+@pytest.mark.parametrize("queue_cls, pinned", [
+    (FibonacciQueue, 24_297), (BinaryQueue, 53_929), (PairingQueue, 17_972)])
+def test_tied_churn_pins_the_baselines_comparison_counts(queue_cls, pinned):
+    arena = WeightArena()
+    tied_churn(queue_cls(arena), arena, random.Random(29), 6000)
+    assert arena.cmp_count == pinned
