@@ -9,9 +9,10 @@ the same passes over perfbench's inputs::
 
     python3 tools/ab_time.py PARENT CHANGE --workload heap-churn --target binary --pairs 10
 
-PARENT and CHANGE are checkout roots; each side imports ``distorder`` from
-its own ``src`` and the inputs from its own ``perfbench/workloads.py``.
-``--target`` names a queue kind or ``pipeline``, run as in
+PARENT and CHANGE are checkout roots.  Each side imports ``distorder`` from
+its own ``src``; the inputs and the pass come from this script's checkout
+(``perfbench/workloads.py`` through ``tools/opcount.py``), so both sides run
+the same pass.  ``--target`` names a queue kind or ``pipeline``, run as in
 ``tools/opcount.py``: Dijkstra with that queue (or ``run_pipeline``) on each
 input graph of random-sparse and broom-dense, and on heap-churn a replay of
 the churn trace on a fresh queue (or the pipeline on the trace's star).
@@ -57,39 +58,18 @@ def parse_args(argv):
 
 def side(root: str, workload: str, target: str, seed: int, passes: int) -> dict:
     """Time ``passes`` passes of one checkout; its median and every count."""
-    src = os.path.join(root, "src")
-    sys.path[:0] = [src, os.path.join(root, "perfbench")]
+    src = os.path.abspath(os.path.join(root, "src"))
+    sys.path[:0] = [src, os.path.dirname(os.path.abspath(__file__))]
     import distorder
-    from distorder import WeightArena, parse_graph, run_dijkstra, run_pipeline
-    from workloads import QUEUES, make_inputs, replay
+    from opcount import calls, make_inputs
 
-    if os.path.dirname(os.path.dirname(distorder.__file__)) != os.path.abspath(src):
+    if os.path.dirname(os.path.dirname(distorder.__file__)) != src:
         sys.exit(f"ab_time: imported distorder from {distorder.__file__}")
     inputs = make_inputs(workload, seed)
-
-    def calls():
-        """One pass: (arena, zero-argument call) pairs with fresh inputs."""
-        if workload == "heap-churn":
-            if target == "pipeline":
-                g = parse_graph(inputs.star.text)
-                return [(g.arena, lambda: run_pipeline(g))]
-            arena = WeightArena()
-            handles = arena.intern_many(inputs.values)
-            q = QUEUES[target](arena)
-            return [(arena, lambda: replay(q, inputs.ops, handles))]
-        out = []
-        for raw in inputs:
-            g = parse_graph(raw.text)
-            if target == "pipeline":
-                out.append((g.arena, lambda g=g: run_pipeline(g)))
-            else:
-                out.append((g.arena, lambda g=g: run_dijkstra(g, target)))
-        return out
-
     times, counts = [], []
     for _ in range(passes):
         total, pass_counts = 0.0, []
-        for arena, fn in calls():
+        for arena, fn in calls(inputs, workload, target):
             c0, a0 = arena.counters()
             gc.collect()
             t0 = time.perf_counter()

@@ -47,29 +47,31 @@ def parse_args(argv):
     return ap.parse_args(argv)
 
 
-def calls(workload: str, seed: int, target: str):
-    """The pass as zero-argument calls, with their inputs already built."""
-    inputs = make_inputs(workload, seed)
+def calls(inputs, workload: str, target: str):
+    """The pass over ``make_inputs(workload, seed)`` as (arena, zero-argument
+    call) pairs, with fresh graphs or a fresh queue and interned keys; each
+    call counts its comparisons and additions in its arena."""
     if workload == "heap-churn":
         if target == "pipeline":
             g = parse_graph(inputs.star.text)
-            return [lambda: run_pipeline(g)]
+            return [(g.arena, lambda: run_pipeline(g))]
         arena = WeightArena()
         handles = arena.intern_many(inputs.values)
         q = QUEUES[target](arena)
-        return [lambda: replay(q, inputs.ops, handles)]
+        return [(arena, lambda: replay(q, inputs.ops, handles))]
     out = []
     for raw in inputs:
         g = parse_graph(raw.text)
         if target == "pipeline":
-            out.append(lambda g=g: run_pipeline(g))
+            out.append((g.arena, lambda g=g: run_pipeline(g)))
         else:
-            out.append(lambda g=g: run_dijkstra(g, target))
+            out.append((g.arena, lambda g=g: run_dijkstra(g, target)))
     return out
 
 
 def count_opcodes(fns) -> Counter:
-    """Executed instructions per function over the calls in ``fns``."""
+    """Executed instructions per function over the (arena, call) pairs in
+    ``fns``."""
     cells: dict = {}
 
     def on_call(frame, event, arg):
@@ -87,7 +89,7 @@ def count_opcodes(fns) -> Counter:
 
         return on_event
 
-    for fn in fns:
+    for _arena, fn in fns:
         sys.settrace(on_call)
         try:
             fn()
@@ -103,7 +105,8 @@ def count_opcodes(fns) -> Counter:
 
 def main(argv) -> int:
     args = parse_args(argv)
-    counts = count_opcodes(calls(args.workload, args.seed, args.target))
+    inputs = make_inputs(args.workload, args.seed)
+    counts = count_opcodes(calls(inputs, args.workload, args.target))
     total = sum(counts.values())
     print(f"{args.workload} seed {args.seed} {args.target}: {total:,} instructions")
     for name, n in counts.most_common(TOP):
