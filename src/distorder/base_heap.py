@@ -5,12 +5,15 @@ amortized O(1) insert, decrease-key and meld, O(log n) extract-min.  Nodes
 live in a shared :class:`HeapNodePool` (parallel arrays indexed by node id),
 so melding moves nothing and node ids stay valid until extraction.
 
-:class:`BinaryQueue` and :class:`PairingQueue` are benchmark baselines with
-the same comparison discipline; they are not used by the working-set heap.
+:class:`BinaryQueue` and :class:`PairingQueue` are benchmark baselines; they
+are not used by the working-set heap.
 
 Heap order is min by ``arena.compare`` with ties broken by vertex id, which
 makes every extraction sequence deterministic and lets independent oracles
-predict it exactly.  Every key entering a queue, by insert or decrease-key,
+predict it exactly.  Every queue calls ``arena.compare`` inline, as
+``c = compare(a, b)`` then ``c < 0 or (c == 0 and vertex[x] < vertex[y])``,
+so a counted comparison costs one Python frame, the arena's, in each of
+them.  Every key entering a queue, by insert or decrease-key,
 is checked to be a handle of the queue's arena, by a free range test, so no
 later comparison can raise on it and no operation needs to undo a half-made
 change.  A decrease-key settles its "would increase" guard with the
