@@ -296,6 +296,8 @@ def test_extracted_handles_stay_stale_over_a_long_trace(queue_cls):
 @pytest.mark.parametrize("queue_cls, pinned", [
     (FibonacciQueue, 24_297), (BinaryQueue, 53_929), (PairingQueue, 17_972)])
 def test_tied_churn_pins_the_baselines_comparison_counts(queue_cls, pinned):
+    # the tiebreak decides 8% to 16% of the comparisons here; a change to
+    # the operands or order of any comparison site moves these counts
     arena = WeightArena()
     tied_churn(queue_cls(arena), arena, random.Random(29), 6000)
     assert arena.cmp_count == pinned

@@ -70,8 +70,7 @@ def calls(inputs, workload: str, target: str):
 
 
 def count_opcodes(fns) -> Counter:
-    """Executed instructions per function over the (arena, call) pairs in
-    ``fns``."""
+    """Executed instructions per function over the calls in ``fns``."""
     cells: dict = {}
 
     def on_call(frame, event, arg):
@@ -89,7 +88,7 @@ def count_opcodes(fns) -> Counter:
 
         return on_event
 
-    for _arena, fn in fns:
+    for fn in fns:
         sys.settrace(on_call)
         try:
             fn()
@@ -106,7 +105,8 @@ def count_opcodes(fns) -> Counter:
 def main(argv) -> int:
     args = parse_args(argv)
     inputs = make_inputs(args.workload, args.seed)
-    counts = count_opcodes(calls(inputs, args.workload, args.target))
+    counts = count_opcodes(fn for _arena, fn in calls(inputs, args.workload,
+                                                        args.target))
     total = sum(counts.values())
     print(f"{args.workload} seed {args.seed} {args.target}: {total:,} instructions")
     for name, n in counts.most_common(TOP):
