@@ -17,7 +17,7 @@ the same pass.  ``--target`` names a queue kind or ``pipeline``, run as in
 input graph of random-sparse and broom-dense, and on heap-churn a replay of
 the churn trace on a fresh queue (or the pipeline on the trace's star).
 Parsing and interning stay outside the timed region.  A process reports the
-median wall time of its ``--passes`` passes.  The script prints both sides'
+median wall time of its ``PASSES`` passes.  The script prints both sides'
 medians over the pairs, the ratio B/A, and the pairs B won, and exits 1 if
 the comparison or addition counts of any pass differ.
 """
@@ -35,31 +35,28 @@ import time
 
 WORKLOADS = ("random-sparse", "broom-dense", "heap-churn")
 TARGETS = ("workset", "fibonacci", "binary", "pairing", "pipeline")
+PASSES = 9  # timed passes per process
+TOOLS = os.path.dirname(os.path.abspath(__file__))
 
 
 def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("a", help="checkout root of side A (the parent)")
-    ap.add_argument("b", nargs="?", help="checkout root of side B (the change)")
+    ap.add_argument("b", help="checkout root of side B (the change)")
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--target", required=True, choices=TARGETS)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--passes", type=int, default=9, help="timed passes per process")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--side", action="store_true",
-                    help="time checkout A in this process and print one JSON line")
     args = ap.parse_args(argv)
-    if not args.side and args.b is None:
-        ap.error("two checkouts are needed, or --side with one")
-    if args.pairs < 1 or args.passes < 1:
-        ap.error("--pairs and --passes must be positive")
+    if args.pairs < 1:
+        ap.error("--pairs must be positive")
     return args
 
 
-def side(root: str, workload: str, target: str, seed: int, passes: int) -> dict:
-    """Time ``passes`` passes of one checkout; its median and every count."""
+def side(root: str, workload: str, target: str, seed: int) -> dict:
+    """Time ``PASSES`` passes of one checkout; its median and every count."""
     src = os.path.abspath(os.path.join(root, "src"))
-    sys.path[:0] = [src, os.path.dirname(os.path.abspath(__file__))]
+    sys.path[:0] = [src, TOOLS]
     import distorder
     from opcount import calls, make_inputs
 
@@ -67,7 +64,7 @@ def side(root: str, workload: str, target: str, seed: int, passes: int) -> dict:
         sys.exit(f"ab_time: imported distorder from {distorder.__file__}")
     inputs = make_inputs(workload, seed)
     times, counts = [], []
-    for _ in range(passes):
+    for _ in range(PASSES):
         total, pass_counts = 0.0, []
         for arena, fn in calls(inputs, workload, target):
             c0, a0 = arena.counters()
@@ -83,19 +80,18 @@ def side(root: str, workload: str, target: str, seed: int, passes: int) -> dict:
 
 
 def run_side(root: str, args) -> dict:
-    cmd = [sys.executable, os.path.abspath(__file__), root, "--side",
-           "--workload", args.workload, "--target", args.target,
-           "--seed", str(args.seed), "--passes", str(args.passes)]
+    """Run ``side`` for one checkout in a fresh process."""
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "from ab_time import side; "
+            "print(json.dumps(side(*sys.argv[2:5], int(sys.argv[5]))))")
+    cmd = [sys.executable, "-c", code, TOOLS, root, args.workload,
+           args.target, str(args.seed)]
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 def main(argv) -> int:
     args = parse_args(argv)
-    if args.side:
-        print(json.dumps(side(args.a, args.workload, args.target, args.seed,
-                              args.passes)))
-        return 0
     a_times, b_times, counts = [], [], []
     wins = 0
     for k in range(args.pairs):
