@@ -41,7 +41,10 @@ def _build_graph(args, n=None, audit=False):
     seed = args.seed
     n = n if n is not None else args.n
     if n is not None:
-        n = int(n)  # bench passes --n as a comma list, resolved upstream
+        try:
+            n = int(n)  # bench passes --n as a comma list, resolved upstream
+        except ValueError:
+            raise UsageError(f"bad size {n!r}") from None
     if fam == "broom":
         t, r = args.t, args.r
         if t is None or r is None:

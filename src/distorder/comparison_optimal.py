@@ -47,20 +47,21 @@ from .weights import WeightArena
 
 
 class DominatorTree:
-    """Immediate dominators plus DFS times for O(1) dominance queries."""
+    """Immediate dominators plus the tree's preorder for O(1) dominance.
 
-    __slots__ = ("idom", "tree", "_tin", "_tout")
+    ``order``, ``pos`` and ``size`` are ``SpanningTree.preorder()`` of the
+    tree ``idom`` spans: u dominates v iff v lies in u's run of the order.
+    """
+
+    __slots__ = ("idom", "order", "pos", "size")
 
     def __init__(self, idom: list[int], root: int):
         self.idom = idom
-        self.tree = SpanningTree(idom, root)
-        self._tin, self._tout = self.tree.dfs_times()
+        self.order, self.pos, self.size = SpanningTree(idom, root).preorder()
 
     def dominates(self, u: int, v: int) -> bool:
         """True if every path from the source to v passes through u."""
-        if u == v:
-            return True
-        return self._tin[u] < self._tin[v] and self._tout[v] < self._tout[u]
+        return 0 <= self.pos[v] - self.pos[u] < self.size[u]
 
 
 def dominator_tree(g: Graph) -> DominatorTree:
@@ -261,42 +262,33 @@ def contract_chains(g: Graph, dom: DominatorTree):
     vertex behind core vertex k.
     """
     n = g.n
-    children_count = [0] * n
-    for v, p in enumerate(dom.idom):
-        if p >= 0:
-            children_count[p] += 1
-    only_child = [-1] * n
-    for v, p in enumerate(dom.idom):
-        if p >= 0 and children_count[p] == 1:
-            only_child[p] = v
-
-    in_chain = [-1] * n  # vertex -> chain index
+    order, pos, size = dom.order, dom.pos, dom.size
+    # v has exactly one child iff the vertex after it in preorder is that
+    # child, whose subtree is v's without v; so a chain is a maximal run of
+    # the preorder in which each size is one less than the one before
     chains: list[list[int]] = []
-    for v in range(n):
-        if children_count[v] != 1:
-            continue
-        p = dom.idom[v]
-        if p >= 0 and children_count[p] == 1:
-            continue  # interior, not a chain head
-        chain = [v]
-        cur = only_child[v]
-        while children_count[cur] == 1:
-            chain.append(cur)
-            cur = only_child[cur]
-        chain.append(cur)
-        ci = len(chains)
+    chain = None
+    for v, c in zip(order, order[1:]):
+        if size[c] == size[v] - 1:
+            if chain is None:
+                chain = [v]
+                chains.append(chain)
+            chain.append(c)
+        else:
+            chain = None
+    chains.sort()  # by head id
+    in_chain = [-1] * n  # vertex -> chain index
+    for ci, chain in enumerate(chains):
         for u in chain:
             in_chain[u] = ci
-        chains.append(chain)
 
     # drop u->v when v dominates u; in-arcs and out-degrees count kept arcs
-    tin, tout = dom._tin, dom._tout
     gt, gh = g.tails, g.heads
     kept: list[int] = []
     in_arcs: list[list[int]] = [[] for _ in range(n)]
     out_deg = [0] * n
     for i, (u, v) in enumerate(zip(gt, gh)):
-        if tin[v] <= tin[u] and tout[u] <= tout[v]:
+        if 0 <= pos[u] - pos[v] < size[v]:
             continue
         kept.append(i)
         in_arcs[v].append(i)
@@ -322,11 +314,11 @@ def contract_chains(g: Graph, dom: DominatorTree):
             if len(cand) != 1 or gt[cand[0]] != a:
                 raise ContractViolation(
                     f"chain edge {a}->{b} is not the unique in-edge of {b}")
-            # no other arc may leave a into b's dominated subtree (a dropped
-            # arc points at a or above it, so it never does)
+            # no other arc may leave a into b's dominated subtree below b (a
+            # dropped arc points at a or above it, so it never does)
             for i in adj[a]:
                 z = gh[i]
-                if z != b and tin[b] <= tin[z] and tout[z] <= tout[b]:
+                if 0 < pos[z] - pos[b] < size[b]:
                     raise ContractViolation(
                         f"arc {a}->{z} skips into the subtree of {b}")
             arc = cand[0]
@@ -452,25 +444,20 @@ def hwang_lin_merge(arena: WeightArena, a: list[int], b: list[int],
     return out
 
 
-def tree_distances(g: Graph, tree: SpanningTree, arc_of: list[int],
+def tree_distances(g: Graph, chains: list[list[int]], arc_of: list[int],
                    dist: list) -> list[int]:
-    """Distance handles along tree paths, built with additions only.
+    """Distance handles down each chain, built with additions only.
 
-    ``dist`` holds the handles already paid for, the root's among them, and
-    None elsewhere.  Each None is filled in with its parent's handle plus its
-    tree arc's weight, one addition, and ``dist`` is returned.
+    ``dist`` holds the handles already paid for: every chain head's, and
+    None at exactly the chain interiors.  Each interior's tree parent is its
+    chain predecessor, so walking a chain down from its head fills each
+    interior with its predecessor's handle plus the weight of its tree arc
+    ``arc_of[v]``, one addition, and ``dist`` is returned.
     """
     add = g.arena.add
-    parent = tree.parent
-    for v in range(tree.n):
-        if dist[v] is not None:
-            continue
-        path = []  # climb to the nearest vertex with a handle, then add down
-        while dist[v] is None:
-            path.append(v)
-            v = parent[v]
-        h = dist[v]
-        for v in reversed(path):
+    for chain in chains:
+        h = dist[chain[0]]
+        for v in chain[1:]:
             h = dist[v] = add(h, g.arc_weight(arc_of[v]))
     return dist
 
@@ -479,18 +466,20 @@ def tree_dp_linearize(tree: SpanningTree, dist: list[int],
                       arena: WeightArena) -> list[int]:
     """Linearize a tree by bottom-up merges of child orderings.
 
+    Reverse preorder finishes each vertex's children in increasing id order,
+    and each child's ordering is merged into its parent's as it finishes.
     Total comparisons are bounded by 2 log2 Linearizations(tree).
     """
-    ch = tree.children()
-    post = tree._postorder()
-    lists: list = [None] * tree.n
-    for v in post:
-        acc: list[int] = []
-        for c in ch[v]:
-            acc = hwang_lin_merge(arena, acc, lists[c], dist)
-            lists[c] = None
-        lists[v] = [v] + acc
-    return lists[tree.root]
+    order, _, _ = tree.preorder()
+    parent = tree.parent
+    merged: list = [[] for _ in order]  # v -> its finished children, merged
+    for v in reversed(order):
+        lst = [v] + merged[v]
+        merged[v] = None
+        p = parent[v]
+        if p < 0:
+            return lst
+        merged[p] = hwang_lin_merge(arena, merged[p], lst, dist)
 
 
 def merge_chains(core_order: list[int], rep: list[int],
@@ -610,7 +599,7 @@ def run_pipeline(g: Graph) -> PipelineResult:
     dist = [None] * g.n
     for k, h in enumerate(run.dist):
         dist[rep[k]] = h
-    dist = tree_distances(g, tree, parent_arc, dist)
+    dist = tree_distances(g, chains, parent_arc, dist)
     lin = merge_chains(run.linearization, rep, chains, dist, arena)
     cmp1, add1 = arena.counters()
     return PipelineResult(

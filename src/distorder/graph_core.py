@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import GraphParseError, UsageError
+from .errors import ContractViolation, GraphParseError, UsageError
 from .weights import WeightArena
 
 
@@ -167,7 +167,13 @@ def emit_graph(g: Graph) -> str:
 
 
 class SpanningTree:
-    """Rooted spanning tree as a parent array."""
+    """Rooted spanning tree as a parent array, -1 at the root.
+
+    The constructor checks nothing.  ``children`` raises
+    :class:`ContractViolation` unless ``parent[root]`` is -1 and every other
+    parent is a vertex, and ``preorder``, the one traversal, also unless
+    every vertex hangs off the root.
+    """
 
     __slots__ = ("parent", "root")
 
@@ -180,48 +186,43 @@ class SpanningTree:
         return len(self.parent)
 
     def children(self) -> list[list[int]]:
-        ch: list[list[int]] = [[] for _ in range(len(self.parent))]
-        for v, p in enumerate(self.parent):
-            if v != self.root:
+        parent, root = self.parent, self.root
+        n = len(parent)
+        if not 0 <= root < n or parent[root] != -1:
+            raise ContractViolation(f"root {root} does not have parent -1")
+        if parent.count(-1) != 1 or min(parent) < -1 or max(parent) >= n:
+            raise ContractViolation("a non-root parent is not a vertex")
+        ch: list[list[int]] = [[] for _ in range(n)]
+        for v, p in enumerate(parent):
+            if v != root:
                 ch[p].append(v)
         return ch
 
-    def subtree_sizes(self) -> list[int]:
-        n = len(self.parent)
-        size = [1] * n
-        for v in self._postorder():
-            p = self.parent[v]
-            if p >= 0:
-                size[p] += size[v]
-        return size
+    def preorder(self) -> tuple[list[int], list[int], list[int]]:
+        """(order, pos, size): a preorder that enters children last first,
+        each vertex's place in it and each subtree's size.
 
-    def _postorder(self) -> list[int]:
+        A subtree is a run of the order: u is v or an ancestor of v iff
+        ``0 <= pos[v] - pos[u] < size[u]``.
+        """
+        parent, root = self.parent, self.root
+        n = len(parent)
         ch = self.children()
-        out, stack = [], [self.root]
+        order, stack = [], [root]
         while stack:
             v = stack.pop()
-            out.append(v)
+            order.append(v)
             stack.extend(ch[v])
-        out.reverse()
-        return out
-
-    def dfs_times(self) -> tuple[list[int], list[int]]:
-        """Entry/exit times; ancestry(u, v) iff in[u] <= in[v] < out[u]."""
-        n = len(self.parent)
-        tin, tout = [0] * n, [0] * n
-        ch = self.children()
-        clock = 0
-        stack = [self.root]  # ~v marks v's exit
-        while stack:
-            v = stack.pop()
-            if v < 0:
-                tout[~v] = clock
-            else:
-                tin[v] = clock
-                stack.append(~v)
-                stack.extend(ch[v])
-            clock += 1
-        return tin, tout
+        if len(order) != n:
+            raise ContractViolation(
+                f"{n - len(order)} vertices do not hang off root {root}")
+        pos = [0] * n
+        for k, v in enumerate(order):
+            pos[v] = k
+        size = [1] * n
+        for v in order[:0:-1]:  # children before parents, root left out
+            size[parent[v]] += size[v]
+        return order, pos, size
 
 
 # -- generators -----------------------------------------------------------

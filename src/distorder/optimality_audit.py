@@ -166,38 +166,38 @@ def verify_barrier_sequence(coloring: IntersectingColoring,
     Returns None when valid, otherwise the offending pair ((class_i, u),
     (class_j, v)) with v an ancestor of u and i <= j.
 
-    DFS intervals are laminar, so "v is an ancestor of some seen u" reduces
-    to "some seen entry time lies strictly inside v's interval", answered
-    with two bisections against the sorted entry times seen so far.
+    A subtree is a run of the tree's preorder, so "v is an ancestor of some
+    seen u" reduces to "some seen position lies in v's run, after v",
+    answered by bisecting the sorted positions seen so far.
     """
-    tin, tout = explore.dfs_times()
+    _, pos, size = explore.preorder()
     order = sorted(range(len(coloring.classes)),
                    key=lambda c: coloring.witnesses[c])
-    seen_tins: list[int] = []
-    owner: dict[int, tuple[int, int]] = {}  # tin -> (class, vertex)
+    seen_pos: list[int] = []
+    owner: dict[int, tuple[int, int]] = {}  # position -> (class, vertex)
 
-    def offender(v, tins):
-        """Some entry time in ``tins`` strictly inside v's DFS interval."""
-        i = bisect_right(tins, tin[v])
-        if i < len(tins) and tins[i] < tout[v]:
-            return tins[i]
+    def offender(v, positions):
+        """Some position in ``positions`` inside v's run, after v itself."""
+        i = bisect_right(positions, pos[v])
+        if i < len(positions) and positions[i] < pos[v] + size[v]:
+            return positions[i]
         return None
 
     for c in order:
         vs = coloring.classes[c]
-        class_tins = sorted(tin[v] for v in vs)
-        back = {tin[v]: v for v in vs}
+        class_pos = sorted(pos[v] for v in vs)
+        back = {pos[v]: v for v in vs}
         for v in vs:
-            hit = offender(v, seen_tins)
+            hit = offender(v, seen_pos)
             if hit is not None:
                 pc, u = owner[hit]
                 return ((pc, u), (c, v))
-            hit = offender(v, class_tins)
+            hit = offender(v, class_pos)
             if hit is not None:
                 return ((c, back[hit]), (c, v))
         for v in vs:
-            insort(seen_tins, tin[v])
-            owner[tin[v]] = (c, v)
+            insort(seen_pos, pos[v])
+            owner[pos[v]] = (c, v)
     return None
 
 
@@ -206,9 +206,9 @@ def tree_log_linearizations(tree: SpanningTree) -> float:
 
     Linearizations(T) = n! / prod over vertices of |subtree(v)|.
     """
-    n = tree.n
-    total = math.lgamma(n + 1) / math.log(2)
-    for s in tree.subtree_sizes():
+    _, _, size = tree.preorder()
+    total = math.lgamma(tree.n + 1) / math.log(2)
+    for s in size:
         total -= math.log2(s)
     return max(0.0, total)  # a count >= 1 never logs negative; clamp fp noise
 

@@ -126,6 +126,13 @@ def test_cli_usage_error_exit_one(capsys):
     assert rc == 1
 
 
+def test_bad_n_is_usage_error(capsys):
+    for cmd in ("gen", "run", "audit"):
+        rc, _o, err = run_cli(capsys, cmd, "--family", "star", "--n", "abc")
+        assert rc == 1
+        assert err.startswith("error: ") and "'abc'" in err
+
+
 def test_gen_roundtrips_through_run(tmp_path, capsys):
     f = tmp_path / "g.edges"
     run_cli(capsys, "gen", "--family", "random_digraph", "--n", "40",

@@ -5,11 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distorder.errors import GraphParseError, UsageError
+from distorder.comparison_optimal import tree_dp_linearize
+from distorder.errors import ContractViolation, GraphParseError, UsageError
 from distorder.graph_core import (SpanningTree, emit_graph, forward_edges,
                                   gen_broom, gen_dense, gen_family,
                                   parse_graph)
 from distorder.dijkstra import run_dijkstra
+from distorder.optimality_audit import (IntersectingColoring,
+                                        tree_log_linearizations,
+                                        verify_barrier_sequence)
+from distorder.weights import WeightArena
 
 from helpers import bellman_ford
 
@@ -246,12 +251,16 @@ class TestForwardEdges:
 
 
 class TestDfsTimes:
+    """``SpanningTree.preorder``: a vertex's position is its DFS entry time
+    and position + subtree size its exit time, counting entries only."""
+
     def test_pinned_times_on_a_small_tree(self):
         # children are entered last first: 0 (2 (5) 1 (4 3))
         tree = SpanningTree([-1, 0, 0, 1, 1, 2], 0)
-        tin, tout = tree.dfs_times()
-        assert tin == [0, 5, 1, 8, 6, 2]
-        assert tout == [11, 10, 4, 9, 7, 3]
+        order, pos, size = tree.preorder()
+        assert order == [0, 2, 5, 1, 4, 3]
+        assert pos == [0, 3, 1, 5, 4, 2]
+        assert size == [6, 3, 2, 1, 1, 1]
 
     def test_ancestry_matches_parent_walk(self):
         rng = random.Random(21)
@@ -264,8 +273,9 @@ class TestDfsTimes:
             for k in range(1, n):
                 parent[label[k]] = label[rng.randrange(k)]
             tree = SpanningTree(parent, label[0])
-            tin, tout = tree.dfs_times()
-            assert sorted(tin + tout) == list(range(2 * n))
+            order, pos, size = tree.preorder()
+            assert sorted(order) == list(range(n))
+            assert all(order[pos[v]] == v for v in range(n))
             for v in range(n):
                 above = set()
                 x = v
@@ -273,4 +283,33 @@ class TestDfsTimes:
                     above.add(x)
                     x = parent[x]
                 for u in range(n):
-                    assert (tin[u] <= tin[v] < tout[u]) == (u in above)
+                    assert (0 <= pos[v] - pos[u] < size[u]) == (u in above)
+
+    def test_rejects_a_root_with_a_parent(self):
+        for parent, root in (([0, 0], 0), ([1, -1], 0), ([-1, 0], 2)):
+            with pytest.raises(ContractViolation, match="root"):
+                SpanningTree(parent, root).preorder()
+
+    def test_rejects_a_parent_that_is_not_a_vertex(self):
+        # a negative parent would otherwise file vertex 1 under vertex 2
+        for parent in ([-1, -1, 0], [-1, -2, 0], [-1, 3, 0]):
+            tree = SpanningTree(parent, 0)
+            with pytest.raises(ContractViolation, match="not a vertex"):
+                tree.preorder()
+            with pytest.raises(ContractViolation, match="not a vertex"):
+                tree.children()
+            with pytest.raises(ContractViolation):
+                tree_log_linearizations(tree)
+
+    def test_rejects_vertices_that_hang_off_nothing(self):
+        # 1 and 2 are each other's parent: a cycle below no root
+        tree = SpanningTree([-1, 2, 1], 0)
+        with pytest.raises(ContractViolation, match="2 vertices"):
+            tree.preorder()
+        with pytest.raises(ContractViolation):
+            tree_log_linearizations(tree)
+        with pytest.raises(ContractViolation):
+            tree_dp_linearize(tree, [0, 0, 0], WeightArena())
+        col = IntersectingColoring([0, 1, 2], [[0], [1], [2]], [0, 1, 2])
+        with pytest.raises(ContractViolation):
+            verify_barrier_sequence(col, tree)

@@ -132,7 +132,11 @@ class TestBarriers:
         tree = SpanningTree([-1, 0, 1], 0)
         from distorder.optimality_audit import IntersectingColoring
         col = IntersectingColoring([0, 0, 0], [[0, 1, 2]], [1])
-        assert verify_barrier_sequence(col, tree) is not None
+        assert verify_barrier_sequence(col, tree) == ((0, 1), (0, 0))
+        # on a star the root's first offender is the child entered first,
+        # the last one: a change of visit order shows here
+        star = SpanningTree([-1, 0, 0], 0)
+        assert verify_barrier_sequence(col, star) == ((0, 2), (0, 0))
 
     def test_random_families_always_valid(self):
         rng = random.Random(5)

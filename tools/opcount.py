@@ -115,4 +115,10 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        rc = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early, as ``| head -1`` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        rc = 0
+    sys.exit(rc)
