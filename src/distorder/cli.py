@@ -45,6 +45,8 @@ def _build_graph(args, n=None, audit=False):
             n = int(n)  # bench passes --n as a comma list, resolved upstream
         except ValueError:
             raise UsageError(f"bad size {n!r}") from None
+        if n < 1:
+            raise UsageError(f"bad size {n}: sizes start at 1")
     if fam == "broom":
         t, r = args.t, args.r
         if t is None or r is None:
@@ -128,11 +130,17 @@ def _bench_sizes(args) -> list[int]:
 
 
 def cmd_bench(args) -> int:
+    if args.family is None:
+        raise UsageError("bench needs --family")
     sizes = _bench_sizes(args)
     heaps = [h.strip() for h in args.heaps.split(",") if h.strip()]
+    if not sizes or not heaps or args.reps < 1:
+        raise UsageError("bench needs a size, a heap and --reps >= 1")
     for h in heaps:
         if h not in HEAP_KINDS:
             raise UsageError(f"unknown heap {h!r}")
+    if args.algo == "optimal":
+        heaps = ["workset"]  # the pipeline's core SSSP runs this heap
     rows = []
     for n in sizes:
         for rep in range(args.reps):
@@ -159,8 +167,6 @@ def cmd_bench(args) -> int:
                     additions, f"{rep_obj.cost_I:.4f}", f"{rep_obj.energy:.4f}",
                     f"{rep_obj.log2_linearizations:.4f}", fwd, wall,
                 ])))
-                if args.algo == "optimal":
-                    break  # heap choice is fixed inside the pipeline
     if args.out:
         fresh = not os.path.exists(args.out) or os.path.getsize(args.out) == 0
         with open(args.out, "a", encoding="ascii") as fh:
@@ -193,24 +199,24 @@ def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="distorder", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, gen_only=False):
+    def common(sp, file_input=False):
         sp.add_argument("--family", choices=FAMILIES, default=None)
         sp.add_argument("--n", default=None)
         sp.add_argument("--t", type=int, default=None)
         sp.add_argument("--r", type=int, default=None)
         sp.add_argument("--k", type=int, default=None)
         sp.add_argument("--seed", type=int, default=0)
-        if not gen_only:
+        if file_input:
             sp.add_argument("--in", dest="input", default=None,
                             help="edge-list file instead of a generator")
 
     sp = sub.add_parser("gen", help="generate a graph file")
-    common(sp, gen_only=True)
+    common(sp)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_gen)
 
     sp = sub.add_parser("run", help="solve one instance")
-    common(sp)
+    common(sp, file_input=True)
     sp.add_argument("--algo", choices=("dijkstra", "optimal"), default="dijkstra")
     sp.add_argument("--heap", choices=HEAP_KINDS, default="workset")
     sp.add_argument("--audit", action="store_true")
@@ -225,7 +231,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_bench)
 
     sp = sub.add_parser("audit", help="bound report for one instance")
-    common(sp)
+    common(sp, file_input=True)
     sp.add_argument("--heap", choices=HEAP_KINDS, default="workset")
     sp.set_defaults(fn=cmd_audit)
     return p

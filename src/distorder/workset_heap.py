@@ -9,12 +9,14 @@ structural invariants are maintained after every public operation:
 2. If the maximum nonempty rank R is >= 2, |H_R| + |H_{R-1}| >= 2**(2**(R-1)).
 3. Every element of a higher rank is older than every element of a lower one.
 
-Each inner heap caches only the start ``iv_start`` of the span of insertion
-times it covers; the span runs up to the start of the next lower nonempty
-rank's.  By invariant 3 the spans of the nonempty heaps are disjoint and
-ordered oldest-first by rank, so decrease-key finds an element's heap from
-its timestamp alone: the lowest nonempty rank whose span starts at or before
-it, found by scanning the at most 8 rank slots.  A minimum keeper M holds
+Every rank slot holds an inner heap, an empty one while the rank is empty.
+Each caches only the start ``iv_start`` of the span of insertion times it
+covers; the span runs up to the start of the next lower nonempty rank's.  By
+invariant 3 the spans of the nonempty heaps are disjoint and ordered
+oldest-first by rank, and an empty heap's span start is newer than every
+element above it, so decrease-key finds an element's heap from its
+timestamp alone: the lowest rank whose span starts at or before it, found by
+scanning the at most 8 rank slots.  A minimum keeper M holds
 each rank's current minimum, the suffix minima L of the ranks below the
 top, and the first position j whose L the top rank's minimum beats.  The
 suffix minima S of all of M are not stored but derived from L and j: S[i]
@@ -25,8 +27,8 @@ Comparison costs: an insert spends at most two, one in an inner heap (rank
 0's insert, or the carry's meld) and one for S[0].  A carry that lands at
 rank r moves the minima of ranks 0..r-1 up one rank, so S shifts with them
 instead of being recomputed, and S's witnesses often settle the meld too.
-An insert into an empty rank 0 puts a one-node heap there and spends only
-the S[0] comparison, since S[0] is then a copy of S[1]; an extract that
+An insert into an empty rank 0 fills the empty heap kept there and spends
+only the S[0] comparison, since S[0] is then a copy of S[1]; an extract that
 empties rank 0 copies S[1] back into S[0] for free.
 Invariant 2's fuse is free: S says which of the top two minima wins.
 Decrease-key is amortized O(1); extract-min amortized O(1 + log |W_x|),
@@ -104,18 +106,17 @@ class WorkSetHeap:
     """Fibonacci-like priority queue with the working-set property."""
 
     __slots__ = ("arena", "_pool", "_heaps", "_M", "_next_time", "size",
-                 "_spares", "_residue", "_streak", "extract_comparisons",
-                 "rank_extracts")
+                 "_residue", "_streak", "extract_comparisons", "rank_extracts")
 
     def __init__(self, arena):
         self.arena = arena
         self._pool = HeapNodePool()
-        self._heaps: list[FibonacciHeap | None] = [None]
+        # rank r's inner heap, kept in its slot while the rank is empty
+        self._heaps = [FibonacciHeap(self._pool, arena)]
         self._M = MinKeeper(arena)
         self._M.change_prefix([EMPTY])
         self._next_time = 0
         self.size = 0
-        self._spares: list[FibonacciHeap] = []  # emptied heap shells, reused as carries
         self._residue = -1  # insertion time of the last lone rank-0 element
         self._streak = 0  # rank-0 extracts in a row that left _residue alone
         self.extract_comparisons = 0  # total comparisons spent inside extract_min
@@ -137,8 +138,10 @@ class WorkSetHeap:
         heaps = self._heaps
         H0 = heaps[0]
         M = self._M
-        if H0 is not None and H0.size < CAPS[0] and self._streak < RESIDUE_STREAK:
-            # fast path: room at rank 0, whose span already reaches t
+        if H0.size < CAPS[0] and self._streak < RESIDUE_STREAK:
+            # fast path: room at rank 0, whose span already reaches t.  Into
+            # an empty rank 0 the inner insert is free; M[0] was EMPTY, so
+            # S[0] is S[1] and one comparison settles it
             nid = H0.insert(key, t, vertex)
             if H0.min == nid:
                 # M[0] only drops: free when S[0] already points at rank 0
@@ -146,30 +149,19 @@ class WorkSetHeap:
             self.size += 1
             return (nid, t)
 
-        pool = self._pool
-        spares = self._spares
-        new = spares.pop() if spares else FibonacciHeap(pool, self.arena)
-        nid = new.insert(key, t, vertex)
-        new.iv_start = t
-        heaps[0] = new
-        self.size += 1
-        if H0 is None:
-            # M[0] was EMPTY, so S[0] is S[1]: one comparison settles it
-            M.decrease(0, key, vertex)
-            return (nid, t)
-
         # H0 is full or a stale residue: carry it upward, never back into
-        # rank 0, whose slot the new element now holds
+        # rank 0; the heap the carry leaves empty becomes the new rank 0
         self._streak = 0
+        pool = self._pool
         carry = H0
         r = 1
         while True:
-            H = heaps[r] if r < len(heaps) else None
-            if H is None:
-                if r < len(heaps):
-                    heaps[r] = carry
-                else:
-                    heaps.append(carry)
+            if r == len(heaps):
+                heaps.append(FibonacciHeap(pool, self.arena))
+            H = heaps[r]
+            if not H.size:
+                heaps[r] = carry
+                new = H
                 top = carry
                 break
             if H.size + carry.size <= CAPS[r]:
@@ -177,13 +169,17 @@ class WorkSetHeap:
                 # start stays; S often knows which of M[r-1] and M[r] wins
                 o = M.order(r - 1)
                 H.meld(carry, None if o is None else o < 0)
-                spares.append(carry)
+                new = carry
                 top = H
                 break
             # carry takes the slot; the old H_r cascades upward
             heaps[r] = carry
             carry = H
             r += 1
+        new.iv_start = t
+        nid = new.insert(key, t, vertex)
+        heaps[0] = new
+        self.size += 1
         m = top.min
         M.shift(r, (key, vertex), (pool.key[m], pool.vertex[m]))
         return (nid, t)
@@ -209,16 +205,14 @@ class WorkSetHeap:
         M = self._M
         pool = self._pool
         pre_R = len(heaps) - 1
-        while pre_R >= 0 and heaps[pre_R] is None:
+        while pre_R >= 0 and not heaps[pre_R].size:
             pre_R -= 1
         r_star = M.find_min()
         H = heaps[r_star]
         key, _, vertex = H.extract_min()
         self.size -= 1
         self.rank_extracts[r_star] += 1
-        if H.size == 0:
-            heaps[r_star] = None
-            self._spares.append(H)
+        if not H.size:
             if r_star:
                 M.set_entry(r_star, *EMPTY)
             else:
@@ -243,30 +237,18 @@ class WorkSetHeap:
         if r_star >= pre_R - 1 and pre_R >= 1:
             hi = heaps[pre_R]
             lo = heaps[pre_R - 1]
-            hi_size = hi.size if hi is not None else 0
-            lo_size = lo.size if lo is not None else 0
-            if hi_size + lo_size < CAPS[pre_R - 1]:
-                if hi_size:
-                    if lo is None:
-                        heaps[pre_R - 1] = hi
-                        heaps[pre_R] = None
-                        merged = hi
-                    else:
-                        # S[pre_R-1]'s witness decides: H_R's minimum comes
-                        # first exactly when the witness is pre_R
-                        lo.meld(hi, M.order(pre_R - 1) == 1)
-                        self._spares.append(hi)
-                        lo.iv_start = hi.iv_start  # hi is older
-                        heaps[pre_R] = None
-                        merged = lo
+            if hi.size + lo.size < CAPS[pre_R - 1]:
+                if hi.size:
+                    # S[pre_R-1]'s witness decides: H_R's minimum comes
+                    # first exactly when the witness is pre_R.  Into an
+                    # empty lo the meld is free and keeps hi's ring
+                    lo.meld(hi, M.order(pre_R - 1) == 1)
+                    lo.iv_start = hi.iv_start  # hi is older
+                if lo.size:
+                    m = lo.min
+                    M.collapse(pre_R - 1, (pool.key[m], pool.vertex[m]))
                 else:
-                    merged = lo if lo_size else None
-                if merged is not None:
-                    m = merged.min
-                    e = (pool.key[m], pool.vertex[m])
-                else:
-                    e = EMPTY
-                M.collapse(pre_R - 1, e)
+                    M.collapse(pre_R - 1, EMPTY)
         self.extract_comparisons += self.arena.cmp_count - cmp_at_entry
         return key, vertex
 
@@ -295,7 +277,7 @@ class WorkSetHeap:
     def _rank_at(self, t: int) -> int:
         """The rank whose heap's span holds insertion time t of a live element."""
         for r, heap in enumerate(self._heaps):
-            if heap is not None and heap.iv_start <= t:
+            if heap.iv_start <= t:
                 return r
         raise ContractViolation("stale handle: element already extracted")
 
@@ -304,6 +286,6 @@ class WorkSetHeap:
     def max_rank(self) -> int:
         """The highest nonempty rank, -1 when empty; the benchmark reads it."""
         for r in range(len(self._heaps) - 1, -1, -1):
-            if self._heaps[r] is not None:
+            if self._heaps[r].size:
                 return r
         return -1

@@ -114,7 +114,7 @@ def fibonacci_rings(heap) -> tuple[list[int], list[int]]:
 
 def rank_sizes(heap) -> list[int]:
     """A WorkSetHeap's inner heap sizes by rank, 0 for an empty rank."""
-    return [H.size if H is not None else 0 for H in heap._heaps]
+    return [H.size for H in heap._heaps]
 
 
 def check_workset(heap) -> None:
@@ -124,22 +124,25 @@ def check_workset(heap) -> None:
     its size, invariant 2 keeps the top pair at least CAPS[R-1] when
     R >= 2, and invariant 3 orders the ranks' insertion times oldest-first.
     The top rank stays within the log-log bound, every live time of a rank
-    precedes the cached span start of the next lower occupied rank (what
-    decrease-key's rank lookup relies on), a residue streak counts an
-    element that is still in rank 0, and M holds each rank's minimum with
-    a valid minimum keeper (``check_min_keeper``).
+    precedes the cached span start of each lower rank, empty or not (what
+    decrease-key's rank lookup relies on), rank 0's span start is at most
+    the next insertion time, no two slots share a heap, a residue streak
+    counts an element that is still in rank 0, and M holds each rank's
+    minimum with a valid minimum keeper (``check_min_keeper``).
     """
     pool = heap._pool
     heaps = heap._heaps
+    assert len({id(H) for H in heaps}) == len(heaps), "two slots share a heap"
+    assert heaps[0].iv_start <= heap._next_time, (
+        "rank 0's span starts after the next insertion time")
     spans = {}
     rank0_times = []
     total = 0
     for r, H in enumerate(heaps):
-        if H is None:
-            continue
-        assert H.size > 0, f"rank {r}: empty heap object kept in slot"
-        assert H.size <= CAPS[r], f"rank {r}: invariant 1 violated"
         times = [pool.time[x] for x in fibonacci_rings(H)[1]]
+        if not times:
+            continue
+        assert H.size <= CAPS[r], f"rank {r}: invariant 1 violated"
         if r == 0:
             rank0_times = times
         spans[r] = (min(times), max(times))
@@ -152,16 +155,18 @@ def check_workset(heap) -> None:
     if occupied:
         R = occupied[-1]
         if R >= 2:
-            lo = heaps[R - 1].size if heaps[R - 1] is not None else 0
-            assert heaps[R].size + lo >= CAPS[R - 1], "invariant 2 violated"
+            assert heaps[R].size + heaps[R - 1].size >= CAPS[R - 1], (
+                "invariant 2 violated")
         if heap.size >= 4:
             bound = math.ceil(math.log2(math.log2(heap.size))) + 2
             assert R <= bound, f"max rank {R} exceeds loglog bound {bound}"
     for a, b in zip(occupied, occupied[1:]):
         # higher rank b holds strictly older elements than rank a
         assert spans[b][1] < spans[a][0], "invariant 3 violated"
-        assert spans[b][1] < heaps[a].iv_start, (
-            f"ranks {a} and {b}: cached span starts out of order")
+    for b in occupied:
+        for a in range(b):
+            assert spans[b][1] < heaps[a].iv_start, (
+                f"ranks {a} and {b}: cached span starts out of order")
 
     # a streak counts extracts that left the residue in rank 0, where it
     # still is: a fuse must not hand the count to another element
@@ -172,7 +177,7 @@ def check_workset(heap) -> None:
     assert len(m) >= (occupied[-1] + 1 if occupied else 0)
     for r, entry in enumerate(m):
         H = heaps[r] if r < len(heaps) else None
-        if H is None:
+        if H is None or not H.size:
             assert entry == EMPTY, f"M[{r}] should be the +inf token"
         else:
             assert entry == (pool.key[H.min], pool.vertex[H.min]), (

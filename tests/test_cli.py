@@ -142,3 +142,42 @@ def test_gen_roundtrips_through_run(tmp_path, capsys):
     assert rc == 0
     lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
     assert sorted(map(int, lines)) == list(range(40))
+
+
+def test_nonpositive_n_is_usage_error(capsys):
+    # broom and dense derive their parameters from --n with an integer
+    # square root, which must not see a negative size
+    for fam, n in (("broom", "-5"), ("dense", "-4"), ("star", "0")):
+        rc, _o, err = run_cli(capsys, "gen", "--family", fam, "--n", n)
+        assert rc == 1 and err.startswith("error: ") and n in err
+    rc, _o, err = run_cli(capsys, "bench", "--family", "broom", "--n", "-5")
+    assert rc == 1 and err.startswith("error: ")
+
+
+def test_bench_takes_no_input_file(tmp_path, capsys):
+    # bench sweeps generated sizes; an --in it would ignore is refused
+    f = tmp_path / "g.edges"
+    run_cli(capsys, "gen", "--family", "star", "--n", "8", "--out", str(f))
+    for extra in ((), ("--family", "star", "--n", "8")):
+        rc, out, _e = run_cli(capsys, "bench", "--in", str(f), *extra)
+        assert rc == 1 and out == ""
+    rc, _o, err = run_cli(capsys, "bench", "--n", "8")
+    assert rc == 1 and "--family" in err
+
+
+def test_bench_optimal_row_names_the_pipeline_heap(capsys):
+    rc, out, _e = run_cli(capsys, "bench", "--family", "star", "--n", "8",
+                          "--algo", "optimal", "--heaps", "binary,pairing")
+    assert rc == 0
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 1 and rows[0].split(",")[3] == "workset"
+
+
+def test_bench_without_rows_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    for extra in (("--reps", "0"), ("--heaps", ""), ("--heaps", " , "),
+                  ("--n", ",")):
+        rc, printed, err = run_cli(capsys, "bench", "--family", "star",
+                                   "--n", "8", *extra, "--out", str(out))
+        assert rc == 1 and printed == "" and err.startswith("error: ")
+    assert not out.exists()

@@ -5,7 +5,9 @@ from collections import Counter
 
 import pytest
 
+from distorder import workset_heap
 from distorder.aux_structures import EMPTY, MinKeeper
+from distorder.base_heap import FibonacciHeap
 from distorder.dijkstra import run_dijkstra
 from distorder.errors import ContractViolation, EmptyHeapError
 from distorder.graph_core import gen_broom, gen_family
@@ -137,9 +139,8 @@ def test_u_lookup_matches_shadow_rank_map():
             live.pop(got, None)
     shadow = {}
     for r, H in enumerate(h._heaps):
-        if H is not None:
-            for nid in fibonacci_rings(H)[1]:
-                shadow[h._pool.time[nid]] = r
+        for nid in fibonacci_rings(H)[1]:
+            shadow[h._pool.time[nid]] = r
     for i, (nid, t) in live.items():
         assert h._rank_at(t) == shadow[t]
     check_workset(h)
@@ -272,6 +273,69 @@ def test_bursts_and_drains_keep_invariants_and_cheap_inserts(seed):
             fuses += h.max_rank() < R and top_size >= 2
             check_workset(h)
     assert max(top_ranks) >= 3 and fuses > 0
+
+
+def test_churn_keeps_one_heap_per_rank_slot(monkeypatch):
+    # growing and draining stretches: fuses of the top pair into an empty
+    # and into a nonempty lower rank, rank 0 emptied and refilled beside
+    # older ranks, and decrease-keys on every occupied rank.  Each rank
+    # slot keeps its own heap, empty or not, and a carry reuses the heap it
+    # leaves empty, so a heap is built only when the slots grow
+    made = []
+
+    class CountedHeap(FibonacciHeap):
+        __slots__ = ()
+
+        def __init__(self, pool, arena):
+            super().__init__(pool, arena)
+            made.append(self)
+
+    monkeypatch.setattr(workset_heap, "FibonacciHeap", CountedHeap)
+    rng = random.Random(0)
+    a = WeightArena(audit=True)
+    h = WorkSetHeap(a)
+    oracle = SortedReplayOracle()
+    live = {}
+    fuses = Counter()
+    refills = top = 0
+    decreased = set()
+
+    def check():
+        assert len(made) == len(h._heaps)
+        check_workset(h)
+
+    check()
+    for vid in range(3000):
+        p_insert = 0.7 if vid // 100 % 2 == 0 else 0.1
+        top = max(top, h.max_rank())
+        if rng.random() < p_insert or not live:
+            refills += len(h) > 0 and rank_sizes(h)[0] == 0
+            v = rng.randrange(1000)
+            live[vid] = (h.insert(a.intern(v), vid), v)
+            oracle.insert(v, vid)
+        elif rng.random() < 0.3:
+            old = rng.choice(sorted(live))
+            tok, v = live[old]
+            decreased.add(h._rank_at(tok[1]))
+            nv = rng.randrange(v + 1)
+            h.decrease_key(tok, a.intern(nv))
+            live[old] = (tok, nv)
+            oracle.decrease(old, nv)
+        else:
+            R = h.max_rank()
+            r_star = h._M.find_min()
+            before = rank_sizes(h)
+            before[r_star] -= 1
+            key, got = h.extract_min()
+            want_v, want = oracle.extract_min()
+            assert got == want and key_value(a, key) == want_v
+            del live[got]
+            if before[R] and not rank_sizes(h)[R]:
+                fuses["into nonempty" if before[R - 1] else "into empty"] += 1
+        check()
+    assert min(fuses["into empty"], fuses["into nonempty"], refills) > 5, (
+        fuses, refills)
+    assert top >= 3 and decreased == set(range(top + 1))
 
 
 def fallback_callers(monkeypatch):

@@ -5,11 +5,11 @@ change's:
 
     python3 tools/count_delta.py parent.json change.json
 
-Prints, for each queue kind and for the pipeline, the summed comparisons,
-additions and (pipeline only) ``lazy_spend`` on both sides, the delta and how
-many cases fell.  Then exits 1 and names the offending cases if the two dumps
-hold different cases or fields, if any field other than a count differs, or
-if any count rose.
+Prints, for each queue kind, for the pipeline and for the tree audits, the
+summed comparisons, additions and (pipeline only) ``lazy_spend`` on both
+sides, the delta and how many cases fell.  Then exits 1 and names the
+offending cases if the two dumps hold different cases or fields, if any
+field other than a count differs, or if any count rose.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def main(argv: list[str]) -> int:
             after[kind, count] += y
             fell[kind, count] += y < x
     for key in sorted(before):
-        print(f"{key[0]:<10} {key[1]:<11} {before[key]:>11,} -> {after[key]:>11,}"
+        print(f"{key[0]:<11} {key[1]:<11} {before[key]:>11,} -> {after[key]:>11,}"
               f"  delta {after[key] - before[key]:>+9,}  fell in {fell[key]} cases")
     if faults:
         print("\n".join(faults), file=sys.stderr)

@@ -15,14 +15,21 @@ parallel arcs, ``NESTED_GROUP_TEXT`` and the n = 2000 chain multigraph of
 seed 1, each with an input group nested in a core group.  Each graph runs
 Dijkstra on all four queues and the pipeline in a plain and an audit-mode
 arena.  The heap-churn trace is also replayed on all four queues at both
-seeds, for 458 cases in all.  Every case records comparisons and additions;
-Dijkstra runs add ``extract_comparisons``, the linearization, both trees'
-parents, ``sssp_arcs``, the intervals and (audit runs) the exact distances;
-pipeline runs add ``lazy_spend``, the linearization, the tree, ``tree_arc``,
-the core graph (n, s, tails and heads in arc order, and each core arc's group
-size: how many arcs of ``multi_graph`` it stands for), the count of
-``multi_graph``'s distance-forward arcs and (audit runs) the exact
-distances.
+seeds.  Each graph's plain working-set run also feeds one case of the tree
+audits, for 503 cases in all.  Every case records comparisons; all but the
+tree audits record additions.  Dijkstra runs add ``extract_comparisons``,
+the linearization, both trees' parents, ``sssp_arcs``, the intervals and
+(audit runs) the exact distances; pipeline runs add ``lazy_spend``, the
+linearization, the tree, ``tree_arc``, the core graph (n, s, tails and heads
+in arc order, and each core arc's group size: how many arcs of
+``multi_graph`` it stands for), the count of ``multi_graph``'s
+distance-forward arcs and (audit runs) the exact distances.  Working-set
+Dijkstra runs and replays add ``rank_extracts``, so a change of the rank
+layout shows.  A tree-audit case records ``tree_dp_linearize`` on the
+shortest-path tree (its order and its comparisons),
+``tree_log_linearizations`` of the exploration tree, the
+``greedy_coloring`` of the intervals (classes and witnesses) and what
+``verify_barrier_sequence`` says of it.
 """
 
 from __future__ import annotations
@@ -38,8 +45,12 @@ sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "perfbench")]
 
 from distorder import (WeightArena, gen_broom, gen_dense, gen_family,  # noqa: E402
                        parse_graph, run_dijkstra, run_pipeline)
+from distorder.comparison_optimal import tree_dp_linearize  # noqa: E402
 from distorder.dijkstra import HEAP_KINDS  # noqa: E402
 from distorder.graph_core import forward_edges  # noqa: E402
+from distorder.optimality_audit import (greedy_coloring,  # noqa: E402
+                                        tree_log_linearizations,
+                                        verify_barrier_sequence)
 from helpers import (NESTED_GROUP_TEXT, chain_multigraph_text,  # noqa: E402
                      prime_denominator_graph)
 from workloads import QUEUES, make_inputs, replay  # noqa: E402
@@ -74,8 +85,7 @@ def corpus():
     return out
 
 
-def dijkstra_case(g, kind):
-    run = run_dijkstra(g, kind)
+def dijkstra_case(g, run):
     case = {
         "comparisons": run.comparisons,
         "additions": run.additions,
@@ -86,9 +96,26 @@ def dijkstra_case(g, kind):
         "sssp_arcs": run.sssp_arcs,
         "intervals": run.intervals,
     }
+    if run.heap_kind == "workset":
+        case["rank_extracts"] = run.rank_extracts
     if g.arena.audit:
         case["dist"] = [str(g.arena.audit_value(h)) for h in run.dist]
     return case
+
+
+def tree_audit_case(g, run):
+    arena = g.arena
+    c0 = arena.cmp_count
+    order = tree_dp_linearize(run.sssp, run.dist, arena)
+    coloring = greedy_coloring(run.intervals)
+    return {
+        "comparisons": arena.cmp_count - c0,
+        "tree_dp": order,
+        "log_linearizations": tree_log_linearizations(run.explore),
+        "classes": coloring.classes,
+        "witnesses": coloring.witnesses,
+        "barrier": verify_barrier_sequence(coloring, run.explore),
+    }
 
 
 def pipeline_case(g):
@@ -119,12 +146,15 @@ def main():
         for audit in (False, True):
             g = build(audit)
             mode = "audit" if audit else "plain"
-            for kind in HEAP_KINDS:
-                cases[f"{name}/{kind}/{mode}"] = dijkstra_case(g, kind)
+            runs = {kind: run_dijkstra(g, kind) for kind in HEAP_KINDS}
+            for kind, run in runs.items():
+                cases[f"{name}/{kind}/{mode}"] = dijkstra_case(g, run)
             if audit:
                 cases[f"{name}/pipeline/audit"] = pipeline_case(g)
             else:
                 cases[f"{name}/pipeline"] = pipeline_case(g)
+                # last, so every other case runs on the arena as before
+                cases[f"{name}/tree-audits"] = tree_audit_case(g, runs["workset"])
     for seed in SEEDS:
         trace = make_inputs("heap-churn", seed)
         arena = WeightArena()
@@ -133,11 +163,13 @@ def main():
             q = QUEUES[kind](arena)
             c0 = arena.cmp_count
             order = replay(q, trace.ops, handles)
-            cases[f"replay-s{seed}/{kind}"] = {
+            cases[f"replay-s{seed}/{kind}"] = case = {
                 "comparisons": arena.cmp_count - c0,
                 "extract_comparisons": getattr(q, "extract_comparisons", 0),
                 "linearization": order,
             }
+            if kind == "workset":
+                case["rank_extracts"] = q.rank_extracts
     json.dump(cases, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
     print(len(cases), "cases", file=sys.stderr)
