@@ -16,10 +16,9 @@ from .dijkstra import DijkstraRun, run_dijkstra
 from .optimality_audit import (BoundReport, bound_report, cost, energy,
                                greedy_coloring, tree_log_linearizations,
                                verify_barrier_sequence, working_set_sizes)
-from .comparison_optimal import (DominatorTree, contract_chains, deduplicate,
-                                 dominator_tree, drop_back_edges,
-                                 hwang_lin_merge, run_pipeline,
-                                 tree_dp_linearize)
+from .comparison_optimal import (contract_chains, deduplicate, dominator_tree,
+                                 drop_back_edges, hwang_lin_merge,
+                                 run_pipeline, tree_dp_linearize)
 
 __all__ = [
     "INFINITY", "WeightArena", "ContractViolation", "EmptyHeapError",
@@ -30,7 +29,6 @@ __all__ = [
     "parse_graph", "DijkstraRun", "run_dijkstra", "BoundReport",
     "bound_report", "cost", "energy", "greedy_coloring",
     "tree_log_linearizations", "verify_barrier_sequence", "working_set_sizes",
-    "DominatorTree", "contract_chains", "deduplicate", "dominator_tree",
-    "drop_back_edges", "hwang_lin_merge", "run_pipeline",
-    "tree_dp_linearize",
+    "contract_chains", "deduplicate", "dominator_tree", "drop_back_edges",
+    "hwang_lin_merge", "run_pipeline", "tree_dp_linearize",
 ]

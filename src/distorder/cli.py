@@ -79,6 +79,8 @@ def _load_graph(args, n=None, audit=False):
 
 
 def cmd_gen(args) -> int:
+    if args.family is None:
+        raise UsageError("gen needs --family")
     g = _build_graph(args)
     text = emit_graph(g)
     if args.out:

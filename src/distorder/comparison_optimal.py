@@ -3,9 +3,11 @@
 The pipeline contracts away everything whose order is forced, runs the
 working-set Dijkstra on the remaining core, and rebuilds the answer:
 
-1. dominator tree of the input (iterative semi-NCA), after its parallel
-   edges are lazily deduplicated as in step 4,
+1. dominator tree of the input (iterative semi-NCA), a ``SpanningTree`` of
+   immediate dominators, after its parallel edges are lazily deduplicated
+   as in step 4,
 2. drop every edge that points from a vertex into one of its dominators,
+   its ancestors in that tree,
 3. contract each maximal chain of outdegree-1 dominator-tree nodes into one
    vertex, rebuilding the weights of edges leaving chain interiors as
    protected prefix sums (additions only, zero comparisons), built only as
@@ -46,26 +48,12 @@ from .weights import WeightArena
 # -- dominator trees --------------------------------------------------------
 
 
-class DominatorTree:
-    """Immediate dominators plus the tree's preorder for O(1) dominance.
+def dominator_tree(g: Graph) -> SpanningTree:
+    """The dominator tree, as immediate dominators in ``parent``.
 
-    ``order``, ``pos`` and ``size`` are ``SpanningTree.preorder()`` of the
-    tree ``idom`` spans: u dominates v iff v lies in u's run of the order.
+    Semi-NCA (Georgiadis, Tarjan and Werneck 2006); all loops iterative.
+    u dominates v iff u is v or an ancestor of v in this tree.
     """
-
-    __slots__ = ("idom", "order", "pos", "size")
-
-    def __init__(self, idom: list[int], root: int):
-        self.idom = idom
-        self.order, self.pos, self.size = SpanningTree(idom, root).preorder()
-
-    def dominates(self, u: int, v: int) -> bool:
-        """True if every path from the source to v passes through u."""
-        return 0 <= self.pos[v] - self.pos[u] < self.size[u]
-
-
-def dominator_tree(g: Graph) -> DominatorTree:
-    """Semi-NCA (Georgiadis, Tarjan and Werneck 2006); all loops iterative."""
     n = g.n
     s = g.s
     out_adj = g.adj
@@ -130,7 +118,7 @@ def dominator_tree(g: Graph) -> DominatorTree:
         while dfnum[x] > semi[w]:
             x = idom[x]
         idom[w] = x
-    return DominatorTree(idom, s)
+    return SpanningTree(idom, s)
 
 
 # -- lazy deduplication ------------------------------------------------------
@@ -215,7 +203,7 @@ def _has_parallel_arcs(g: Graph) -> bool:
 # -- edge dropping and chain contraction -------------------------------------
 
 
-def drop_back_edges(g: Graph, dom: DominatorTree):
+def drop_back_edges(g: Graph, dom: SpanningTree):
     """Remove arcs u->v where v dominates u (self-loops included).
 
     Such arcs can never lie on a path that first reaches their head, so
@@ -225,11 +213,11 @@ def drop_back_edges(g: Graph, dom: DominatorTree):
     wraps it and ``deduplicate`` by name; its ``drop_back_edges`` and
     ``dedup_core`` spans now read 0.
     """
+    _, pos, size = dom.preorder()
     tails, heads, weights, origin = [], [], [], []
-    dominates = dom.dominates
     gw, go = g.weights, g.origin
     for i, (u, v) in enumerate(zip(g.tails, g.heads)):
-        if dominates(v, u):
+        if 0 <= pos[u] - pos[v] < size[v]:
             continue
         tails.append(u)
         heads.append(v)
@@ -238,7 +226,7 @@ def drop_back_edges(g: Graph, dom: DominatorTree):
     return Graph(g.n, True, g.s, g.arena, tails, heads, weights, origin)
 
 
-def contract_chains(g: Graph, dom: DominatorTree):
+def contract_chains(g: Graph, dom: SpanningTree):
     """Drop back arcs, contract chains and group parallel core arcs in one pass.
 
     An arc u->v whose head dominates its tail (a self-loop included) is
@@ -248,10 +236,12 @@ def contract_chains(g: Graph, dom: DominatorTree):
     chain interiors get weights prefix + w built with protected additions; no
     comparisons.  A chain's prefix sums stop at its deepest member with a
     kept out-arc besides its chain arc, since no deeper prefix is read.
-    Verifies on every chain that the chain edge is its head's unique kept
-    in-edge and that no edge skips from a chain vertex into the child's
-    subtree.  Chain heads and vertices in no chain become core vertices 0,
-    1, ... in id order.
+    ``dom`` is the dominator tree as a ``SpanningTree``; one preorder of it
+    gives the chains and the back-arc and skip tests.  Verifies on every
+    chain that the chain edge is its head's unique kept in-edge and that no
+    edge skips from a chain vertex into the child's subtree, which leaves the
+    chain arcs the only kept arcs inside a chain.  Chain heads and vertices
+    in no chain become core vertices 0, 1, ... in id order.
 
     Core arcs keep the order of their first input arc.  Kept arcs that land
     on the same core tail and head become one core arc whose weight and origin
@@ -262,7 +252,7 @@ def contract_chains(g: Graph, dom: DominatorTree):
     vertex behind core vertex k.
     """
     n = g.n
-    order, pos, size = dom.order, dom.pos, dom.size
+    order, pos, size = dom.preorder()
     # v has exactly one child iff the vertex after it in preorder is that
     # child, whose subtree is v's without v; so a chain is a maximal run of
     # the preorder in which each size is one less than the one before
@@ -297,7 +287,6 @@ def contract_chains(g: Graph, dom: DominatorTree):
     arena = g.arena
     add = arena.add
     adj = g.adj
-    chain_arcs: set[int] = set()
     chain_origin = []
     prefix: list = [None] * n  # handle of chain-start -> vertex distance
     for chain in chains:
@@ -322,7 +311,6 @@ def contract_chains(g: Graph, dom: DominatorTree):
                     raise ContractViolation(
                         f"arc {a}->{z} skips into the subtree of {b}")
             arc = cand[0]
-            chain_arcs.add(arc)
             chain_origin.append(g.origin[arc])
             if k <= depth:
                 w = g.arc_weight(arc)
@@ -351,10 +339,7 @@ def contract_chains(g: Graph, dom: DominatorTree):
         v = gh[i]
         c = in_chain[u]
         if c >= 0 and c == in_chain[v]:
-            if i not in chain_arcs:
-                raise ContractViolation(
-                    f"unexpected intra-chain arc {u}->{v}")
-            continue
+            continue  # a chain arc, the only kind the checks above let in
         w = gw[i]
         pre = prefix[u]
         if pre is not None:

@@ -130,6 +130,9 @@ def parse_graph(text: str, audit: bool = False) -> Graph:
         raise GraphParseError(1, f"bad header field: {exc}") from None
     if n < 1 or not 0 <= s < n:
         raise GraphParseError(1, f"bad vertex count {n} or source {s}")
+    if m < n - 1:  # checked before anything of size n is built
+        raise GraphParseError(
+            1, f"{m} edges cannot reach all {n} vertices from source {s}")
     body = [(k, ln) for k, ln in enumerate(lines[1:], 2) if ln.strip()]
     if len(body) != m:
         raise GraphParseError(1, f"expected {m} edge lines, found {len(body)}")

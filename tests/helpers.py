@@ -252,6 +252,13 @@ def bellman_ford(g: Graph) -> list:
     return dist
 
 
+def dominates(dom: SpanningTree, u: int, v: int) -> bool:
+    """True if u dominates v: u is v or an ancestor of v in the dominator
+    tree ``dom``, by the range test on its preorder."""
+    _, pos, size = dom.preorder()
+    return 0 <= pos[v] - pos[u] < size[u]
+
+
 def brute_idoms(g: Graph) -> list[int]:
     """Immediate dominators by vertex-deletion reachability."""
     n, s = g.n, g.s
@@ -295,11 +302,11 @@ def three_pass_contraction(g0: Graph, dom):
     """
     g = drop_back_edges(g0, dom)
     n = g.n
-    children = SpanningTree(dom.idom, g.s).children()
+    children = dom.children()
     chains = []
     in_chain = [-1] * n
     for v in range(n):
-        p = dom.idom[v]
+        p = dom.parent[v]
         if len(children[v]) != 1 or (p >= 0 and len(children[p]) == 1):
             continue  # not a chain head
         chain = [v]

@@ -133,6 +133,12 @@ def test_bad_n_is_usage_error(capsys):
         assert err.startswith("error: ") and "'abc'" in err
 
 
+def test_gen_without_family_is_usage_error(capsys):
+    rc, out, err = run_cli(capsys, "gen", "--n", "5")
+    assert rc == 1 and out == ""
+    assert err.strip() == "error: gen needs --family"
+
+
 def test_gen_roundtrips_through_run(tmp_path, capsys):
     f = tmp_path / "g.edges"
     run_cli(capsys, "gen", "--family", "random_digraph", "--n", "40",

@@ -12,7 +12,7 @@ from distorder.comparison_optimal import (contract_chains, deduplicate,
                                           hwang_lin_merge, run_pipeline,
                                           tree_dp_linearize)
 from distorder.dijkstra import run_dijkstra
-from distorder.errors import UsageError
+from distorder.errors import ContractViolation, UsageError
 from distorder.graph_core import (SpanningTree, emit_graph, gen_broom,
                                   gen_dense, gen_family, parse_graph)
 from distorder.optimality_audit import (energy, greedy_coloring,
@@ -21,7 +21,8 @@ from distorder.weights import WeightArena
 from distorder.graph_core import forward_edges
 
 from helpers import (NESTED_GROUP_TEXT, bellman_ford, brute_idoms,
-                     chain_multigraph_text, check_tree, three_pass_contraction)
+                     chain_multigraph_text, check_tree, dominates,
+                     three_pass_contraction)
 
 BUDGET_C1 = 64  # documented constant for the end-to-end query budget
 
@@ -86,13 +87,13 @@ class TestDominators:
     def test_path(self):
         g = parse_graph("3 2 0 directed\n0 1 1\n1 2 1\n")
         dt = dominator_tree(g)
-        assert dt.idom == [-1, 0, 1]
+        assert dt.parent == [-1, 0, 1]
 
     def test_diamond(self):
         g = parse_graph("4 4 0 directed\n0 1 1\n0 2 1\n1 3 1\n2 3 1\n")
         dt = dominator_tree(g)
-        assert dt.idom[3] == 0
-        assert dt.dominates(0, 3) and not dt.dominates(1, 3)
+        assert dt.parent[3] == 0
+        assert dominates(dt, 0, 3) and not dominates(dt, 1, 3)
 
     def test_small_digraphs_vs_oracle(self):
         rng = random.Random(0)
@@ -100,7 +101,7 @@ class TestDominators:
             n = rng.randrange(2, 7)
             g = gen_family("random_digraph", n, seed=trial)
             dt = dominator_tree(g)
-            assert dt.idom == brute_idoms(g), (trial,)
+            assert dt.parent == brute_idoms(g), (trial,)
 
     def test_medium_digraphs_vs_oracle(self):
         rng = random.Random(1)
@@ -108,7 +109,7 @@ class TestDominators:
             n = rng.randrange(10, 120)
             g = gen_family("random_digraph", n, seed=5000 + trial)
             dt = dominator_tree(g)
-            assert dt.idom == brute_idoms(g), (trial,)
+            assert dt.parent == brute_idoms(g), (trial,)
 
     def test_structured_families_vs_oracle(self):
         rng = random.Random(3)
@@ -129,7 +130,7 @@ class TestDominators:
                 f"{u} {v} {rng.randrange(1, 9)}\n" for u, v in arcs), audit=True)
             graphs.append(relabel(g, rng))
         for i, g in enumerate(graphs):
-            assert dominator_tree(g).idom == brute_idoms(g), (i,)
+            assert dominator_tree(g).parent == brute_idoms(g), (i,)
 
 
 class TestDropBackEdges:
@@ -152,7 +153,7 @@ class TestDropBackEdges:
             dt = dominator_tree(g)
             g2 = drop_back_edges(g, dt)
             for u, v in zip(g2.tails, g2.heads):
-                assert not dt.dominates(v, u)
+                assert not dominates(dt, v, u)
 
 
 class TestContraction:
@@ -210,16 +211,31 @@ class TestContraction:
                 v for v in range(g.n) if rep[v] == v)}
             assert core_rep == list(new_id)
             idom2 = [-1] * len(new_id)
-            for v, p in enumerate(dt.idom):
+            for v, p in enumerate(dt.parent):
                 if p >= 0 and rep[v] != rep[p]:
                     idom2[new_id[rep[v]]] = new_id[rep[p]]
-            assert dominator_tree(g2).idom == idom2
+            assert dominator_tree(g2).parent == idom2
             # no outdegree-1 nodes remain
             ch = SpanningTree(idom2, new_id[g.s]).children()
             assert all(len(c) != 1 for c in ch)
             # vertex count drops by exactly the number of contracted edges
             contracted_edges = sum(len(c) - 1 for c in chains)
             assert g2.n == g1.n - contracted_edges
+
+    def test_rejects_a_second_in_arc_of_a_chain_vertex(self):
+        # the parallel arcs 0->1 are left ungrouped, so 1 has two in-arcs
+        g = parse_graph("3 3 0 directed\n0 1 1\n0 1 2\n1 2 1\n")
+        with pytest.raises(ContractViolation,
+                           match="chain edge 0->1 is not the unique in-edge of 1"):
+            contract_chains(g, dominator_tree(g))
+
+    def test_rejects_an_arc_that_skips_down_the_chain(self):
+        # in the path tree 0 -> 1 -> 2 the arc 0->2 skips over 1, which a
+        # dominator tree of this graph would not allow
+        g = parse_graph("3 3 0 directed\n0 1 1\n1 2 1\n0 2 5\n")
+        with pytest.raises(ContractViolation,
+                           match="arc 0->2 skips into the subtree of 1"):
+            contract_chains(g, SpanningTree([-1, 0, 1], 0))
 
 
 def weight_data(arena, w):

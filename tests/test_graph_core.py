@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from distorder import graph_core
 from distorder.comparison_optimal import tree_dp_linearize
 from distorder.errors import ContractViolation, GraphParseError, UsageError
 from distorder.graph_core import (SpanningTree, emit_graph, forward_edges,
@@ -58,6 +59,17 @@ class TestParse:
     def test_unreachable_rejected(self):
         with pytest.raises(GraphParseError):
             parse_graph("3 1 0 directed\n0 1 1\n")
+
+    def test_too_few_edges_rejected_before_building(self, monkeypatch):
+        # fewer than n - 1 edges leave a vertex unreachable: the header says
+        # so, and nothing of size n may be built first
+        def build(*args, **kwargs):
+            raise AssertionError("_build called")
+
+        monkeypatch.setattr(graph_core, "_build", build)
+        with pytest.raises(GraphParseError) as ei:
+            parse_graph("1000000000 0 0 directed\n")
+        assert ei.value.lineno == 1
 
     def test_malformed_lines(self):
         with pytest.raises(GraphParseError):

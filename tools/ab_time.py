@@ -18,8 +18,10 @@ input graph of random-sparse and broom-dense, and on heap-churn a replay of
 the churn trace on a fresh queue (or the pipeline on the trace's star).
 Parsing and interning stay outside the timed region.  A process reports the
 median wall time of its ``PASSES`` passes.  The script prints both sides'
-medians over the pairs, the ratio B/A, and the pairs B won, and exits 1 if
-the comparison or addition counts of any pass differ.
+medians over the pairs, the median of the per-pair ratios B/A (a load change
+on the machine partway through a run moves both sides of a pair, and so
+leaves their ratio alone), and the pairs B won, and exits 1 if the
+comparison or addition counts of any pass differ.
 """
 
 from __future__ import annotations
@@ -106,8 +108,10 @@ def main(argv) -> int:
         print(f"pair {k}: A {a_times[-1]:.6f} s  B {b_times[-1]:.6f} s  "
               f"x{b_times[-1] / a_times[-1]:.3f}")
     a, b = statistics.median(a_times), statistics.median(b_times)
+    ratio = statistics.median(y / x for x, y in zip(a_times, b_times))
     print(f"{args.workload} {args.target} seed {args.seed}: A median {a:.6f} s, "
-          f"B median {b:.6f} s, ratio x{b / a:.3f}, B won {wins} of {args.pairs} pairs")
+          f"B median {b:.6f} s, median pair ratio x{ratio:.3f}, "
+          f"B won {wins} of {args.pairs} pairs")
     distinct = {json.dumps(c) for c in counts}
     if len(distinct) > 1:
         print(f"counts differ: {len(distinct)} distinct (comparisons, additions) "
