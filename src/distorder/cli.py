@@ -35,18 +35,21 @@ CSV_SCHEMA = ("family,n,m,heap,algo,comparisons,additions,cost_I,energy,"
 CSV_HEADER = f"# distorder-bench v1 {CSV_SCHEMA}"
 
 
-def _build_graph(args, n=None, audit=False):
-    """Resolve a generator family plus parameters into a graph."""
+def _size(tok) -> int:
+    """Parse one ``--n`` size; every command's sizes go through here."""
+    try:
+        n = int(tok)
+    except ValueError:
+        raise UsageError(f"bad size {tok!r}") from None
+    if n < 1:
+        raise UsageError(f"bad size {n}: sizes start at 1")
+    return n
+
+
+def _build_graph(args, n, seed, audit=False):
+    """Resolve a generator family, a size and a seed into a graph."""
     fam = args.family
-    seed = args.seed
-    n = n if n is not None else args.n
-    if n is not None:
-        try:
-            n = int(n)  # bench passes --n as a comma list, resolved upstream
-        except ValueError:
-            raise UsageError(f"bad size {n!r}") from None
-        if n < 1:
-            raise UsageError(f"bad size {n}: sizes start at 1")
+    n = None if n is None else _size(n)
     if fam == "broom":
         t, r = args.t, args.r
         if t is None or r is None:
@@ -62,27 +65,49 @@ def _build_graph(args, n=None, audit=False):
                 raise UsageError("dense needs --k or --n")
             k = max(1, math.isqrt(n))
         return gen_dense(k, seed=seed, audit=audit)
-    if fam in FAMILIES:
-        if n is None:
-            raise UsageError(f"family {fam} needs --n")
-        return gen_family(fam, n, seed=seed, audit=audit)
-    raise UsageError(f"unknown family {args.family!r}")
+    if n is None:  # gen_family refuses a family it does not know
+        raise UsageError(f"family {fam} needs --n")
+    return gen_family(fam, n, seed=seed, audit=audit)
 
 
-def _load_graph(args, n=None, audit=False):
-    if getattr(args, "input", None):
-        with open(args.input, "r", encoding="ascii") as fh:
-            return parse_graph(fh.read(), audit=audit)
+def _load_graph(args, audit=False):
+    if args.input:
+        with open(args.input, "rb") as fh:
+            data = fh.read()
+        try:
+            return parse_graph(data.decode("ascii"), audit=audit)
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise GraphParseError(
+                line, f"non-ASCII byte {data[exc.start]:#04x}") from None
     if args.family is None:
         raise UsageError("provide --in FILE or --family")
-    return _build_graph(args, n=n, audit=audit)
+    return _build_graph(args, args.n, args.seed, audit=audit)
+
+
+def _solve(g, algo, heap):
+    """Run one solver on g, timed: ``(result, wall_ns, run, graph)``, where
+    ``run`` and ``graph`` are the Dijkstra run and graph to audit."""
+    t0 = time.perf_counter_ns()
+    if algo == "optimal":
+        res = run_pipeline(g)
+        return res, time.perf_counter_ns() - t0, res.run, res.core_graph
+    run = run_dijkstra(g, heap)
+    return run, time.perf_counter_ns() - t0, run, g
+
+
+def _row(family, g, heap, algo, res, rep, wall) -> str:
+    """One CSV row in ``CSV_SCHEMA`` order."""
+    return ",".join(map(str, [
+        family, g.n, g.m, heap, algo, res.comparisons, res.additions,
+        f"{rep.cost_I:.4f}", f"{rep.energy:.4f}",
+        f"{rep.log2_linearizations:.4f}", rep.forward_edges, wall]))
 
 
 def cmd_gen(args) -> int:
     if args.family is None:
         raise UsageError("gen needs --family")
-    g = _build_graph(args)
-    text = emit_graph(g)
+    text = emit_graph(_build_graph(args, args.n, args.seed))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -93,48 +118,28 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     g = _load_graph(args, audit=args.audit)
-    if args.algo == "optimal":
-        t0 = time.perf_counter_ns()
-        res = run_pipeline(g)
-        wall = time.perf_counter_ns() - t0
-        for v in res.linearization:
-            print(v)
-        print(f"# comparisons {res.comparisons} additions {res.additions} "
-              f"lazy_spend {res.lazy_spend} wall_ns {wall}")
-        if args.audit:
-            rep = bound_report(res.run, res.core_graph)
-            print(f"# audit core: {' '.join(map(str, rep.csv_fields()))}")
-            if rep.violations:
-                return 2
-        return 0
-    t0 = time.perf_counter_ns()
-    run = run_dijkstra(g, args.heap)
-    wall = time.perf_counter_ns() - t0
-    for v in run.linearization:
+    res, wall, run, graph = _solve(g, args.algo, args.heap)
+    optimal = args.algo == "optimal"
+    for v in res.linearization:
         print(v)
-    print(f"# comparisons {run.comparisons} additions {run.additions} "
-          f"wall_ns {wall}")
+    lazy = f"lazy_spend {res.lazy_spend} " if optimal else ""
+    print(f"# comparisons {res.comparisons} additions {res.additions} "
+          f"{lazy}wall_ns {wall}")
     if args.audit:
-        rep = bound_report(run, g)
-        print(f"# audit: {' '.join(map(str, rep.csv_fields()))}")
+        rep = bound_report(run, graph)
+        label = "audit core" if optimal else "audit"
+        print(f"# {label}: {' '.join(map(str, rep.csv_fields()))}")
         if rep.violations:
             return 2
     return 0
 
 
-def _bench_sizes(args) -> list[int]:
-    if args.n is None:
-        raise UsageError("bench needs --n SIZE[,SIZE...]")
-    try:
-        return [int(tok) for tok in str(args.n).split(",") if tok]
-    except ValueError:
-        raise UsageError(f"bad size list {args.n!r}") from None
-
-
 def cmd_bench(args) -> int:
     if args.family is None:
         raise UsageError("bench needs --family")
-    sizes = _bench_sizes(args)
+    if args.n is None:
+        raise UsageError("bench needs --n SIZE[,SIZE...]")
+    sizes = [_size(tok) for tok in args.n.split(",") if tok]
     heaps = [h.strip() for h in args.heaps.split(",") if h.strip()]
     if not sizes or not heaps or args.reps < 1:
         raise UsageError("bench needs a size, a heap and --reps >= 1")
@@ -145,30 +150,12 @@ def cmd_bench(args) -> int:
         heaps = ["workset"]  # the pipeline's core SSSP runs this heap
     rows = []
     for n in sizes:
-        for rep in range(args.reps):
-            seed = args.seed + rep
+        for i in range(args.reps):
             for heap in heaps:
-                sub = argparse.Namespace(family=args.family, seed=seed,
-                                         n=n, t=args.t, r=args.r, k=args.k)
-                g = _build_graph(sub, n=n)
-                t0 = time.perf_counter_ns()
-                if args.algo == "optimal":
-                    res = run_pipeline(g)
-                    wall = time.perf_counter_ns() - t0
-                    rep_obj = bound_report(res.run, res.core_graph)
-                    comparisons, additions = res.comparisons, res.additions
-                    fwd = rep_obj.forward_edges
-                else:
-                    run = run_dijkstra(g, heap)
-                    wall = time.perf_counter_ns() - t0
-                    rep_obj = bound_report(run, g)
-                    comparisons, additions = run.comparisons, run.additions
-                    fwd = rep_obj.forward_edges
-                rows.append(",".join(map(str, [
-                    args.family, g.n, g.m, heap, args.algo, comparisons,
-                    additions, f"{rep_obj.cost_I:.4f}", f"{rep_obj.energy:.4f}",
-                    f"{rep_obj.log2_linearizations:.4f}", fwd, wall,
-                ])))
+                g = _build_graph(args, n, args.seed + i)
+                res, wall, run, graph = _solve(g, args.algo, heap)
+                rows.append(_row(args.family, g, heap, args.algo, res,
+                                 bound_report(run, graph), wall))
     if args.out:
         fresh = not os.path.exists(args.out) or os.path.getsize(args.out) == 0
         with open(args.out, "a", encoding="ascii") as fh:
@@ -186,12 +173,7 @@ def cmd_audit(args) -> int:
     run = run_dijkstra(g, args.heap)
     rep = bound_report(run, g)
     print(CSV_HEADER.replace("bench", "audit"))
-    print(",".join(map(str, [
-        args.family or "file", g.n, g.m, args.heap, "dijkstra",
-        rep.comparisons, rep.additions, f"{rep.cost_I:.4f}",
-        f"{rep.energy:.4f}", f"{rep.log2_linearizations:.4f}",
-        rep.forward_edges, 0,
-    ])))
+    print(_row(args.family or "file", g, args.heap, "dijkstra", run, rep, 0))
     for v in rep.violations:
         print(f"# VIOLATION: {v}", file=sys.stderr)
     return 2 if rep.violations else 0
@@ -240,9 +222,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

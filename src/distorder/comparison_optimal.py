@@ -526,30 +526,6 @@ class PipelineResult:
         for k, v in kw.items():
             setattr(self, k, v)
 
-    @property
-    def multi_graph(self) -> Graph:
-        """The core graph with each of ``core_groups`` expanded again.
-
-        A group's members take its arc's place, in their input arc order, so
-        this is the contracted multigraph before its parallel arcs were
-        grouped: the same arcs, in another order.  Built on each access.
-        """
-        g = self.core_graph
-        grouped = set(self.core_groups)
-        tails, heads, weights, origin = [], [], [], []
-        for u, v, w, o in zip(g.tails, g.heads, g.weights, g.origin):
-            if type(w) is not int and w in grouped:
-                tails += [u] * len(w.members)
-                heads += [v] * len(w.members)
-                weights += w.members
-                origin += w.origins
-            else:
-                tails.append(u)
-                heads.append(v)
-                weights.append(w)
-                origin.append(o)
-        return Graph(g.n, True, g.s, g.arena, tails, heads, weights, origin)
-
 
 def run_pipeline(g: Graph) -> PipelineResult:
     """Contract, solve the core, uncontract, and linearize."""

@@ -60,22 +60,6 @@ class DijkstraRun:
         self.extract_comparisons = 0  # workset runs: comparisons inside extracts
         self.rank_extracts: list[int] = []  # workset runs: extracts per rank
 
-    def report_lines(self) -> list[str]:
-        lines = [
-            f"heap {self.heap_kind}",
-            f"comparisons {self.comparisons}",
-            f"additions {self.additions}",
-        ]
-        if self.rank_extracts:
-            lines.append("rank_extracts " + " ".join(map(str, self.rank_extracts)))
-        return lines + [
-            "sssp_edges " + " ".join(
-                f"{p}->{v}" for v, p in enumerate(self.sssp.parent) if p >= 0),
-            "explore_edges " + " ".join(
-                f"{p}->{v}" for v, p in enumerate(self.explore.parent) if p >= 0),
-            "linearization " + " ".join(map(str, self.linearization)),
-        ]
-
 
 def run_dijkstra(g: Graph, heap_kind: str = "workset") -> DijkstraRun:
     """Run Dijkstra on g with the chosen queue; all weight access is counted."""

@@ -252,6 +252,29 @@ def bellman_ford(g: Graph) -> list:
     return dist
 
 
+def multi_graph(g: Graph, groups) -> Graph:
+    """The core graph g with each of ``groups`` expanded again.
+
+    A group's members take its arc's place, in their input arc order, so
+    this is the contracted multigraph before its parallel arcs were
+    grouped: the same arcs, in another order.
+    """
+    grouped = set(groups)
+    tails, heads, weights, origin = [], [], [], []
+    for u, v, w, o in zip(g.tails, g.heads, g.weights, g.origin):
+        if type(w) is not int and w in grouped:
+            tails += [u] * len(w.members)
+            heads += [v] * len(w.members)
+            weights += w.members
+            origin += w.origins
+        else:
+            tails.append(u)
+            heads.append(v)
+            weights.append(w)
+            origin.append(o)
+    return Graph(g.n, True, g.s, g.arena, tails, heads, weights, origin)
+
+
 def dominates(dom: SpanningTree, u: int, v: int) -> bool:
     """True if u dominates v: u is v or an ancestor of v in the dominator
     tree ``dom``, by the range test on its preorder."""

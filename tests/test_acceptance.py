@@ -31,7 +31,7 @@ from distorder.weights import WeightArena
 from distorder.workset_heap import WorkSetHeap
 
 from helpers import (check_workset, count_linearizations_exhaustive,
-                     run_workset_trace)
+                     multi_graph, run_workset_trace)
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -505,7 +505,7 @@ def test_criterion_12_dedup_budget(pipeline_corpus):
                   gen_dense(6, seed=2, audit=True))
     ]
     for g, res, _bf in cases:
-        g2 = res.multi_graph
+        g2 = multi_graph(res.core_graph, res.core_groups)
         fwd = forward_edges(g2, res.run.dist)
         budget = max(0, fwd - g2.n + 1)
         total_spend += res.lazy_spend

@@ -91,6 +91,40 @@ def test_run_negative_weight_exit_code(tmp_path, capsys):
     assert rc == 1 and "line 2" in err and "not positive" in err
 
 
+def test_non_ascii_file_is_a_parse_error(tmp_path, capsys):
+    f = tmp_path / "bad.edges"
+    f.write_bytes(b"2 1 0 directed\n0 1 5\xc3\xa9\n")
+    for cmd in ("run", "audit"):
+        rc, out, err = run_cli(capsys, cmd, "--in", str(f))
+        assert rc == 1 and out == ""
+        assert err.startswith("error: line 2:") and "0xc3" in err
+
+
+def test_run_bench_and_audit_report_the_same_counts(capsys):
+    base = ("--family", "random_digraph", "--n", "200", "--seed", "4")
+    for heap, algo in (("workset", "dijkstra"), ("binary", "dijkstra"),
+                       ("workset", "optimal")):
+        rc, out, _e = run_cli(capsys, "run", *base, "--heap", heap,
+                              "--algo", algo, "--audit")
+        assert rc == 0
+        stats, audit = out.splitlines()[-2:]
+        rc, csv, _e = run_cli(capsys, "bench", *base, "--heaps", heap,
+                              "--algo", algo)
+        assert rc == 0
+        row = csv.splitlines()[1].split(",")
+        assert stats.split()[2:5:2] == row[5:7]  # comparisons, additions
+        label, fields = audit.split(": ")
+        assert label == ("# audit core" if algo == "optimal" else "# audit")
+        fields = fields.split()
+        # cost_I, energy and log_linearizations, then forward_edges
+        assert [f"{float(x):.4f}" for x in fields[:3]] == row[7:10]
+        assert fields[4] == row[10]
+        if algo == "dijkstra":
+            rc, csv, _e = run_cli(capsys, "audit", *base, "--heap", heap)
+            assert rc == 0
+            assert csv.splitlines()[1].split(",") == row[:-1] + ["0"]
+
+
 def test_bench_csv_schema_and_determinism(tmp_path, capsys):
     out = tmp_path / "r.csv"
     args = ("bench", "--family", "star", "--n", "16,32", "--heaps",
@@ -127,8 +161,10 @@ def test_cli_usage_error_exit_one(capsys):
 
 
 def test_bad_n_is_usage_error(capsys):
-    for cmd in ("gen", "run", "audit"):
-        rc, _o, err = run_cli(capsys, cmd, "--family", "star", "--n", "abc")
+    # bench's comma list names the one bad size in it
+    for cmd, n in (("gen", "abc"), ("run", "abc"), ("audit", "abc"),
+                   ("bench", "8,abc")):
+        rc, _o, err = run_cli(capsys, cmd, "--family", "star", "--n", n)
         assert rc == 1
         assert err.startswith("error: ") and "'abc'" in err
 

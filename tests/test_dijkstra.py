@@ -134,15 +134,6 @@ def test_parallel_edges_and_self_loops():
     assert d == [0, 2, 3]
 
 
-def test_report_lines():
-    g = gen_family("path", 4)
-    run = run_dijkstra(g)
-    lines = run.report_lines()
-    assert lines[0] == "heap workset"
-    assert "rank_extracts 4" in lines
-    assert lines[-1].startswith("linearization 0 1 2 3")
-
-
 def test_rank_extracts_split_every_extract_by_rank():
     # the working-set heap counts where each extract came from; on a random
     # digraph most come from the top rank, whose extracts are the cheap ones
@@ -150,7 +141,6 @@ def test_rank_extracts_split_every_extract_by_rank():
     run = run_dijkstra(g)
     assert sum(run.rank_extracts) == g.n
     assert run.rank_extracts == [8, 13, 44, 554, 1381]
-    assert "rank_extracts 8 13 44 554 1381" in run.report_lines()
     # a replayed trace agrees with the extract ranks read one at a time
     arena = WeightArena()
     q = WorkSetHeap(arena)
@@ -166,7 +156,6 @@ def test_rank_extracts_split_every_extract_by_rank():
     for kind in HEAP_KINDS[1:]:
         other = run_dijkstra(gen_family("random_digraph", 200, seed=0), kind)
         assert other.rank_extracts == []
-        assert not any(x.startswith("rank_extracts") for x in other.report_lines())
 
 
 def test_broom_binary_vs_workset_comparison_shape():

@@ -22,7 +22,7 @@ the linearization, both trees' parents, ``sssp_arcs``, the intervals and
 (audit runs) the exact distances; pipeline runs add ``lazy_spend``, the
 linearization, the tree, ``tree_arc``, the core graph (n, s, tails and heads
 in arc order, and each core arc's group size: how many arcs of
-``multi_graph`` it stands for), the count of ``multi_graph``'s
+``helpers.multi_graph`` it stands for), the count of its
 distance-forward arcs and (audit runs) the exact distances.  Working-set
 Dijkstra runs and replays add ``rank_extracts``, so a change of the rank
 layout shows.  A tree-audit case records ``tree_dp_linearize`` on the
@@ -52,7 +52,7 @@ from distorder.optimality_audit import (greedy_coloring,  # noqa: E402
                                         tree_log_linearizations,
                                         verify_barrier_sequence)
 from helpers import (NESTED_GROUP_TEXT, chain_multigraph_text,  # noqa: E402
-                     prime_denominator_graph)
+                     multi_graph, prime_denominator_graph)
 from workloads import QUEUES, make_inputs, replay  # noqa: E402
 
 SEEDS = (0, 424242)
@@ -131,7 +131,7 @@ def pipeline_case(g):
     if g.arena.audit:
         case["dist"] = [str(g.arena.audit_value(h)) for h in p.dist]
     # read after the counts: forward_edges spends comparisons
-    core, multi = p.core_graph, p.multi_graph
+    core, multi = p.core_graph, multi_graph(p.core_graph, p.core_groups)
     size = Counter(zip(multi.tails, multi.heads))
     case["core"] = {"n": core.n, "s": core.s, "tails": core.tails,
                     "heads": core.heads,
