@@ -7,7 +7,7 @@ lower-bound audits that make the optimality claims measurable.
 
 from .weights import INFINITY, WeightArena
 from .errors import ContractViolation, EmptyHeapError, GraphParseError, UsageError
-from .aux_structures import IntervalMap, MinKeeper
+from .aux_structures import MinKeeper
 from .base_heap import BinaryQueue, FibonacciHeap, FibonacciQueue, HeapNodePool, PairingQueue
 from .workset_heap import WorkSetHeap
 from .graph_core import (Graph, SpanningTree, emit_graph, forward_edges,
@@ -22,7 +22,7 @@ from .comparison_optimal import (contract_chains, deduplicate, dominator_tree,
 
 __all__ = [
     "INFINITY", "WeightArena", "ContractViolation", "EmptyHeapError",
-    "GraphParseError", "UsageError", "IntervalMap", "MinKeeper",
+    "GraphParseError", "UsageError", "MinKeeper",
     "BinaryQueue", "FibonacciHeap", "FibonacciQueue",
     "HeapNodePool", "PairingQueue", "WorkSetHeap", "Graph", "SpanningTree",
     "emit_graph", "forward_edges", "gen_broom", "gen_dense", "gen_family",

@@ -77,7 +77,8 @@ def _load_graph(args, audit=False):
         try:
             return parse_graph(data.decode("ascii"), audit=audit)
         except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
+            # count lines as parse_graph does, which also breaks at a bare \r
+            line = len((data[:exc.start] + b"x").decode("ascii").splitlines())
             raise GraphParseError(
                 line, f"non-ASCII byte {data[exc.start]:#04x}") from None
     if args.family is None:

@@ -20,9 +20,10 @@ flagged.  All logarithms are base 2 and 0 * log 0 = 0.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
+from .errors import ContractViolation
 from .graph_core import Graph, SpanningTree, forward_edges
 
 # float-sum guard for inequalities whose two sides are independent float
@@ -160,44 +161,27 @@ def verify_barrier_sequence(coloring: IntersectingColoring,
                             explore: SpanningTree):
     """Check the coloring's classes, by witness time, form a barrier sequence.
 
-    Interval i is vertex i's, as in ``DijkstraRun.intervals``.  Classes
-    must be antichains of the exploration tree, and no vertex of a later
-    class may be an ancestor of a vertex of an earlier (or the same) class.
-    Returns None when valid, otherwise the offending pair ((class_i, u),
-    (class_j, v)) with v an ancestor of u and i <= j.
-
-    A subtree is a run of the tree's preorder, so "v is an ancestor of some
-    seen u" reduces to "some seen position lies in v's run, after v",
-    answered by bisecting the sorted positions seen so far.
+    Interval i is vertex i's, as in ``DijkstraRun.intervals``; every vertex
+    needs a class.  No vertex may be an ancestor of a vertex of the same or an
+    earlier class.  Ranked by (witness, class index), that holds iff the rank
+    rises strictly along every arc of the exploration tree.  Returns None when
+    valid, otherwise ((class_i, u), (class_j, v)) for the first arc v->u, by v
+    and then u, whose rank does not rise: i ranks no later than j.
     """
-    _, pos, size = explore.preorder()
-    order = sorted(range(len(coloring.classes)),
-                   key=lambda c: coloring.witnesses[c])
-    seen_pos: list[int] = []
-    owner: dict[int, tuple[int, int]] = {}  # position -> (class, vertex)
-
-    def offender(v, positions):
-        """Some position in ``positions`` inside v's run, after v itself."""
-        i = bisect_right(positions, pos[v])
-        if i < len(positions) and positions[i] < pos[v] + size[v]:
-            return positions[i]
-        return None
-
-    for c in order:
-        vs = coloring.classes[c]
-        class_pos = sorted(pos[v] for v in vs)
-        back = {pos[v]: v for v in vs}
-        for v in vs:
-            hit = offender(v, seen_pos)
-            if hit is not None:
-                pc, u = owner[hit]
-                return ((pc, u), (c, v))
-            hit = offender(v, class_pos)
-            if hit is not None:
-                return ((c, back[hit]), (c, v))
-        for v in vs:
-            insort(seen_pos, pos[v])
-            owner[pos[v]] = (c, v)
+    ch = explore.children()
+    color = coloring.color
+    if len(color) != len(ch) or min(color) < 0:
+        raise ContractViolation("a tree vertex has no class")
+    rank = [0] * len(coloring.classes)
+    order = sorted(range(len(rank)), key=lambda c: coloring.witnesses[c])
+    for k, c in enumerate(order):
+        rank[c] = k
+    for v, kids in enumerate(ch):
+        r = rank[color[v]]
+        for u in kids:
+            if rank[color[u]] <= r:
+                explore.preorder()  # raises unless every vertex hangs off the root
+                return ((color[u], u), (color[v], v))
     return None
 
 
@@ -256,7 +240,6 @@ class BoundReport:
     forward_edge_bound: int
     comparisons: int
     additions: int
-    class_sizes: list[int] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
 
     def csv_fields(self) -> list:
@@ -290,7 +273,6 @@ def bound_report(run, g: Graph) -> BoundReport:
         forward_edge_bound=max(0, fwd - g.n + 1),
         comparisons=run.comparisons,
         additions=run.additions,
-        class_sizes=coloring.class_sizes(),
     )
     if e < c:
         report.violations.append(f"energy {e:.4f} below cost {c:.4f}")

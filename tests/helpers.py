@@ -1,9 +1,9 @@
 """Shared test utilities: independent oracles, structure checkers and traces.
 
 The oracles (the sorted-replay queue, Bellman-Ford, vertex-deletion
-dominators, the three-pass contraction, brute-force working sets and greedy
-coloring, exhaustive linearization counts) recompute an answer from its
-definition.  The structure checkers (``fibonacci_rings``, ``check_workset``,
+dominators, the three-pass contraction, brute-force working sets, greedy
+coloring and barrier check, exhaustive linearization counts) recompute an
+answer from its definition.  The structure checkers (``fibonacci_rings``, ``check_workset``,
 ``check_min_keeper``, ``check_tree``) scan a data structure's fields and
 assert its invariants.  Those that read key values do so through
 ``arena.audit_value``, so they need an audit-mode arena and spend no arena
@@ -520,6 +520,26 @@ def brute_force_greedy_coloring(intervals: list[tuple[int, int]]):
         witnesses.append(witness)
         remaining = [i for i in remaining if color[i] < 0]
     return color, witnesses
+
+
+def brute_force_barrier(coloring, tree: SpanningTree) -> bool:
+    """Whether the coloring's classes, stably sorted by witness, form a
+    barrier sequence of ``tree``, from the definition: no vertex has an
+    ancestor in its own class or in a later one.  Reads the classes, not
+    ``coloring.color``, and walks every vertex's ancestors."""
+    order = sorted(range(len(coloring.classes)),
+                   key=lambda c: coloring.witnesses[c])
+    place = {}  # vertex -> its class's place in the order
+    for k, c in enumerate(order):
+        for v in coloring.classes[c]:
+            place[v] = k
+    for u in range(tree.n):
+        v = tree.parent[u]
+        while v >= 0:
+            if place[v] >= place[u]:
+                return False
+            v = tree.parent[v]
+    return True
 
 
 def count_linearizations_exhaustive(tree: SpanningTree) -> int:

@@ -93,11 +93,13 @@ def test_run_negative_weight_exit_code(tmp_path, capsys):
 
 def test_non_ascii_file_is_a_parse_error(tmp_path, capsys):
     f = tmp_path / "bad.edges"
-    f.write_bytes(b"2 1 0 directed\n0 1 5\xc3\xa9\n")
-    for cmd in ("run", "audit"):
-        rc, out, err = run_cli(capsys, cmd, "--in", str(f))
-        assert rc == 1 and out == ""
-        assert err.startswith("error: line 2:") and "0xc3" in err
+    # the line is named as parse_graph would name it, at any line ending
+    for eol in (b"\n", b"\r", b"\r\n"):
+        f.write_bytes(b"2 1 0 directed" + eol + b"0 1 5\xc3\xa9" + eol)
+        for cmd in ("run", "audit"):
+            rc, out, err = run_cli(capsys, cmd, "--in", str(f))
+            assert rc == 1 and out == ""
+            assert err.startswith("error: line 2:") and "0xc3" in err
 
 
 def test_run_bench_and_audit_report_the_same_counts(capsys):

@@ -312,6 +312,9 @@ class TestDfsTimes:
                 tree.children()
             with pytest.raises(ContractViolation):
                 tree_log_linearizations(tree)
+            col = IntersectingColoring([0, 1, 2], [[0], [1], [2]], [0, 1, 2])
+            with pytest.raises(ContractViolation, match="not a vertex"):
+                verify_barrier_sequence(col, tree)
 
     def test_rejects_vertices_that_hang_off_nothing(self):
         # 1 and 2 are each other's parent: a cycle below no root

@@ -5,18 +5,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import distorder
 from distorder.dijkstra import run_dijkstra
+from distorder.errors import ContractViolation
 from distorder.graph_core import SpanningTree, gen_broom, gen_family
-from distorder.optimality_audit import (bfs_layer_bound, bfs_layers,
+from distorder.optimality_audit import (IntersectingColoring,
+                                        bfs_layer_bound, bfs_layers,
                                         bound_report, cost, energy,
                                         greedy_coloring,
                                         tree_log_linearizations,
                                         verify_barrier_sequence,
                                         working_set_sizes)
 
-from helpers import (brute_force_greedy_coloring, brute_force_working_sets,
-                     count_linearizations_exhaustive, random_interval_set)
+from helpers import (brute_force_barrier, brute_force_greedy_coloring,
+                     brute_force_working_sets, count_linearizations_exhaustive,
+                     random_interval_set)
 
 
 def test_import_does_not_load_numpy():
@@ -130,13 +135,60 @@ class TestBarriers:
     def test_detects_fabricated_violation(self):
         # a path tree with both vertices in one "class" is not an antichain
         tree = SpanningTree([-1, 0, 1], 0)
-        from distorder.optimality_audit import IntersectingColoring
         col = IntersectingColoring([0, 0, 0], [[0, 1, 2]], [1])
         assert verify_barrier_sequence(col, tree) == ((0, 1), (0, 0))
-        # on a star the root's first offender is the child entered first,
-        # the last one: a change of visit order shows here
+        # on a star the offending arc is the root's lowest-numbered child
         star = SpanningTree([-1, 0, 0], 0)
-        assert verify_barrier_sequence(col, star) == ((0, 2), (0, 0))
+        assert verify_barrier_sequence(col, star) == ((0, 1), (0, 0))
+
+    def test_refuses_a_vertex_without_a_class(self):
+        star = SpanningTree([-1, 0, 0], 0)
+        for col in (IntersectingColoring([0, -1, 1], [[0], [2]], [0, 1]),
+                    IntersectingColoring([0, 1], [[0], [1]], [0, 1])):
+            with pytest.raises(ContractViolation, match="no class"):
+                verify_barrier_sequence(col, star)
+
+    def test_matches_brute_force_on_random_trees(self):
+        rng = random.Random(27)
+        verdicts = set()
+        for _ in range(2000):
+            n = rng.randrange(1, 12)
+            label = list(range(n))
+            rng.shuffle(label)
+            parent = [-1] * n
+            for i in range(1, n):
+                parent[label[i]] = label[rng.randrange(i)]
+            tree = SpanningTree(parent, label[0])
+            # half the cases rise along every arc, so they are valid
+            value = [0] * n
+            for i in range(n):
+                v = label[i]
+                if rng.random() < 0.5:
+                    value[v] = rng.randrange(4)
+                elif i:
+                    value[v] = value[parent[v]] + rng.randrange(1, 3)
+            # a value may split into two classes with the same witness, and
+            # class indices are shuffled
+            key = [(value[v], rng.randrange(2)) for v in range(n)]
+            keys = sorted(set(key))
+            rng.shuffle(keys)
+            index = {k: c for c, k in enumerate(keys)}
+            color = [index[k] for k in key]
+            classes = [[v for v in range(n) if color[v] == c]
+                       for c in range(len(keys))]
+            col = IntersectingColoring(color, classes, [w for w, _ in keys])
+            got = verify_barrier_sequence(col, tree)
+            verdicts.add(got is None)
+            assert (got is None) == brute_force_barrier(col, tree)
+            if got is None:
+                continue
+            rank = {c: (col.witnesses[c], c) for c in range(len(keys))}
+            failing = [(v, u) for u, v in enumerate(parent)
+                       if v >= 0 and rank[color[u]] <= rank[color[v]]]
+            (cu, u), (cv, v) = got
+            assert (cu, cv) == (color[u], color[v])
+            assert (v, u) == min(failing)
+        assert verdicts == {True, False}
 
     def test_random_families_always_valid(self):
         rng = random.Random(5)

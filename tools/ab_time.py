@@ -12,10 +12,12 @@ the same passes over perfbench's inputs::
 PARENT and CHANGE are checkout roots.  Each side imports ``distorder`` from
 its own ``src``; the inputs and the pass come from this script's checkout
 (``perfbench/workloads.py`` through ``tools/opcount.py``), so both sides run
-the same pass.  ``--target`` names a queue kind or ``pipeline``, run as in
-``tools/opcount.py``: Dijkstra with that queue (or ``run_pipeline``) on each
-input graph of random-sparse and broom-dense, and on heap-churn a replay of
-the churn trace on a fresh queue (or the pipeline on the trace's star).
+the same pass.  ``--target`` names a queue kind, ``pipeline`` or ``audit``,
+run as in ``tools/opcount.py``: Dijkstra with that queue (or ``run_pipeline``,
+or ``bound_report`` on each audited graph) on the input graphs of
+random-sparse and broom-dense, and on heap-churn a replay of the churn trace
+on a fresh queue (or the pipeline on the trace's star, or the interval audit
+of each window).
 Parsing and interning stay outside the timed region.  A process reports the
 median wall time of its ``PASSES`` passes.  The script prints both sides'
 medians over the pairs, the median of the per-pair ratios B/A (a load change
@@ -36,7 +38,7 @@ import sys
 import time
 
 WORKLOADS = ("random-sparse", "broom-dense", "heap-churn")
-TARGETS = ("workset", "fibonacci", "binary", "pairing", "pipeline")
+TARGETS = ("workset", "fibonacci", "binary", "pairing", "pipeline", "audit")
 PASSES = 9  # timed passes per process
 TOOLS = os.path.dirname(os.path.abspath(__file__))
 

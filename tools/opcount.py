@@ -10,11 +10,14 @@ entered inside the pass (C functions execute none)::
     PYTHONPATH=src python3 tools/opcount.py --workload random-sparse --seed 0 --target pipeline
 
 ``--target`` names a queue kind (``workset``, ``fibonacci``, ``binary``,
-``pairing``) or ``pipeline``.  On random-sparse and broom-dense a queue
-target runs ``run_dijkstra`` with that queue on each input graph and
-``pipeline`` runs ``run_pipeline``; on heap-churn a queue target replays the
-churn trace on a fresh queue and ``pipeline`` runs on the trace's star.
-Parsing and interning stay outside the count.  The output lists the total
+``pairing``), ``pipeline`` or ``audit``.  On random-sparse and broom-dense a
+queue target runs ``run_dijkstra`` with that queue on each input graph,
+``pipeline`` runs ``run_pipeline`` and ``audit`` runs ``bound_report`` on
+each graph perfbench audits, after that graph's working-set run; on
+heap-churn a queue target replays the churn trace on a fresh queue,
+``pipeline`` runs on the trace's star and ``audit`` runs perfbench's
+``interval_audit`` on each window.  Parsing, interning and the audited
+working-set runs stay outside the count.  The output lists the total
 and the functions with the most instructions.  Counts depend on the
 CPython version (these are for the interpreter that runs the script) but
 not on the machine or its load, so two checkouts are compared by running
@@ -31,11 +34,12 @@ from collections import Counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "perfbench")]
 
-from distorder import WeightArena, parse_graph, run_dijkstra, run_pipeline  # noqa: E402
-from workloads import QUEUES, make_inputs, replay  # noqa: E402
+from distorder import (WeightArena, bound_report, parse_graph,  # noqa: E402
+                       run_dijkstra, run_pipeline)
+from workloads import QUEUES, interval_audit, make_inputs, replay  # noqa: E402
 
 WORKLOADS = ("random-sparse", "broom-dense", "heap-churn")
-TARGETS = tuple(QUEUES) + ("pipeline",)
+TARGETS = tuple(QUEUES) + ("pipeline", "audit")
 TOP = 20  # functions listed under the total
 
 
@@ -52,6 +56,10 @@ def calls(inputs, workload: str, target: str):
     call) pairs, with fresh graphs or a fresh queue and interned keys; each
     call counts its comparisons and additions in its arena."""
     if workload == "heap-churn":
+        if target == "audit":  # counts nothing: the audit compares no weights
+            arena = WeightArena()
+            return [(arena, lambda iv=iv: interval_audit(iv))
+                    for iv in inputs.windows]
         if target == "pipeline":
             g = parse_graph(inputs.star.text)
             return [(g.arena, lambda: run_pipeline(g))]
@@ -62,7 +70,13 @@ def calls(inputs, workload: str, target: str):
     out = []
     for raw in inputs:
         g = parse_graph(raw.text)
-        if target == "pipeline":
+        if target == "audit":
+            # perfbench audits every random-sparse graph but only the dense
+            # member of broom-dense
+            if workload == "random-sparse" or raw.name.startswith("dense"):
+                run = run_dijkstra(g, "workset")
+                out.append((g.arena, lambda run=run, g=g: bound_report(run, g)))
+        elif target == "pipeline":
             out.append((g.arena, lambda g=g: run_pipeline(g)))
         else:
             out.append((g.arena, lambda g=g: run_dijkstra(g, target)))
