@@ -8,7 +8,10 @@ the intervals that start no earlier than x and contain t; its maximum size
 * working-set sizes (one segment-tree sweep, O(n log n)),
 * cost(I) = sum of log2 |W_x|,
 * the greedy intersecting coloring, whose energy 2 * sum c_i log2 c_i is a
-  certified lower bound on cost(I),
+  certified lower bound on cost(I); each class splits what remains into
+  the intervals before its witness and those after it, which never overlap,
+  so each side is swept on its own (about one sweep per level of splits;
+  still O(n * colors) at worst, as on the staircase [i, i + 1]),
 * barrier-sequence validation of that coloring against the exploration tree,
 * linear-extension counts of rooted trees (hook length form), and
 * BFS-layer lower bounds,
@@ -20,8 +23,8 @@ flagged.  All logarithms are base 2 and 0 * log 0 = 0.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .errors import ContractViolation
 from .graph_core import Graph, SpanningTree, forward_edges
@@ -121,34 +124,66 @@ def greedy_coloring(intervals: list[tuple[int, int]]) -> IntersectingColoring:
     witness, and the class is everything alive at t*.  Once no two remaining
     intervals overlap, each becomes its own class.  The returned coloring
     always satisfies energy(C) >= cost(I).
+
+    Removing the class at t* leaves intervals that end before t* and
+    intervals that start after it, and no interval of one side overlaps one
+    of the other; so the greedy splits into time-disjoint parts.  Each part
+    is swept once (sort its ends, walk its starts) when it is made, for its
+    peak and the earliest time of that peak, and waits in a heap keyed by
+    (-peak, witness).  Live parts cover disjoint stretches of time, so their
+    witnesses differ and the heap pops exactly the class the greedy picks
+    over all remaining intervals.  A part whose peak is 1 holds pairwise
+    disjoint intervals: it waits, in start order, until every other part is
+    done, and then its intervals become singleton classes.  Typically each
+    level of the split tree sweeps every interval once; the worst case is
+    still O(n * colors): on the staircase [i, i + 1] each class takes two
+    intervals and one side is always empty.
     """
     color = [-1] * len(intervals)
     classes: list[list[int]] = []
     witnesses: list[int] = []
-    remaining = sorted(range(len(intervals)), key=lambda i: intervals[i][0])
-    while remaining:
-        ls = [intervals[i][0] for i in remaining]
-        rs = sorted(intervals[i][1] for i in remaining)
+    parts: list = []  # heap of (-peak, witness, members in start order, cut)
+    runs: list[list[int]] = []  # parts of peak 1
+
+    def add_part(part):
+        if not part:
+            return
+        ls = [intervals[i][0] for i in part]
+        rs = sorted(intervals[i][1] for i in part)
         best = 0
         ended = 0  # intervals ending before the current start time
         for y, l in enumerate(ls):
             while rs[ended] < l:
                 ended += 1
             if y + 1 - ended > best:
-                best, witness = y + 1 - ended, l
+                best, witness, cut = y + 1 - ended, l, y + 1
         if best <= 1:
-            for i in remaining:
+            runs.append(part)
+        else:
+            # part[:cut] starts no later than the witness: no start ties it
+            # past cut, or the count would have risen there
+            heappush(parts, (-best, witness, part, cut))
+
+    add_part(sorted(range(len(intervals)), key=lambda i: intervals[i][0]))
+    while parts:
+        _, witness, part, cut = heappop(parts)
+        members, before = [], []
+        for i in part[:cut]:
+            if intervals[i][1] < witness:
+                before.append(i)
+            else:
                 color[i] = len(classes)
-                classes.append([i])
-                witnesses.append(intervals[i][0])
-            break
-        members = [i for i in remaining[: bisect_right(ls, witness)]
-                   if intervals[i][1] >= witness]
-        for i in members:
-            color[i] = len(classes)
+                members.append(i)
         classes.append(members)
         witnesses.append(witness)
-        remaining = [i for i in remaining if color[i] < 0]
+        add_part(before)
+        add_part(part[cut:])
+    runs.sort(key=lambda run: intervals[run[0]][0])
+    for run in runs:
+        for i in run:
+            color[i] = len(classes)
+            classes.append([i])
+            witnesses.append(intervals[i][0])
     return IntersectingColoring(color, classes, witnesses)
 
 
@@ -162,15 +197,19 @@ def verify_barrier_sequence(coloring: IntersectingColoring,
     """Check the coloring's classes, by witness time, form a barrier sequence.
 
     Interval i is vertex i's, as in ``DijkstraRun.intervals``; every vertex
-    needs a class.  No vertex may be an ancestor of a vertex of the same or an
-    earlier class.  Ranked by (witness, class index), that holds iff the rank
-    rises strictly along every arc of the exploration tree.  Returns None when
-    valid, otherwise ((class_i, u), (class_j, v)) for the first arc v->u, by v
-    and then u, whose rank does not rise: i ranks no later than j.
+    needs a class, and every class a witness.  No vertex may be an ancestor
+    of a vertex of the same or an earlier class.  Ranked by (witness, class
+    index), that holds iff the rank rises strictly along every arc of the
+    exploration tree.  Returns None when valid, otherwise ((class_i, u),
+    (class_j, v)) for the first arc v->u, by v and then u, whose rank does
+    not rise: i ranks no later than j.
     """
     ch = explore.children()
     color = coloring.color
-    if len(color) != len(ch) or min(color) < 0:
+    if len(coloring.witnesses) != len(coloring.classes):
+        raise ContractViolation("classes and witnesses differ in number")
+    if (len(color) != len(ch) or min(color) < 0
+            or max(color) >= len(coloring.classes)):
         raise ContractViolation("a tree vertex has no class")
     rank = [0] * len(coloring.classes)
     order = sorted(range(len(rank)), key=lambda c: coloring.witnesses[c])

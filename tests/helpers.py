@@ -3,7 +3,9 @@
 The oracles (the sorted-replay queue, Bellman-Ford, vertex-deletion
 dominators, the three-pass contraction, brute-force working sets, greedy
 coloring and barrier check, exhaustive linearization counts) recompute an
-answer from its definition.  The structure checkers (``fibonacci_rings``, ``check_workset``,
+answer from its definition; ``rescan_greedy_coloring`` is the greedy
+coloring's plain O(n * colors) reference for inputs too large for the
+brute force.  The structure checkers (``fibonacci_rings``, ``check_workset``,
 ``check_min_keeper``, ``check_tree``) scan a data structure's fields and
 assert its invariants.  Those that read key values do so through
 ``arena.audit_value``, so they need an audit-mode arena and spend no arena
@@ -17,6 +19,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import permutations
 
@@ -24,6 +27,7 @@ from distorder.aux_structures import EMPTY
 from distorder.comparison_optimal import deduplicate, drop_back_edges
 from distorder.graph_core import (Graph, SpanningTree, emit_graph, gen_family,
                                   parse_graph)
+from distorder.optimality_audit import IntersectingColoring
 from distorder.weights import INFINITY
 from distorder.workset_heap import CAPS
 
@@ -520,6 +524,45 @@ def brute_force_greedy_coloring(intervals: list[tuple[int, int]]):
         witnesses.append(witness)
         remaining = [i for i in remaining if color[i] < 0]
     return color, witnesses
+
+
+def rescan_greedy_coloring(intervals: list[tuple[int, int]]):
+    """The greedy coloring, rescanning every remaining interval per color.
+
+    Each round sorts the remaining intervals' ends, walks their starts for
+    the most intervals alive at one start time (the earliest such time is
+    the witness), and gives everything alive at the witness one class; once
+    no two remaining intervals overlap, each becomes its own class, in start
+    order.  O(n * colors); returns an ``IntersectingColoring``.
+    """
+    color = [-1] * len(intervals)
+    classes: list[list[int]] = []
+    witnesses: list[int] = []
+    remaining = sorted(range(len(intervals)), key=lambda i: intervals[i][0])
+    while remaining:
+        ls = [intervals[i][0] for i in remaining]
+        rs = sorted(intervals[i][1] for i in remaining)
+        best = 0
+        ended = 0  # intervals ending before the current start time
+        for y, l in enumerate(ls):
+            while rs[ended] < l:
+                ended += 1
+            if y + 1 - ended > best:
+                best, witness = y + 1 - ended, l
+        if best <= 1:
+            for i in remaining:
+                color[i] = len(classes)
+                classes.append([i])
+                witnesses.append(intervals[i][0])
+            break
+        members = [i for i in remaining[: bisect_right(ls, witness)]
+                   if intervals[i][1] >= witness]
+        for i in members:
+            color[i] = len(classes)
+        classes.append(members)
+        witnesses.append(witness)
+        remaining = [i for i in remaining if color[i] < 0]
+    return IntersectingColoring(color, classes, witnesses)
 
 
 def brute_force_barrier(coloring, tree: SpanningTree) -> bool:

@@ -21,7 +21,7 @@ from distorder.optimality_audit import (IntersectingColoring,
 
 from helpers import (brute_force_barrier, brute_force_greedy_coloring,
                      brute_force_working_sets, count_linearizations_exhaustive,
-                     random_interval_set)
+                     random_interval_set, rescan_greedy_coloring)
 
 
 def test_import_does_not_load_numpy():
@@ -110,6 +110,38 @@ class TestGreedy:
                        key=lambda i: ivs[i][0])
                 for k in range(len(col.classes))]
 
+    def test_matches_rescan(self):
+        def tied(rng, n, span):
+            out = []
+            for _ in range(n):
+                l = rng.randrange(span)
+                out.append((l, l + rng.randrange(span // 2 + 1)))
+            return out
+
+        def check(ivs):
+            col, ref = greedy_coloring(ivs), rescan_greedy_coloring(ivs)
+            assert (col.color, col.classes, col.witnesses) == (
+                ref.color, ref.classes, ref.witnesses)
+
+        rng = random.Random(28)
+        for _ in range(500):
+            check(tied(rng, rng.randrange(1, 80), rng.choice((4, 20, 200))))
+        for _ in range(100):
+            # time-disjoint pieces, their interval indices interleaved
+            ivs, offset = [], 0
+            for _ in range(rng.randrange(1, 6)):
+                piece = tied(rng, rng.randrange(1, 30), rng.choice((4, 20)))
+                ivs += [(l + offset, r + offset) for l, r in piece]
+                offset = max(r for _, r in ivs) + rng.randrange(1, 3)
+            rng.shuffle(ivs)
+            check(ivs)
+        for n in (1, 2, 3, 10, 101):
+            check([(i, i + 1) for i in range(n)])
+            check([(i, i + 1) for i in range(n)][::-1])
+        for g in (gen_family("random_digraph", 2000, seed=0),
+                  gen_broom(44, 44 * 44 - 44 - 1)):
+            check(run_dijkstra(g, "workset").intervals)
+
     def test_energy_examples(self):
         ivs = [(1, 10), (2, 11), (3, 12), (4, 13)]
         col = greedy_coloring(ivs)
@@ -146,6 +178,19 @@ class TestBarriers:
         for col in (IntersectingColoring([0, -1, 1], [[0], [2]], [0, 1]),
                     IntersectingColoring([0, 1], [[0], [1]], [0, 1])):
             with pytest.raises(ContractViolation, match="no class"):
+                verify_barrier_sequence(col, star)
+
+    def test_refuses_a_class_past_the_end(self):
+        star = SpanningTree([-1, 0, 0], 0)
+        col = IntersectingColoring([0, 5, 0], [[0, 2]], [1])
+        with pytest.raises(ContractViolation, match="no class"):
+            verify_barrier_sequence(col, star)
+
+    def test_refuses_classes_and_witnesses_of_different_number(self):
+        star = SpanningTree([-1, 0, 0], 0)
+        for witnesses in ([0], [0, 1, 2]):
+            col = IntersectingColoring([0, 1, 1], [[0], [1, 2]], witnesses)
+            with pytest.raises(ContractViolation, match="witnesses"):
                 verify_barrier_sequence(col, star)
 
     def test_matches_brute_force_on_random_trees(self):

@@ -15,8 +15,9 @@ parallel arcs, ``NESTED_GROUP_TEXT`` and the n = 2000 chain multigraph of
 seed 1, each with an input group nested in a core group.  Each graph runs
 Dijkstra on all four queues and the pipeline in a plain and an audit-mode
 arena.  The heap-churn trace is also replayed on all four queues at both
-seeds.  Each graph's plain working-set run also feeds one case of the tree
-audits, for 503 cases in all.  Every case records comparisons; all but the
+seeds, and each of its three audited windows is one interval-only case.
+Each graph's plain working-set run also feeds one case of the tree
+audits, for 509 cases in all.  Every case records comparisons; all but the
 tree audits record additions.  Dijkstra runs add ``extract_comparisons``,
 the linearization, both trees' parents, ``sssp_arcs``, the intervals and
 (audit runs) the exact distances; pipeline runs add ``lazy_spend``, the
@@ -29,7 +30,9 @@ layout shows.  A tree-audit case records ``tree_dp_linearize`` on the
 shortest-path tree (its order and its comparisons),
 ``tree_log_linearizations`` of the exploration tree, the
 ``greedy_coloring`` of the intervals (classes and witnesses) and what
-``verify_barrier_sequence`` says of it.
+``verify_barrier_sequence`` says of it.  A churn-window case records
+``working_set_sizes`` and the ``greedy_coloring`` (classes and witnesses)
+of the window's intervals.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ from distorder.dijkstra import HEAP_KINDS  # noqa: E402
 from distorder.graph_core import forward_edges  # noqa: E402
 from distorder.optimality_audit import (greedy_coloring,  # noqa: E402
                                         tree_log_linearizations,
-                                        verify_barrier_sequence)
+                                        verify_barrier_sequence,
+                                        working_set_sizes)
 from helpers import (NESTED_GROUP_TEXT, chain_multigraph_text,  # noqa: E402
                      multi_graph, prime_denominator_graph)
 from workloads import QUEUES, make_inputs, replay  # noqa: E402
@@ -170,6 +174,13 @@ def main():
             }
             if kind == "workset":
                 case["rank_extracts"] = q.rank_extracts
+        for k, intervals in enumerate(trace.windows):
+            coloring = greedy_coloring(intervals)
+            cases[f"churn-window-s{seed}/{k}"] = {
+                "working_set_sizes": working_set_sizes(intervals),
+                "classes": coloring.classes,
+                "witnesses": coloring.witnesses,
+            }
     json.dump(cases, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
     print(len(cases), "cases", file=sys.stderr)
