@@ -12,7 +12,8 @@
   list: it never holds more than a handful of entries, and a run of equal
   suffix minima is a stretch of equal indices in it.  The heap's carries and
   fuses move whole entries between ranks, so L is shifted or collapsed
-  along with M instead of recomputed, and S's witnesses settle for free
+  along with M instead of recomputed (a carry into the top is a fuse
+  followed by a one-slot grow), and S's witnesses settle for free
   which of two adjacent ranks' minima comes first (:meth:`MinKeeper.order`).
 * :class:`IntervalMap` stores right-open, pairwise non-overlapping integer
   intervals with attached payloads and answers point queries by bisection.
@@ -134,7 +135,8 @@ class MinKeeper:
     already comes first it compares with the top alone and marks L[j..i]
     stale instead of walking.  ``set_entry`` below T - 1 rebuilds positions
     i..0 at one each, the top standing in for L while it stays ahead.
-    ``shift`` pays one and ``collapse`` and ``clear_first`` none.
+    ``shift`` pays one and ``collapse`` and ``clear_first`` none; a carry
+    into the top is a ``collapse`` followed by a one-slot grow.
     ``set_entry`` at the top refreshes each stale position at one, then
     compares the top with L's runs from position 0 until it beats one; at
     T - 1 it rebuilds all of L (T - 1) and then does the same.  Only those
@@ -371,14 +373,19 @@ class MinKeeper:
         This is a carry landing at rank r: each old M[i] for i < r - 1 moves
         up one slot, and ``top`` must be the lesser of the old M[r-1] and
         M[r] (just the old M[r-1] when M[r] is absent, which extends M).
-        L[1 : r+1] is then the old L[0 : r] with its indices remapped (old
-        r - 1 and r now share slot r); a carry into the top turns the
-        witnesses T - 1 into the top instead.  Only position 0, the entry
-        against S[1], costs a comparison, free when either side is +inf.
+        Below the top, L[1 : r+1] is then the old L[0 : r] with its indices
+        remapped (old r - 1 and r now share slot r).  A carry into the top
+        is a fuse of M[T-1] into the top (``collapse``) followed by a
+        one-slot grow.  Only position 0, the entry against S[1], costs a
+        comparison, free when either side is +inf.
         """
         m = self._m
         l = self._l
         T = len(l)
+        if r == T:
+            # pops M's and L's last slots in place; r is then a grow
+            self.collapse(T - 1, top)
+            T -= 1
         j = self._j
         m[: r + 1] = [entry, *m[: r - 1], top]
         if r < T:
@@ -397,20 +404,6 @@ class MinKeeper:
                     stale = (stale & ((1 << r) - 1)) << 1 | stale >> (r + 1) << (r + 1)
                     self._stale = stale & ((1 << (T - 1)) - 1)
                     l[T - 1] = T - 1
-        elif r == T:
-            # the old M[T-1] melds into the top, so S's witnesses T - 1 and
-            # T become the top: the top region grows down to b + 1
-            b = j
-            while b and l[b - 1] == T - 1:
-                b -= 1
-            stale = self._stale
-            for k in range(b, T - 1):
-                if l[k] == T - 1:
-                    stale |= 1 << k
-            l[1:] = [w + 1 for w in l[:-1]]
-            l[T - 1] = T - 1
-            self._stale = (stale << 1) & ((1 << (T - 1)) - 1)
-            j = b + 1
         else:
             # M grows by one slot and the top keeps its entry
             self._l = l = [0, *[w + 1 for w in l]]

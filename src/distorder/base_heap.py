@@ -268,7 +268,6 @@ class FibonacciHeap:
             if c < 0 or (c == 0 and vertex[nid] < vertex[p]):
                 key[nid] = new_key
                 self._cut(nid, p)
-                self._cascading_cut(p)
                 m = self.min
                 c = compare(new_key, key[m])
                 if c < 0 or (c == 0 and vertex[nid] < vertex[m]):
@@ -286,39 +285,37 @@ class FibonacciHeap:
         key[nid] = new_key
 
     def _cut(self, nid: int, p: int) -> None:
+        """Cut nid from p to the roots, then cascade up the marked parents."""
         pool = self.pool
-        left, right, child, degm = pool.left, pool.right, pool.child, pool.degm
-        # remove nid from p's child ring
-        ln, rn = left[nid], right[nid]
-        if rn == nid:
-            child[p] = _NIL
-        else:
-            right[ln] = rn
-            left[rn] = ln
-            if child[p] == nid:
-                child[p] = rn
-        degm[p] -= 2  # degree -= 1
-        pool.parent[nid] = _NIL
-        degm[nid] &= ~1
-        # splice into root ring next to min
+        parent, left, right = pool.parent, pool.left, pool.right
+        child, degm = pool.child, pool.degm
         m = self.min
-        lm = left[m]
-        right[lm] = nid
-        left[nid] = lm
-        right[nid] = m
-        left[m] = nid
-
-    def _cascading_cut(self, nid: int) -> None:
-        pool = self.pool
         while True:
-            p = pool.parent[nid]
+            # remove nid from p's child ring
+            ln, rn = left[nid], right[nid]
+            if rn == nid:
+                child[p] = _NIL
+            else:
+                right[ln] = rn
+                left[rn] = ln
+                if child[p] == nid:
+                    child[p] = rn
+            degm[p] -= 2  # degree -= 1
+            parent[nid] = _NIL
+            degm[nid] &= ~1
+            # splice into root ring next to min
+            lm = left[m]
+            right[lm] = nid
+            left[nid] = lm
+            right[nid] = m
+            left[m] = nid
+            nid = p
+            p = parent[nid]
             if p == _NIL:
                 return
-            if not pool.degm[nid] & 1:
-                pool.degm[nid] |= 1
+            if not degm[nid] & 1:
+                degm[nid] |= 1
                 return
-            self._cut(nid, p)
-            nid = p
 
 
 class FibonacciQueue:

@@ -372,61 +372,43 @@ def hwang_lin_merge(arena: WeightArena, a: list[int], b: list[int],
                     dist: list[int]) -> list[int]:
     """Merge two distance-sorted vertex lists with few comparisons.
 
-    Binary merging: probe the longer list at a power-of-two offset from its
-    top, swallow the whole block when it clears the shorter list's top,
-    otherwise binary-insert.  Uses at most 2 log2 C(|a|+|b|, min) comparisons.
-    Ties place elements of ``a`` first.
+    Binary merging, from the tops down.  Each step names the shorter
+    remaining list x (``a`` when they are as long) and the longer list y,
+    and probes y at the power-of-two offset 2^t below its top, t =
+    floor(log2(|y| / |x|)).  When x's top comes first the whole block of y
+    from the probe up goes out; otherwise a binary search of that block
+    places x's top.  Ties place elements of ``a`` first, so x's top comes
+    first iff ``compare(x_top, y_probe) < lim``, with ``lim`` 1 when x is
+    ``a`` and 0 when x is ``b``.  Uses at most 2 log2 C(|a|+|b|, min)
+    comparisons.
     """
     compare = arena.compare
-    i = len(a) - 1
-    j = len(b) - 1
-    out: list[int] = []
-    while i >= 0 and j >= 0:
-        m = i + 1
-        n = j + 1
-        if m <= n:
-            t = (n // m).bit_length() - 1
-            probe = j - (1 << t) + 1
-            if compare(dist[a[i]], dist[b[probe]]) <= 0:
-                # the whole block b[probe..j] goes after a[i] in the order
-                out.extend(b[probe : j + 1][::-1])
-                j = probe - 1
-            else:
-                lo, hi = probe, j  # largest q with b[q] < a[i], b[probe] < a[i]
-                while lo < hi:
-                    mid = (lo + hi + 1) >> 1
-                    if compare(dist[b[mid]], dist[a[i]]) < 0:
-                        lo = mid
-                    else:
-                        hi = mid - 1
-                out.extend(b[lo + 1 : j + 1][::-1])
-                out.append(a[i])
-                j = lo
-                i -= 1
+    x, xi, y, yi, lim = a, len(a) - 1, b, len(b) - 1, 1
+    out: list[int] = []  # the merged tops, largest first
+    while xi >= 0 and yi >= 0:
+        if xi - lim >= yi:  # keep x the shorter list, and a on equal lengths
+            x, xi, y, yi, lim = y, yi, x, xi, 1 - lim
+        t = ((yi + 1) // (xi + 1)).bit_length() - 1
+        probe = yi - (1 << t) + 1
+        top = dist[x[xi]]
+        if compare(top, dist[y[probe]]) < lim:
+            # the whole block y[probe..yi] goes after x's top in the order
+            out.extend(y[probe : yi + 1][::-1])
+            yi = probe - 1
         else:
-            t = (m // n).bit_length() - 1
-            probe = i - (1 << t) + 1
-            if compare(dist[b[j]], dist[a[probe]]) < 0:
-                out.extend(a[probe : i + 1][::-1])
-                i = probe - 1
-            else:
-                lo, hi = probe, i  # largest q with a[q] <= b[j]
-                while lo < hi:
-                    mid = (lo + hi + 1) >> 1
-                    if compare(dist[a[mid]], dist[b[j]]) <= 0:
-                        lo = mid
-                    else:
-                        hi = mid - 1
-                out.extend(a[lo + 1 : i + 1][::-1])
-                out.append(b[j])
-                i = lo
-                j -= 1
-    if i >= 0:
-        out.extend(a[i::-1])
-    if j >= 0:
-        out.extend(b[j::-1])
+            lo, hi = probe, yi  # the last q whose y[q] comes before x's top
+            while lo < hi:
+                mid = (lo + hi + 1) >> 1
+                if compare(dist[y[mid]], top) < 1 - lim:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            out.extend(y[lo + 1 : yi + 1][::-1])
+            out.append(x[xi])
+            yi = lo
+            xi -= 1
     out.reverse()
-    return out
+    return x[: xi + 1] + y[: yi + 1] + out
 
 
 def tree_distances(g: Graph, chains: list[list[int]], arc_of: list[int],

@@ -326,8 +326,6 @@ def gen_family(kind: str, n: int, seed: int = 0, audit: bool = False) -> Graph:
                 values.append(rng.randrange(1, 1 << 20))
     else:
         raise UsageError(f"unknown family {kind!r}")
-    if not pairs:  # n == 1
-        return _build(1, True, 0, [], [], audit=audit)
     return _build(n, True, 0, pairs, values, audit=audit)
 
 

@@ -237,7 +237,11 @@ def tree_log_linearizations(tree: SpanningTree) -> float:
 
 
 def bfs_layers(g: Graph) -> list[list[int]]:
-    """Vertices grouped by unweighted distance from the source."""
+    """Vertices grouped by unweighted distance from the source.
+
+    Raises :class:`ContractViolation` naming the first vertex the source
+    does not reach.
+    """
     from collections import deque
 
     dist = [-1] * g.n
@@ -251,6 +255,9 @@ def bfs_layers(g: Graph) -> list[list[int]]:
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 dq.append(v)
+    if -1 in dist:
+        raise ContractViolation(
+            f"vertex {dist.index(-1)} unreachable from source {g.s}")
     depth = max(dist)
     layers: list[list[int]] = [[] for _ in range(depth + 1)]
     for v, d in enumerate(dist):

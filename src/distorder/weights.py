@@ -264,8 +264,6 @@ class WeightArena:
 
     def _load(self, cell):
         m = self._mask
-        if not m:
-            return cell
         if isinstance(cell, int):
             return cell ^ m
         num, den = cell

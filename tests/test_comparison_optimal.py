@@ -454,6 +454,17 @@ class TestHwangLin:
     def test_ties_keep_first_list_first(self):
         out, vals, cmp = self.merge([5, 5], [5, 5, 5])
         assert out == [0, 1, 2, 3, 4]  # both a's precede every equal b
+        out, vals, cmp = self.merge([5, 5, 5], [5, 5])
+        assert out == [0, 1, 2, 3, 4]  # and so they do when a is the longer
+        rng = random.Random(29)
+        for _ in range(2000):
+            # few distinct values, so most comparisons tie
+            avals = sorted(rng.randrange(3) for _ in range(rng.randrange(12)))
+            bvals = sorted(rng.randrange(3) for _ in range(rng.randrange(12)))
+            out, vals, cmp = self.merge(avals, bvals)
+            # a stable sort of a + b is the reference merge: a first on ties
+            ids = range(len(avals) + len(bvals))
+            assert out == sorted(ids, key=(avals + bvals).__getitem__)
 
 
 class TestTreeDP:

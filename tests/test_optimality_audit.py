@@ -10,7 +10,7 @@ import pytest
 import distorder
 from distorder.dijkstra import run_dijkstra
 from distorder.errors import ContractViolation
-from distorder.graph_core import SpanningTree, gen_broom, gen_family
+from distorder.graph_core import Graph, SpanningTree, gen_broom, gen_family
 from distorder.optimality_audit import (IntersectingColoring,
                                         bfs_layer_bound, bfs_layers,
                                         bound_report, cost, energy,
@@ -18,6 +18,7 @@ from distorder.optimality_audit import (IntersectingColoring,
                                         tree_log_linearizations,
                                         verify_barrier_sequence,
                                         working_set_sizes)
+from distorder.weights import WeightArena
 
 from helpers import (brute_force_barrier, brute_force_greedy_coloring,
                      brute_force_working_sets, count_linearizations_exhaustive,
@@ -288,6 +289,18 @@ class TestBfsBound:
         got = bfs_layer_bound(g)
         assert abs(got - want) < 1e-12
         assert got >= t * math.log2(t)  # the leaf layer dominates
+
+    def test_refuses_a_vertex_the_source_misses(self):
+        arena = WeightArena()
+        g = Graph(4, True, 0, arena, [0, 0], [1, 2], arena.intern_many([1, 1]))
+        with pytest.raises(ContractViolation, match="vertex 3 unreachable"):
+            bfs_layers(g)
+        with pytest.raises(ContractViolation, match="vertex 3 unreachable"):
+            bfs_layer_bound(g)
+        # the first vertex missed is named, not the last
+        g = Graph(5, True, 0, arena, [0, 0], [2, 4], arena.intern_many([1, 1]))
+        with pytest.raises(ContractViolation, match="vertex 1 unreachable"):
+            bfs_layers(g)
 
 
 class TestBoundReport:

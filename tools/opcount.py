@@ -17,16 +17,20 @@ each graph perfbench audits, after that graph's working-set run; on
 heap-churn a queue target replays the churn trace on a fresh queue,
 ``pipeline`` runs on the trace's star and ``audit`` runs perfbench's
 ``interval_audit`` on each window.  Parsing, interning and the audited
-working-set runs stay outside the count.  The output lists the total
-and the functions with the most instructions.  Counts depend on the
-CPython version (these are for the interpreter that runs the script) but
-not on the machine or its load, so two checkouts are compared by running
-the script in each with the same interpreter.
+working-set runs stay outside the count.  The output lists the total, its
+split by instruction class (calls, tuple and list builds, attribute loads
+and stores, subscripts and slices, everything else; each instruction's
+opcode is read from ``co_code`` at ``f_lasti``) and the functions with the
+most instructions.  Counts depend on the CPython version (these are for
+the interpreter that runs the script) but not on the machine or its load,
+so two checkouts are compared by running the script in each with the same
+interpreter.
 """
 
 from __future__ import annotations
 
 import argparse
+import dis
 import os
 import sys
 from collections import Counter
@@ -41,6 +45,16 @@ from workloads import QUEUES, interval_audit, make_inputs, replay  # noqa: E402
 WORKLOADS = ("random-sparse", "broom-dense", "heap-churn")
 TARGETS = tuple(QUEUES) + ("pipeline", "audit")
 TOP = 20  # functions listed under the total
+CLASSES = {  # instruction class -> opcode names, across CPython versions
+    "calls": ("CALL", "CALL_FUNCTION", "CALL_METHOD", "CALL_FUNCTION_KW",
+              "CALL_FUNCTION_EX", "CALL_KW"),
+    "builds": ("BUILD_TUPLE", "BUILD_LIST"),
+    "attributes": ("LOAD_ATTR", "LOAD_METHOD", "STORE_ATTR", "DELETE_ATTR"),
+    "subscripts": ("BINARY_SUBSCR", "STORE_SUBSCR", "DELETE_SUBSCR",
+                   "BINARY_SLICE", "STORE_SLICE"),
+}
+CLASS_OF = {dis.opmap[name]: cls for cls, names in CLASSES.items()
+            for name in names if name in dis.opmap}
 
 
 def parse_args(argv):
@@ -83,9 +97,10 @@ def calls(inputs, workload: str, target: str):
     return out
 
 
-def count_opcodes(fns) -> Counter:
-    """Executed instructions per function over the calls in ``fns``."""
-    cells: dict = {}
+def count_opcodes(fns) -> tuple[Counter, Counter]:
+    """Executed instructions over the calls in ``fns``, per function and per
+    instruction class (``CLASSES``, "other" for the rest)."""
+    cells: dict = {}  # code -> executions of the instruction at each offset
 
     def on_call(frame, event, arg):
         frame.f_trace_opcodes = True
@@ -93,11 +108,11 @@ def count_opcodes(fns) -> Counter:
         code = frame.f_code
         cell = cells.get(code)
         if cell is None:
-            cell = cells[code] = [0]
+            cell = cells[code] = [0] * len(code.co_code)
 
         def on_event(frame, event, arg):
             if event == "opcode":
-                cell[0] += 1
+                cell[frame.f_lasti] += 1
             return on_event
 
         return on_event
@@ -109,20 +124,27 @@ def count_opcodes(fns) -> Counter:
         finally:
             sys.settrace(None)
     counts: Counter = Counter()
-    for code, (n,) in cells.items():
+    classes: Counter = Counter()
+    for code, cell in cells.items():
         name = getattr(code, "co_qualname", code.co_name)
         path = os.path.relpath(code.co_filename, ROOT)
-        counts[f"{path}:{name}"] += n
-    return counts
+        counts[f"{path}:{name}"] += sum(cell)
+        ops = code.co_code
+        for off, n in enumerate(cell):
+            if n:
+                classes[CLASS_OF.get(ops[off], "other")] += n
+    return counts, classes
 
 
 def main(argv) -> int:
     args = parse_args(argv)
     inputs = make_inputs(args.workload, args.seed)
-    counts = count_opcodes(fn for _arena, fn in calls(inputs, args.workload,
-                                                        args.target))
+    counts, classes = count_opcodes(
+        fn for _arena, fn in calls(inputs, args.workload, args.target))
     total = sum(counts.values())
     print(f"{args.workload} seed {args.seed} {args.target}: {total:,} instructions")
+    print("  " + ", ".join(f"{cls} {classes[cls]:,}"
+                           for cls in (*CLASSES, "other")))
     for name, n in counts.most_common(TOP):
         print(f"{n:>12,}  {100 * n / total:5.1f}%  {name}")
     return 0
