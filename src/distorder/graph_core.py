@@ -148,7 +148,9 @@ def parse_graph(text: str, audit: bool = False) -> Graph:
             raise GraphParseError(lineno, f"bad edge line: {exc}") from None
         if not (0 <= u < n and 0 <= v < n):
             raise GraphParseError(lineno, f"vertex out of range in {ln!r}")
-        if w <= 0:
+        # a Fraction's sign is its numerator's; a Fraction compared with an
+        # int would dispatch through the numbers.Rational ABC
+        if (w if type(w) is int else w.numerator) <= 0:
             raise GraphParseError(lineno, f"weight {w} is not positive")
         pairs.append((u, v))
         values.append(w)

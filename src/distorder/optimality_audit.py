@@ -5,7 +5,7 @@ insert and extract events.  The working set of interval x at time t collects
 the intervals that start no earlier than x and contain t; its maximum size
 |W_x| prices x's extraction at log2 |W_x| comparisons.  This module computes:
 
-* working-set sizes (one segment-tree sweep, O(n log n)),
+* working-set sizes (one sweep with a Fenwick tree, O(n log n)),
 * cost(I) = sum of log2 |W_x|,
 * the greedy intersecting coloring, whose energy 2 * sum c_i log2 c_i is a
   certified lower bound on cost(I); each class splits what remains into
@@ -34,62 +34,80 @@ from .graph_core import Graph, SpanningTree, forward_edges
 _EPS = 1e-7
 
 
+def _check_intervals(intervals: list[tuple[int, int]]) -> None:
+    """Raise :class:`ContractViolation` at the first interval with r < l."""
+    for i, (l, r) in enumerate(intervals):
+        if r < l:
+            raise ContractViolation(
+                f"interval {i} ends before it starts: ({l}, {r})")
+
+
 def working_set_sizes(intervals: list[tuple[int, int]]) -> list[int]:
     """|W_x| for every interval, by one O(n log n) sweep over its events.
 
-    Slots number the intervals in start order, and inserts arrive in slot
-    order.  While x is alive, |W_{x,t}| is the number of live intervals in
-    slots at or after x's, so the insert or extract of slot s adds +1 or -1
-    to every slot in [0, s], and |W_x| is the highest value x's slot holds
-    before x closes.  A segment tree over the slots keeps that historic
-    maximum with lazy (add, highest prefix sum of the adds) tags, pushed down
-    along the one root-to-leaf path each event walks.  Intervals are closed:
-    at equal times inserts come before extracts.
+    Slots number the intervals from 1 in start order (ties by index), and
+    inserts arrive in slot order.  While x is live, cur(x) counts the live
+    slots at or after x's, |W_x| = peak(x) is the most cur(x) has been, and
+    slack(x) = peak(x) - cur(x).  Two facts carry the sweep:
+
+    * at an extract no live peak changes: extracting y lowers cur and raises
+      slack by 1 for each older live x, and leaves newer ones alone;
+    * at an insert the peaks that rise form a suffix: along the live slots,
+      oldest to newest, slack never increases, and the insert raises cur
+      for every live slot, hence the peak exactly of those of slack 0.
+
+    Each slot j keeps a count c[j] such that the slack of every live x is
+    the sum of c over the slots at or after x's, live or not.  Extracting y
+    adds 1 to c[y]: y is dead from then on, and only the older live slots
+    sum over it.  Let b be the newest slot of positive c (0 if none; a
+    positive c is always a dead slot's).  The live slots after b have slack
+    0 and the others positive slack, so an insert takes 1 from c[b] and
+    records "+1 from slot b + 1 on" in a Fenwick tree (in one counter when
+    b is 0).  A heap holds every slot whose c may be positive; b is its top
+    once the zeros are popped.  At slot y the adds sum to one per older
+    slot, one for y's own insert and one per rise of y's peak, so |W_y| is
+    that prefix sum less y, plus 1, read when y is extracted.  Intervals
+    are closed: at equal times inserts come before extracts, so only the
+    ends are sorted, and every start at or before an end is inserted ahead
+    of it.  Raises :class:`ContractViolation` at the first interval that
+    ends before it starts.
     """
+    _check_intervals(intervals)
     n = len(intervals)
-    if n == 0:
-        return []
-    order = sorted(range(n), key=lambda i: intervals[i][0])
-    events = []  # (time, is_extract, slot)
-    for slot, i in enumerate(order):
-        l, r = intervals[i]
-        events.append((l, 0, slot))
-        events.append((r, 1, slot))
-    events.sort()
-    depth = (n - 1).bit_length()
-    add = [0] * (2 << depth)   # pending add of each node
-    peak = [0] * (2 << depth)  # highest prefix sum of the pending adds
-    shifts = range(depth - 1, -1, -1)
+    ls = [l for l, _ in intervals]
+    order = sorted(range(n), key=ls.__getitem__)
+    starts = [ls[i] for i in order]
+    starts.append(math.inf)
+    ends = sorted([(intervals[i][1], y) for y, i in enumerate(order, 1)])
+    tree = [0] * (n + 1)  # Fenwick tree of the "+1 from slot b + 1 on" adds
+    c = [0] * (n + 1)  # index 0 unused, as in tree
+    cand: list[int] = []  # heap of -j, for the slots j whose c may be positive
     out = [0] * n
-    for _t, is_extract, slot in events:
-        d = -1 if is_extract else 1
-        node = 1
-        for shift in shifts:
-            left = 2 * node
-            a = add[node]
-            h = peak[node]
-            if a or h:
-                add[node] = peak[node] = 0
-                for c in (left, left + 1):
-                    v = add[c]
-                    if v + h > peak[c]:
-                        peak[c] = v + h
-                    add[c] = v + a
-            if slot >> shift & 1:
-                # the whole left child lies inside [0, slot]
-                v = add[left] + d
-                add[left] = v
-                if v > peak[left]:
-                    peak[left] = v
-                node = left + 1
+    everyone = 1  # the adds from slot 1 on, plus the 1 of |W_y|
+    inserted = 0
+    for r, y in ends:
+        while starts[inserted] <= r:
+            inserted += 1
+            while cand and not c[-cand[0]]:
+                heappop(cand)
+            if cand:
+                b = -cand[0]
+                c[b] -= 1
+                i = b + 1
+                while i <= n:
+                    tree[i] += 1
+                    i += i & -i
             else:
-                node = left
-        if is_extract:
-            out[order[slot]] = peak[node]
-        v = add[node] + d
-        add[node] = v
-        if v > peak[node]:
-            peak[node] = v
+                everyone += 1
+        s = everyone
+        i = y
+        while i:
+            s += tree[i]
+            i &= i - 1
+        out[order[y - 1]] = s - y
+        if not c[y]:
+            heappush(cand, -y)
+        c[y] += 1
     return out
 
 
@@ -123,7 +141,9 @@ def greedy_coloring(intervals: list[tuple[int, int]]) -> IntersectingColoring:
     interval alive at the earliest time t* of that maximum; t* is the
     witness, and the class is everything alive at t*.  Once no two remaining
     intervals overlap, each becomes its own class.  The returned coloring
-    always satisfies energy(C) >= cost(I).
+    always satisfies energy(C) >= cost(I).  Raises
+    :class:`ContractViolation` at the first interval that ends before it
+    starts.
 
     Removing the class at t* leaves intervals that end before t* and
     intervals that start after it, and no interval of one side overlaps one
@@ -139,6 +159,7 @@ def greedy_coloring(intervals: list[tuple[int, int]]) -> IntersectingColoring:
     still O(n * colors): on the staircase [i, i + 1] each class takes two
     intervals and one side is always empty.
     """
+    _check_intervals(intervals)
     color = [-1] * len(intervals)
     classes: list[list[int]] = []
     witnesses: list[int] = []

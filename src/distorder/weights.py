@@ -40,6 +40,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 
 from .errors import ContractViolation
 
@@ -58,6 +59,8 @@ _arena_serial = itertools.count(1)
 # The common denominator never passes this; an arena that would need a larger
 # one stores unscaled values instead.
 _DEN_LIMIT = 1 << 64
+
+_numerator = attrgetter("numerator")
 
 
 def _exact(value):
@@ -110,9 +113,11 @@ class WeightArena:
         batch leaves the arena as it was.
         """
         vals = [v if type(v) is int else _exact(v) for v in values]
-        if vals and min(vals) < 0:
-            raise ContractViolation("weights must be nonnegative")
         dens = {v.denominator for v in vals if type(v) is not int}
+        # with Fractions in the batch, read signs off the numerators: a
+        # Fraction compared with an int dispatches through numbers.Rational
+        if vals and min(map(_numerator, vals) if dens else vals) < 0:
+            raise ContractViolation("weights must be nonnegative")
         d = self._den
         if dens and not self._unscaled:
             for q in dens:

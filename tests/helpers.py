@@ -3,9 +3,12 @@
 The oracles (the sorted-replay queue, Bellman-Ford, vertex-deletion
 dominators, the three-pass contraction, brute-force working sets, greedy
 coloring and barrier check, exhaustive linearization counts) recompute an
-answer from its definition; ``rescan_greedy_coloring`` is the greedy
-coloring's plain O(n * colors) reference for inputs too large for the
-brute force.  The structure checkers (``fibonacci_rings``, ``check_workset``,
+answer from its definition; ``segment_tree_working_sets`` (a lazy segment
+tree) and ``rescan_greedy_coloring`` (O(n * colors)) are plain references
+for the working sets and the greedy coloring on inputs too large for the
+brute force.  The trace drivers (``run_workset_trace``, ``drive_pattern``)
+run a working-set heap through seeded operation sequences.  The structure
+checkers (``fibonacci_rings``, ``check_workset``,
 ``check_min_keeper``, ``check_tree``) scan a data structure's fields and
 assert its invariants.  Those that read key values do so through
 ``arena.audit_value``, so they need an audit-mode arena and spend no arena
@@ -28,8 +31,8 @@ from distorder.comparison_optimal import deduplicate, drop_back_edges
 from distorder.graph_core import (Graph, SpanningTree, emit_graph, gen_family,
                                   parse_graph)
 from distorder.optimality_audit import IntersectingColoring
-from distorder.weights import INFINITY
-from distorder.workset_heap import CAPS
+from distorder.weights import INFINITY, WeightArena
+from distorder.workset_heap import CAPS, WorkSetHeap
 
 
 class SortedReplayOracle:
@@ -475,6 +478,87 @@ def run_workset_trace(arena, heap, rng: random.Random, n_ops: int,
     return out, expect
 
 
+def drive_pattern(pattern: str, n_ops: int, seed: int):
+    """Run one patterned trace; returns (heap, intervals, extracted).
+
+    ``intervals`` are (insert event, extract event) pairs per element (still
+    live elements get closing times past the end), ``extracted`` is a list of
+    (element, rank at extraction).
+    """
+    rng = random.Random(seed)
+    arena = WeightArena()
+    heap = WorkSetHeap(arena)
+    intervals: list = []
+    extracted: list[tuple[int, int]] = []
+    events = 0
+    half = n_ops // 2
+
+    def ins(key, ident):
+        nonlocal events
+        heap.insert(arena.intern(key), ident)
+        events += 1
+        intervals.append((events, None))
+
+    def ext():
+        nonlocal events
+        r = heap._M.find_min()  # the rank the extract takes from
+        _k, got = heap.extract_min()
+        events += 1
+        intervals[got] = (intervals[got][0], events)
+        extracted.append((got, r))
+
+    if pattern == "random":
+        live = {}
+        for i in range(n_ops):
+            roll = rng.random()
+            if roll < 0.45 or not live:
+                ident = len(intervals)
+                v = rng.randrange(1 << 40)
+                tok = heap.insert(arena.intern(v), ident)
+                events += 1
+                intervals.append((events, None))
+                live[ident] = (tok, v)
+            elif roll < 0.85:
+                r = heap._M.find_min()
+                _k, got = heap.extract_min()
+                events += 1
+                intervals[got] = (intervals[got][0], events)
+                extracted.append((got, r))
+                del live[got]
+            else:
+                # decreases keep the extraction accounting honest but do not
+                # enter the working-set definition
+                ident = next(iter(live))
+                tok, v = live[ident]
+                nv = max(0, v - rng.randrange(1 << 30))
+                heap.decrease_key(tok, arena.intern(nv))
+                live[ident] = (tok, nv)
+    elif pattern == "sorted":
+        for i in range(half):
+            ins(i + 1, i)
+        for _ in range(half):
+            ext()
+    elif pattern == "reverse":
+        for i in range(half):
+            ins((1 << 40) - i, i)
+        for _ in range(half):
+            ext()
+    elif pattern == "lifo":
+        base = 1 << 40
+        ins(base, 0)
+        for i in range(1, half):
+            ins(base - i, len(intervals))
+            ext()
+        ext()
+    else:
+        raise AssertionError(pattern)
+
+    for i, (l, r) in enumerate(intervals):
+        if r is None:
+            intervals[i] = (l, events + 1 + i)
+    return heap, intervals, extracted
+
+
 def brute_force_working_sets(intervals: list[tuple[int, int]]) -> list[int]:
     """|W_x| per interval by trying every event time.  For small inputs only."""
     out = []
@@ -486,6 +570,65 @@ def brute_force_working_sets(intervals: list[tuple[int, int]]) -> list[int]:
                 cnt = sum(1 for (ly, ry) in intervals if lx <= ly <= t <= ry)
                 best = max(best, cnt)
         out.append(best)
+    return out
+
+
+def segment_tree_working_sets(intervals: list[tuple[int, int]]) -> list[int]:
+    """|W_x| per interval by a lazy segment tree over the slots.  O(n log n).
+
+    Slots number the intervals in start order (ties by index), and inserts
+    arrive in slot order.  While x is alive, |W_{x,t}| is the number of live
+    intervals in slots at or after x's, so the insert or extract of slot s
+    adds +1 or -1 to every slot in [0, s], and |W_x| is the highest value
+    x's slot holds before x closes.  The tree keeps that historic maximum
+    with lazy (add, highest prefix sum of the adds) tags, pushed down along
+    the one root-to-leaf path each event walks.  Intervals are closed: at
+    equal times inserts come before extracts.
+    """
+    n = len(intervals)
+    if n == 0:
+        return []
+    order = sorted(range(n), key=lambda i: intervals[i][0])
+    events = []  # (time, is_extract, slot)
+    for slot, i in enumerate(order):
+        l, r = intervals[i]
+        events.append((l, 0, slot))
+        events.append((r, 1, slot))
+    events.sort()
+    depth = (n - 1).bit_length()
+    add = [0] * (2 << depth)   # pending add of each node
+    peak = [0] * (2 << depth)  # highest prefix sum of the pending adds
+    shifts = range(depth - 1, -1, -1)
+    out = [0] * n
+    for _t, is_extract, slot in events:
+        d = -1 if is_extract else 1
+        node = 1
+        for shift in shifts:
+            left = 2 * node
+            a = add[node]
+            h = peak[node]
+            if a or h:
+                add[node] = peak[node] = 0
+                for c in (left, left + 1):
+                    v = add[c]
+                    if v + h > peak[c]:
+                        peak[c] = v + h
+                    add[c] = v + a
+            if slot >> shift & 1:
+                # the whole left child lies inside [0, slot]
+                v = add[left] + d
+                add[left] = v
+                if v > peak[left]:
+                    peak[left] = v
+                node = left + 1
+            else:
+                node = left
+        if is_extract:
+            out[order[slot]] = peak[node]
+        v = add[node] + d
+        add[node] = v
+        if v > peak[node]:
+            peak[node] = v
     return out
 
 

@@ -31,96 +31,12 @@ from distorder.weights import WeightArena
 from distorder.workset_heap import WorkSetHeap
 
 from helpers import (check_workset, count_linearizations_exhaustive,
-                     multi_graph, run_workset_trace)
+                     drive_pattern, multi_graph, run_workset_trace)
 
 
 def report(num: int, ok: bool, detail: str) -> None:
     print(f"\n[criterion {num:2d}] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-# -- trace drivers -----------------------------------------------------------
-
-
-def drive_pattern(pattern: str, n_ops: int, seed: int):
-    """Run one patterned trace; returns (heap, intervals, extracted).
-
-    ``intervals`` are (insert event, extract event) pairs per element (still
-    live elements get closing times past the end), ``extracted`` is a list of
-    (element, rank at extraction).
-    """
-    rng = random.Random(seed)
-    arena = WeightArena()
-    heap = WorkSetHeap(arena)
-    intervals: list = []
-    extracted: list[tuple[int, int]] = []
-    events = 0
-    half = n_ops // 2
-
-    def ins(key, ident):
-        nonlocal events
-        heap.insert(arena.intern(key), ident)
-        events += 1
-        intervals.append((events, None))
-
-    def ext():
-        nonlocal events
-        r = heap._M.find_min()  # the rank the extract takes from
-        _k, got = heap.extract_min()
-        events += 1
-        intervals[got] = (intervals[got][0], events)
-        extracted.append((got, r))
-
-    if pattern == "random":
-        live = {}
-        for i in range(n_ops):
-            roll = rng.random()
-            if roll < 0.45 or not live:
-                ident = len(intervals)
-                v = rng.randrange(1 << 40)
-                tok = heap.insert(arena.intern(v), ident)
-                events += 1
-                intervals.append((events, None))
-                live[ident] = (tok, v)
-            elif roll < 0.85:
-                r = heap._M.find_min()
-                _k, got = heap.extract_min()
-                events += 1
-                intervals[got] = (intervals[got][0], events)
-                extracted.append((got, r))
-                del live[got]
-            else:
-                # decreases keep the extraction accounting honest but do not
-                # enter the working-set definition
-                ident = next(iter(live))
-                tok, v = live[ident]
-                nv = max(0, v - rng.randrange(1 << 30))
-                heap.decrease_key(tok, arena.intern(nv))
-                live[ident] = (tok, nv)
-    elif pattern == "sorted":
-        for i in range(half):
-            ins(i + 1, i)
-        for _ in range(half):
-            ext()
-    elif pattern == "reverse":
-        for i in range(half):
-            ins((1 << 40) - i, i)
-        for _ in range(half):
-            ext()
-    elif pattern == "lifo":
-        base = 1 << 40
-        ins(base, 0)
-        for i in range(1, half):
-            ins(base - i, len(intervals))
-            ext()
-        ext()
-    else:
-        raise AssertionError(pattern)
-
-    for i, (l, r) in enumerate(intervals):
-        if r is None:
-            intervals[i] = (l, events + 1 + i)
-    return heap, intervals, extracted
 
 
 # -- criteria 1-3: the heap --------------------------------------------------

@@ -41,8 +41,10 @@ class TestParse:
         assert g.n == 2 and g.m == 1 and g.directed
 
     def test_zero_weight_rejected(self):
-        for w in ("0", "-3", "-1/2"):
-            with pytest.raises(GraphParseError) as ei:
+        for w, shown in (("0", "0"), ("-3", "-3"), ("-1/2", "-1/2"),
+                         ("0/3", "0"), ("-2.5", "-5/2"), ("-4/2", "-2")):
+            with pytest.raises(GraphParseError,
+                               match=f"weight {shown} is not positive") as ei:
                 parse_graph(f"3 2 0 directed\n0 1 1\n1 2 {w}\n")
             assert ei.value.lineno == 3
 

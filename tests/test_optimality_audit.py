@@ -22,7 +22,17 @@ from distorder.weights import WeightArena
 
 from helpers import (brute_force_barrier, brute_force_greedy_coloring,
                      brute_force_working_sets, count_linearizations_exhaustive,
-                     random_interval_set, rescan_greedy_coloring)
+                     drive_pattern, random_interval_set,
+                     rescan_greedy_coloring, segment_tree_working_sets)
+
+
+def tied_intervals(rng, n, span):
+    """n intervals on [0, 3 * span / 2): heavy ties, l == r and touching ends."""
+    out = []
+    for _ in range(n):
+        l = rng.randrange(span)
+        out.append((l, l + rng.randrange(span // 2 + 1)))
+    return out
 
 
 def test_import_does_not_load_numpy():
@@ -53,6 +63,29 @@ class TestWorkingSets:
         ivs = [(1, 3), (3, 5), (5, 5), (2, 9)]
         assert working_set_sizes(ivs) == brute_force_working_sets(ivs)
         assert working_set_sizes(ivs) == [3, 2, 1, 3]
+
+    def test_matches_segment_tree(self):
+        def check(ivs):
+            assert working_set_sizes(ivs) == segment_tree_working_sets(ivs)
+
+        rng = random.Random(30)
+        check([])
+        for _ in range(600):
+            check(tied_intervals(rng, rng.randrange(1, 80),
+                                 rng.choice((1, 2, 4, 20, 200))))
+        for n in (1, 10, 300, 2000):
+            check(random_interval_set(rng, n))
+            check([(i, i + 1) for i in range(n)])  # staircase, touching
+            check([(i, i + 1) for i in range(n)][::-1])
+            check([(i, n + i) for i in range(n)])  # FIFO
+        for pattern in ("random", "sorted", "reverse", "lifo"):
+            check(drive_pattern(pattern, 4_000, 11)[1])
+
+    def test_refuses_an_interval_that_ends_before_it_starts(self):
+        with pytest.raises(ContractViolation, match="interval 0 ends"):
+            working_set_sizes([(5, 3)])
+        with pytest.raises(ContractViolation, match=r"interval 1 ends .*\(7, 6\)"):
+            working_set_sizes([(1, 2), (7, 6), (9, 4)])
 
 
 class TestCost:
@@ -112,13 +145,6 @@ class TestGreedy:
                 for k in range(len(col.classes))]
 
     def test_matches_rescan(self):
-        def tied(rng, n, span):
-            out = []
-            for _ in range(n):
-                l = rng.randrange(span)
-                out.append((l, l + rng.randrange(span // 2 + 1)))
-            return out
-
         def check(ivs):
             col, ref = greedy_coloring(ivs), rescan_greedy_coloring(ivs)
             assert (col.color, col.classes, col.witnesses) == (
@@ -126,12 +152,14 @@ class TestGreedy:
 
         rng = random.Random(28)
         for _ in range(500):
-            check(tied(rng, rng.randrange(1, 80), rng.choice((4, 20, 200))))
+            check(tied_intervals(rng, rng.randrange(1, 80),
+                                 rng.choice((4, 20, 200))))
         for _ in range(100):
             # time-disjoint pieces, their interval indices interleaved
             ivs, offset = [], 0
             for _ in range(rng.randrange(1, 6)):
-                piece = tied(rng, rng.randrange(1, 30), rng.choice((4, 20)))
+                piece = tied_intervals(rng, rng.randrange(1, 30),
+                                       rng.choice((4, 20)))
                 ivs += [(l + offset, r + offset) for l, r in piece]
                 offset = max(r for _, r in ivs) + rng.randrange(1, 3)
             rng.shuffle(ivs)
@@ -142,6 +170,12 @@ class TestGreedy:
         for g in (gen_family("random_digraph", 2000, seed=0),
                   gen_broom(44, 44 * 44 - 44 - 1)):
             check(run_dijkstra(g, "workset").intervals)
+
+    def test_refuses_an_interval_that_ends_before_it_starts(self):
+        with pytest.raises(ContractViolation, match="interval 0 ends"):
+            greedy_coloring([(5, 3)])
+        with pytest.raises(ContractViolation, match=r"interval 2 ends .*\(9, 4\)"):
+            greedy_coloring([(1, 2), (6, 7), (9, 4), (8, 1)])
 
     def test_energy_examples(self):
         ivs = [(1, 10), (2, 11), (3, 12), (4, 13)]

@@ -184,10 +184,14 @@ def test_intern_many_checks_the_whole_batch_first():
         with pytest.raises(ContractViolation):
             a.intern_many(bad)
         assert len(a) == 1  # only the zero cell
+    for bad in ([Fraction(1, 2), -1], [Fraction(-1, 3)], [3, -Fraction(6, 3)]):
+        with pytest.raises(ContractViolation, match="weights must be nonnegative"):
+            a.intern_many(bad)
+        assert len(a) == 1
     b = WeightArena(audit=True, mask_seed=3)
-    hb = b.intern_many([Fraction(7, 2), 3, Fraction(5, 2), Fraction(1, 3)])
+    hb = b.intern_many([Fraction(7, 2), 3, Fraction(5, 2), Fraction(1, 3), Fraction(0)])
     assert [b.audit_value(h) for h in hb] == [Fraction(7, 2), 3, Fraction(5, 2),
-                                              Fraction(1, 3)]
+                                              Fraction(1, 3), 0]
 
 
 def test_rising_denominator_keeps_handles_and_order():

@@ -17,8 +17,11 @@ Dijkstra on all four queues and the pipeline in a plain and an audit-mode
 arena.  The heap-churn trace is also replayed on all four queues at both
 seeds, and each of its three audited windows is one interval-only case.
 Each graph's plain working-set run also feeds one case of the tree
-audits, for 509 cases in all.  Every case records comparisons; all but the
-tree audits record additions.  Dijkstra runs add ``extract_comparisons``,
+audits.  Dijkstra's event times never tie, so six interval-only cases of
+seeded tie-heavy sets (tied starts and ends, l == r, touching endpoints)
+close the corpus, for 515 cases in all.  The Dijkstra, pipeline, replay
+and tree-audit cases record comparisons, and the Dijkstra and pipeline
+cases additions too.  Dijkstra runs add ``extract_comparisons``,
 the linearization, both trees' parents, ``sssp_arcs``, the intervals and
 (audit runs) the exact distances; pipeline runs add ``lazy_spend``, the
 linearization, the tree, ``tree_arc``, the core graph (n, s, tails and heads
@@ -32,7 +35,7 @@ shortest-path tree (its order and its comparisons),
 ``greedy_coloring`` of the intervals (classes and witnesses) and what
 ``verify_barrier_sequence`` says of it.  A churn-window case records
 ``working_set_sizes`` and the ``greedy_coloring`` (classes and witnesses)
-of the window's intervals.
+of the window's intervals, as does a tied-set case.
 """
 
 from __future__ import annotations
@@ -87,6 +90,33 @@ def corpus():
                        ("multigraph-2000-s1", multi)):
         out.append((name, lambda a, text=text: parse_graph(text, audit=a)))
     return out
+
+
+def tied_interval_sets():
+    """(name, intervals) pairs: seeded sets on few event times, so starts and
+    ends tie, some intervals have l == r and many touch at an endpoint."""
+    out = []
+    for k, (n, span) in enumerate(((40, 2), (200, 4), (500, 10), (2000, 30),
+                                   (2000, 300))):
+        rng = random.Random(k)
+        ivs = []
+        for _ in range(n):
+            l = rng.randrange(span)
+            ivs.append((l, l + rng.randrange(span // 2 + 1)))
+        out.append((f"tied-intervals/{n}-{span}", ivs))
+    # a staircase of touching steps, each step two equal intervals
+    out.append(("tied-intervals/paired-staircase-1000",
+                [(i // 2, i // 2 + 1) for i in range(1000)]))
+    return out
+
+
+def interval_case(intervals):
+    coloring = greedy_coloring(intervals)
+    return {
+        "working_set_sizes": working_set_sizes(intervals),
+        "classes": coloring.classes,
+        "witnesses": coloring.witnesses,
+    }
 
 
 def dijkstra_case(g, run):
@@ -175,12 +205,9 @@ def main():
             if kind == "workset":
                 case["rank_extracts"] = q.rank_extracts
         for k, intervals in enumerate(trace.windows):
-            coloring = greedy_coloring(intervals)
-            cases[f"churn-window-s{seed}/{k}"] = {
-                "working_set_sizes": working_set_sizes(intervals),
-                "classes": coloring.classes,
-                "witnesses": coloring.witnesses,
-            }
+            cases[f"churn-window-s{seed}/{k}"] = interval_case(intervals)
+    for name, intervals in tied_interval_sets():
+        cases[name] = interval_case(intervals)
     json.dump(cases, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
     print(len(cases), "cases", file=sys.stderr)
